@@ -10,8 +10,8 @@ from dataclasses import replace
 
 from .engine import run_trial
 from .join_scored import ScoreWeights
-from .metrics import (AggregateReport, Improvement, aggregate, compare,
-                      delay_stats, is_saturated_branch, pdr)
+from .metrics import (AggregateError, AggregateReport, Improvement, aggregate,
+                      compare, delay_stats, pdr)
 from .scenario import (GenerationError, Scenario, ScenarioError,
                        gen_random_scenario, load_scenario, training11,
                        write_scenario)
@@ -59,7 +59,6 @@ def parse_weights_grid(spec: str) -> list[dict]:
 def trial_row(index: int, trial) -> dict:
     ds = delay_stats(trial) if trial.joined else None
     p = pdr(trial) if trial.joined else None
-    sat = is_saturated_branch(trial) if trial.joined else None
     return {
         "trial": index,
         "algo": trial.algo,
@@ -70,7 +69,7 @@ def trial_row(index: int, trial) -> dict:
         "mu_d_ms": "" if ds is None else ds[0],
         "sigma_d_ms": "" if ds is None else ds[1],
         "pdr": "" if p is None else p,
-        "sat_branch": "" if sat is None else int(sat),
+        "sat_branch": "" if trial.sat_branch is None else int(trial.sat_branch),
         "eligible_sat": int(trial.eligible_sat),
         "avoided_sat": int(trial.avoided_sat),
     }
@@ -103,14 +102,12 @@ def cmd_compare(scenario: Scenario | None = None, random_nodes: int | None = Non
             s = scenario
         if weights:
             s = replace(s, weights=replace(s.weights, **weights))
-        theta = s.thresholds.theta_sat
         for algo, bucket in (("baseline", base_trials), ("scored", prop_trials)):
             t = run_trial(s, algo, seed)
-            bucket.append((t, theta))
+            bucket.append(t)
             rows.append(trial_row(i, t))
-    theta = base_trials[0][1]
-    base_report = aggregate([t for t, _ in base_trials], theta)
-    prop_report = aggregate([t for t, _ in prop_trials], theta)
+    base_report = aggregate(base_trials)
+    prop_report = aggregate(prop_trials)
     improvement = compare(base_report, prop_report)
     if out:
         write_rows(rows, out)
@@ -127,13 +124,17 @@ def format_summary(base: AggregateReport, prop: AggregateReport,
                 f"{r.mu_pdr:>8.2f}{r.sigma_pdr:>11.3f}"
                 f"{100 * r.pct_sat:>6.0f}%{avoid:>11}{r.mean_hops:>8.1f}"
                 f"{r.n_joined:>8}/{r.n_trials}")
+
+    def pct(gain: float | None) -> str:
+        return "-" if gain is None else f"{100 * gain:.1f}%"
+
     lines = [
         f"{'':<10}{'mu_d':>9}{'sigma_d':>10}{'mu_PDR':>8}{'sigma_PDR':>11}"
         f"{'%Sat':>7}{'avoid_Sat':>11}{'N_hops':>8}{'joined':>10}",
         fmt(prop),
         fmt(base),
-        (f"delay_gain {100 * imp.delay_gain:.1f}%   "
-         f"pdr_gain {100 * imp.pdr_gain:.1f}%   "
+        (f"delay_gain {pct(imp.delay_gain)}   "
+         f"pdr_gain {pct(imp.pdr_gain)}   "
          f"sat_reduction {imp.sat_reduction_pp:.1f} pp"),
     ]
     return "\n".join(lines)
@@ -265,6 +266,9 @@ def main(argv=None) -> int:
         return 1
     except GenerationError as e:
         print(f"error at generation stage: {e}", file=sys.stderr)
+        return 1
+    except AggregateError as e:
+        print(f"error at aggregate stage: {e}", file=sys.stderr)
         return 1
     except OSError as e:
         print(f"error at io stage: {e}", file=sys.stderr)

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .channel import Position, RadioParams, hears
-from .join_baseline import CONNECT, HeardJoinMe, baseline_select
-from .join_scored import (CandidateInfo, filter_candidates, make_joinme_ack,
-                          select_parent)
-from .model import DataPacket, Network, NodeState, make_joinme, make_status_advert
+from .join_baseline import baseline_select, strongest
+from .join_scored import CandidateInfo, filter_candidates, select_parent
+from .model import DataPacket, Network, NodeState
 from .scenario import Scenario
 
 # event kinds, in tie-break order
@@ -31,6 +30,10 @@ KIND_GEN = 3
 KIND_END = 4
 
 ALGOS = ("baseline", "scored")
+
+
+class ConservationError(RuntimeError):
+    """Sent packets do not equal delivered + dropped + in flight."""
 
 
 class Event(NamedTuple):
@@ -106,33 +109,56 @@ def link_rssi(net: Network, radio: RadioParams, shadow: ShadowMap | None,
     return hears(net.nodes[at_id].pos, net.nodes[from_id].pos, radio, noise)
 
 
-def candidate_from_advert(advert, rl_dbm: float) -> CandidateInfo:
+def uplink_rssi(net: Network, radio: RadioParams, shadow: ShadowMap | None,
+                node: NodeState) -> float | None:
+    """node's measured link to its master; None for cluster roots."""
+    if node.master is None:
+        return None
+    return link_rssi(net, radio, shadow, node.id, node.master)[1]
+
+
+def candidate(node: NodeState, rl_dbm: float, rn_dbm: float | None) -> CandidateInfo:
+    """node's live state as a neighbour heard at rl_dbm, uplink rn_dbm."""
     return CandidateInfo(
-        id=advert.sender, cluster_id=advert.cluster_id,
-        cluster_size=advert.cluster_size, m=advert.m_slaves, h=advert.h_hops,
-        b=advert.b_occupancy, ci_ms=advert.ci_ms, rl_dbm=rl_dbm,
-        rn_dbm=advert.rn_dbm, free_out=advert.free_out, children=advert.children)
+        id=node.id, cluster_id=node.cluster_id, cluster_size=node.cluster_size,
+        m=len(node.slaves), h=node.hops_to_sink, b=len(node.buffer),
+        ci_ms=node.ci_ms, rl_dbm=rl_dbm, rn_dbm=rn_dbm, free_out=node.free_out,
+        children=tuple(node.slaves))
 
 
 def broadcast_status(node: NodeState, net: Network, radio: RadioParams,
                      shadow: ShadowMap | None = None):
-    """Deliver a fresh status advert to every node in range.
+    """Deliver a fresh status broadcast to every node in range.
 
-    Returns (receiver_id, advert, rl_dbm) triples. The advert snapshots
-    the sender's state at emission time, so b_occupancy is instantaneous.
+    Returns (receiver_id, candidate) pairs, each carrying the RSSI that
+    receiver measured. The sender's state is snapshotted at emission
+    time, so the buffer occupancy b is instantaneous.
     """
-    rn = None
-    if node.master is not None:
-        _, rn = link_rssi(net, radio, shadow, node.id, node.master)
-    advert = make_status_advert(node, rn)
+    rn = uplink_rssi(net, radio, shadow, node)
     deliveries = []
     for rid in sorted(net.nodes):
         if rid == node.id:
             continue
         heard, rl = link_rssi(net, radio, shadow, rid, node.id)
         if heard:
-            deliveries.append((rid, advert, rl))
+            deliveries.append((rid, candidate(node, rl, rn)))
     return deliveries
+
+
+def branch_saturated(path, sink_id: int, theta_sat: float, level) -> bool:
+    """The saturated-branch rule, for decision-time labels and the verdict.
+
+    True iff some node on path other than the sink dropped a packet on
+    overflow or held a mean occupancy of at least theta_sat * b_max.
+    level(nid) gives that node's (mean occupancy, drops, b_max).
+    """
+    for nid in path:
+        if nid == sink_id:
+            continue
+        avg, drops, b_max = level(nid)
+        if drops > 0 or avg >= theta_sat * b_max:
+            return True
+    return False
 
 
 def generate_traffic(rate_pps: float, horizon_ms: float, rng: random.Random) -> list[float]:
@@ -177,7 +203,6 @@ def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
 
 def _gather_candidates(net, joiner_id, radio, shadow):
     """Live candidate records for every heard member of the sink's cluster."""
-    joiner = net.nodes[joiner_id]
     sink_cluster = net.nodes[net.sink_id].cluster_id
     cands = []
     for mid in net.cluster_members(sink_cluster):
@@ -185,13 +210,15 @@ def _gather_candidates(net, joiner_id, radio, shadow):
         if member.free_out < 1:
             continue
         heard, rl = link_rssi(net, radio, shadow, joiner_id, mid)
-        if not heard:
-            continue
-        rn = None
-        if member.master is not None:
-            _, rn = link_rssi(net, radio, shadow, mid, member.master)
-        cands.append(candidate_from_advert(make_status_advert(member, rn), rl))
+        if heard:
+            cands.append(candidate(member, rl, uplink_rssi(net, radio, shadow, member)))
     return cands
+
+
+def scored_select(cands: list[CandidateInfo], thresholds, weights) -> int | None:
+    """The scored pipeline: filter, then the best score in the biggest cluster."""
+    return select_parent(filter_candidates(cands, thresholds.rl_min_dbm,
+                                           thresholds.b_fair), weights)
 
 
 def build_network(net: Network, algo: str, radio: RadioParams, weights,
@@ -201,8 +228,9 @@ def build_network(net: Network, algo: str, radio: RadioParams, weights,
 
     Ascending-id passes, one attach at a time, repeated until a full pass
     makes no progress. Baseline takes the strongest heard member with a
-    free slot; scored runs the filter/score pipeline over the same
-    candidates. Nodes out of reach of the growing cluster stay roots.
+    free slot, even a lone sink that baseline_select would refuse;
+    scored runs the filter/score pipeline over the same candidates.
+    Nodes out of reach of the growing cluster stay roots.
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -218,11 +246,9 @@ def build_network(net: Network, algo: str, radio: RadioParams, weights,
             if not cands:
                 continue
             if algo == "baseline":
-                parent = max(cands, key=lambda c: (c.rl_dbm, -c.id)).id
+                parent = strongest(cands)
             else:
-                filtered = filter_candidates(cands, thresholds.rl_min_dbm,
-                                             thresholds.b_fair)
-                parent = select_parent(filtered, weights)
+                parent = scored_select(cands, thresholds, weights)
             if parent is None:
                 continue
             net.attach(nid, parent)
@@ -282,7 +308,7 @@ class TrialEngine:
                                 list(self.net.nodes))
         self.meters = {nid: _Meter() for nid in self.net.nodes}
         self.heap: list[Event] = []
-        self.heard: dict[int, tuple] = {}  # sender -> (advert, joinme, rl)
+        self.heard: dict[int, CandidateInfo] = {}  # freshest per sender
         self.probes: list[ProbeRecord] = []
         self._probe_by_seq: dict[int, ProbeRecord] = {}
         self.total_sent = self.total_delivered = self.total_dropped = 0
@@ -357,56 +383,41 @@ class TrialEngine:
         for nid in sorted(self.net.nodes):
             if nid == new_id:
                 continue
-            node = self.net.nodes[nid]
-            for rid, advert, rl in broadcast_status(node, self.net, self.radio, self.shadow):
+            for rid, cand in broadcast_status(self.net.nodes[nid], self.net,
+                                              self.radio, self.shadow):
                 if rid == new_id:
-                    self.heard[nid] = (advert, make_joinme(node), rl)
+                    self.heard[nid] = cand
 
-    def _branch_saturated_at(self, cand_id: int, now_ms: float) -> bool:
-        """Decision-time label: congested node or drops anywhere up the branch."""
-        theta = self.scenario.thresholds.theta_sat
-        for nid in self.net.path_to_root(cand_id):
-            if nid == self.net.sink_id:
-                continue
-            node = self.net.nodes[nid]
-            m = self.meters[nid]
-            if m.drops > 0:
-                return True
-            if m.avg_until(len(node.buffer), now_ms) >= theta * node.b_max:
-                return True
-        return False
+    def _level_at(self, nid: int, now_ms: float) -> tuple[float, int, int]:
+        """Running (mean occupancy, drops, b_max) of nid up to now_ms."""
+        node, m = self.net.nodes[nid], self.meters[nid]
+        return m.avg_until(len(node.buffer), now_ms), m.drops, node.b_max
 
     def _on_join_round(self, now_ms: float) -> None:
         """The joiner's own joinMe emission: decide, request, attach."""
         eng = self.scenario.engine
         new_id = self.scenario.new_node_id
         new = self.net.nodes[new_id]
-        senders = sorted(self.heard)
-        parent = None
+        cands = [self.heard[s] for s in sorted(self.heard)]
         if self.algo == "baseline":
-            adverts = [HeardJoinMe(self.heard[s][1], self.heard[s][2]) for s in senders]
-            decision = baseline_select(adverts, new)
-            if decision.kind == CONNECT:
-                parent = decision.parent
+            parent = baseline_select(cands, new)
         else:
-            cands = [candidate_from_advert(self.heard[s][0], self.heard[s][2])
-                     for s in senders]
-            filtered = filter_candidates(cands, self.scenario.thresholds.rl_min_dbm,
-                                         self.scenario.thresholds.b_fair)
-            pick = select_parent(filtered, self.scenario.weights)
-            if pick is not None:
-                # broadcast the ack-carrying joinMe; only the named node answers
-                parent = make_joinme_ack(new, pick).ack_field
+            # the pick goes out in the joinMe ack field; only it answers
+            parent = scored_select(cands, self.scenario.thresholds,
+                                   self.scenario.weights)
 
         if parent is None:
             if now_ms - self.t_listen >= eng.max_wait_ms:
-                self._finalize_failed(now_ms)
+                self._finalize(now_ms)
             else:
                 heapq.heappush(self.heap, Event(now_ms + eng.t_adv_ms, KIND_STATUS, 0))
                 heapq.heappush(self.heap, Event(now_ms + eng.t_adv_ms, KIND_JOINME, new_id))
             return
 
-        labels = {s: self._branch_saturated_at(s, now_ms) for s in senders}
+        theta = self.scenario.thresholds.theta_sat
+        labels = {c.id: branch_saturated(self.net.path_to_root(c.id), self.net.sink_id,
+                                         theta, lambda nid: self._level_at(nid, now_ms))
+                  for c in cands}
         self.eligible_sat = any(labels.values()) and not all(labels.values())
         self.avoided_sat = self.eligible_sat and not labels[parent]
 
@@ -436,53 +447,38 @@ class TrialEngine:
             in_flight += len(self.net.nodes[nid].buffer)
         return in_flight
 
-    def _finalize_failed(self, now_ms: float) -> None:
-        total_in_flight = self._flush_buffers(now_ms)
-        self.result = TrialResult(
-            trial_seed=self.seed, algo=self.algo, joined=False,
-            chosen_parent=None, join_time_ms=None, hops_at_join=None,
-            path_to_sink=[], probes=[], probe_sent=0, probe_delivered=0,
-            probe_dropped=0, probe_in_flight=0,
-            total_sent=self.total_sent, total_delivered=self.total_delivered,
-            total_dropped=self.total_dropped, total_in_flight=total_in_flight,
-            node_b_max={nid: n.b_max for nid, n in sorted(self.net.nodes.items())})
-        self.done = True
-
     def _finalize(self, now_ms: float) -> None:
-        total_in_flight = self._flush_buffers(now_ms)
-        measure_ms = now_ms - self.t_join
-        buffer_avg = {}
-        overflow = {}
-        for nid in sorted(self.net.nodes):
-            m = self.meters[nid]
-            buffer_avg[nid] = (m.area - self._join_snap_area[nid]) / measure_ms
-            overflow[nid] = m.drops - self._join_snap_drops[nid]
-        theta = self.scenario.thresholds.theta_sat
-        sat = False
-        for nid in self.path:
-            if nid == self.net.sink_id:
-                continue
-            if overflow[nid] > 0 or buffer_avg[nid] >= theta * self.net.nodes[nid].b_max:
-                sat = True
-                break
-        self.result = TrialResult(
-            trial_seed=self.seed, algo=self.algo, joined=True,
-            chosen_parent=self.chosen,
-            join_time_ms=self.t_join - self.t_listen,
-            hops_at_join=self.net.nodes[self.scenario.new_node_id].hops_to_sink,
-            path_to_sink=list(self.path),
-            probes=self.probes,
+        """Close the trial; window figures and the verdict only if joined."""
+        in_flight = self._flush_buffers(now_ms)
+        if self.total_sent - self.total_delivered - self.total_dropped != in_flight:
+            raise ConservationError(
+                f"{self.algo} seed {self.seed}: {self.total_sent} sent, "
+                f"{self.total_delivered} delivered, {self.total_dropped} dropped, "
+                f"{in_flight} in flight")
+        b_max = {nid: n.b_max for nid, n in sorted(self.net.nodes.items())}
+        r = TrialResult(
+            trial_seed=self.seed, algo=self.algo, joined=self.joined,
+            chosen_parent=self.chosen, join_time_ms=None, hops_at_join=None,
+            path_to_sink=list(self.path), probes=self.probes,
             probe_sent=self.probe_sent, probe_delivered=self.probe_delivered,
             probe_dropped=self.probe_dropped,
             probe_in_flight=self.probe_sent - self.probe_delivered - self.probe_dropped,
             total_sent=self.total_sent, total_delivered=self.total_delivered,
-            total_dropped=self.total_dropped, total_in_flight=total_in_flight,
-            buffer_avg=buffer_avg, overflow_drops=overflow,
-            node_b_max={nid: n.b_max for nid, n in sorted(self.net.nodes.items())},
-            sat_branch=sat, eligible_sat=self.eligible_sat,
+            total_dropped=self.total_dropped, total_in_flight=in_flight,
+            node_b_max=b_max, eligible_sat=self.eligible_sat,
             avoided_sat=self.avoided_sat)
-        assert (self.result.total_sent - self.result.total_delivered
-                - self.result.total_dropped == total_in_flight)
+        if self.joined:
+            window = now_ms - self.t_join
+            for nid in sorted(self.net.nodes):
+                m = self.meters[nid]
+                r.buffer_avg[nid] = (m.area - self._join_snap_area[nid]) / window
+                r.overflow_drops[nid] = m.drops - self._join_snap_drops[nid]
+            r.join_time_ms = self.t_join - self.t_listen
+            r.hops_at_join = self.net.nodes[self.scenario.new_node_id].hops_to_sink
+            r.sat_branch = branch_saturated(
+                self.path, self.net.sink_id, self.scenario.thresholds.theta_sat,
+                lambda nid: (r.buffer_avg[nid], r.overflow_drops[nid], b_max[nid]))
+        self.result = r
         self.done = True
 
     # -- main loop ---------------------------------------------------
@@ -526,7 +522,7 @@ class TrialEngine:
                 if not self.joined:
                     self._on_join_round(ev.at_ms)
         if self.result is None:  # heap ran dry before any terminal event
-            self._finalize_failed(horizon)
+            self._finalize(horizon)
         return self.result
 
 

@@ -7,51 +7,30 @@ scored strategy is compared against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import JoinMePacket, NodeState
-
-CONNECT = "connect_as_child"
-WAIT = "wait"
-NONE = "none"
+from .join_scored import CandidateInfo
+from .model import NodeState
 
 
-@dataclass(frozen=True)
-class HeardJoinMe:
-    """A joinMe broadcast together with the RSSI it was received at."""
-
-    packet: JoinMePacket
-    rl_dbm: float
+def strongest(cands: list[CandidateInfo]) -> int:
+    """Id of the strongest heard candidate, ties going to the lowest id."""
+    return max(cands, key=lambda c: (c.rl_dbm, -c.id)).id
 
 
-@dataclass(frozen=True)
-class JoinDecision:
-    kind: str
-    parent: int | None = None
-
-
-def baseline_select(adverts: list[HeardJoinMe], self_node: NodeState) -> JoinDecision:
-    """Pick a master from one discovery window of joinMe broadcasts.
+def baseline_select(cands: list[CandidateInfo], self_node: NodeState) -> int | None:
+    """Pick a master from one discovery window of heard neighbours.
 
     Eligible senders have a free slave slot and belong to a cluster at
     least as big as ours (equal sizes: the lower cluster id joins the
-    higher). Within the biggest eligible cluster the strongest RSSI wins,
-    ties going to the lowest sender id.
+    higher). Within the biggest eligible cluster the strongest RSSI wins.
+    None means keep waiting, or that self_node already has a master.
     """
     if self_node.master is not None:
-        return JoinDecision(NONE)
-    eligible = []
-    for h in adverts:
-        p = h.packet
-        if p.free_out < 1:
-            continue
-        if p.cluster_size > self_node.cluster_size or (
-                p.cluster_size == self_node.cluster_size
-                and p.cluster_id > self_node.cluster_id):
-            eligible.append(h)
+        return None
+    eligible = [c for c in cands if c.free_out >= 1 and (
+        c.cluster_size > self_node.cluster_size
+        or (c.cluster_size == self_node.cluster_size
+            and c.cluster_id > self_node.cluster_id))]
     if not eligible:
-        return JoinDecision(WAIT)
-    biggest = max(h.packet.cluster_size for h in eligible)
-    pool = [h for h in eligible if h.packet.cluster_size == biggest]
-    best = max(pool, key=lambda h: (h.rl_dbm, -h.packet.sender))
-    return JoinDecision(CONNECT, best.packet.sender)
+        return None
+    biggest = max(c.cluster_size for c in eligible)
+    return strongest([c for c in eligible if c.cluster_size == biggest])

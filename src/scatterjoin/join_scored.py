@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import JoinMePacket, NodeState, make_joinme
-
 
 @dataclass(frozen=True)
 class CandidateInfo:
-    """One neighbor's scoring record, assembled from its status advert
-    plus the RSSI measured when the advert was received."""
+    """One heard neighbor as both strategies see it: the sender's live
+    state from its status broadcast plus the RSSI measured on receipt."""
 
     id: int
     cluster_id: int
@@ -132,8 +130,3 @@ def select_parent(filtered: list[CandidateInfo], w: ScoreWeights) -> int | None:
     pool = [c for c in filtered if c.cluster_size == biggest]
     best = max(pool, key=lambda c: (score_candidate(c, w), c.rl_dbm, -c.id))
     return best.id
-
-
-def make_joinme_ack(self_node: NodeState, parent: int) -> JoinMePacket:
-    """joinMe broadcast naming the requested parent; only that node answers."""
-    return make_joinme(self_node, ack_field=parent)

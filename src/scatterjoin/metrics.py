@@ -6,7 +6,10 @@ import statistics
 from dataclasses import dataclass
 
 from .engine import TrialResult
-from .model import SINK_ID
+
+
+class AggregateError(ValueError):
+    """A set of trials that cannot be collapsed into one report."""
 
 
 @dataclass(frozen=True)
@@ -27,9 +30,11 @@ class AggregateReport:
 
 @dataclass(frozen=True)
 class Improvement:
-    delay_gain: float        # fraction of baseline delay shaved off
-    pdr_gain: float          # relative PDR increase
-    sat_reduction_pp: float  # percentage points of saturation probability removed
+    """Gains of the proposed report over the baseline; None when undefined."""
+
+    delay_gain: float | None  # fraction of baseline delay shaved off
+    pdr_gain: float | None    # relative PDR increase
+    sat_reduction_pp: float   # percentage points of saturation probability removed
 
 
 def delay_stats(trial: TrialResult) -> tuple[float, float] | None:
@@ -53,42 +58,23 @@ def pdr(trial: TrialResult) -> float | None:
     return trial.probe_delivered / trial.probe_sent
 
 
-def is_saturated_branch(trial: TrialResult, theta_sat: float = 0.8) -> bool:
-    """Did the new node operate on a congested branch during measurement?
-
-    True iff some node on its path to the sink (sink excluded) kept a
-    time-averaged occupancy of at least theta_sat * b_max or dropped a
-    packet on overflow during the measurement window.
-    """
-    if not trial.joined:
-        raise ValueError("saturation is undefined for a failed join")
-    for nid in trial.path_to_sink:
-        if nid == SINK_ID:
-            continue
-        if trial.overflow_drops.get(nid, 0) > 0:
-            return True
-        if trial.buffer_avg.get(nid, 0.0) >= theta_sat * trial.node_b_max[nid]:
-            return True
-    return False
-
-
-def aggregate(trials: list[TrialResult], theta_sat: float = 0.8) -> AggregateReport:
+def aggregate(trials: list[TrialResult]) -> AggregateReport:
     """Collapse one algorithm's trials into a report row.
 
     Delay and PDR are aggregated as mean/deviation of per-trial means.
-    Trials that never joined are excluded and counted; avoid_sat covers
-    only trials where both a saturated and an unsaturated candidate were
-    heard. Value lists are sorted before reduction so the result does not
-    depend on input order.
+    Trials that never joined are excluded and counted. pct_sat counts the
+    engine's sat_branch verdicts; avoid_sat covers only trials where both
+    a saturated and an unsaturated candidate were heard. Value lists are
+    sorted before reduction so the result does not depend on input order.
     """
     if not trials:
-        raise ValueError("no trials to aggregate")
+        raise AggregateError("no trials to aggregate")
     algos = {t.algo for t in trials}
     if len(algos) != 1:
-        raise ValueError(f"mixed algorithms in one aggregate: {sorted(algos)}")
+        raise AggregateError(f"mixed algorithms in one aggregate: {sorted(algos)}")
     joined = [t for t in trials if t.joined]
     if not joined:
-        raise ValueError("zero joined trials")
+        raise AggregateError("zero joined trials")
 
     delay_means = []
     n_undefined = 0
@@ -101,7 +87,6 @@ def aggregate(trials: list[TrialResult], theta_sat: float = 0.8) -> AggregateRep
     delay_means.sort()
     pdrs = sorted(pdr(t) for t in joined)
 
-    sat_flags = [is_saturated_branch(t, theta_sat) for t in joined]
     eligible = [t for t in joined if t.eligible_sat]
     avoided = sum(1 for t in eligible if t.avoided_sat)
 
@@ -114,7 +99,7 @@ def aggregate(trials: list[TrialResult], theta_sat: float = 0.8) -> AggregateRep
                     else (0.0 if delay_means else None)),
         mu_pdr=statistics.fmean(pdrs),
         sigma_pdr=statistics.stdev(pdrs) if len(pdrs) > 1 else 0.0,
-        pct_sat=sum(sat_flags) / len(joined),
+        pct_sat=sum(t.sat_branch for t in joined) / len(joined),
         avoid_sat=(avoided / len(eligible)) if eligible else None,
         mean_hops=statistics.fmean(sorted(t.hops_at_join for t in joined)),
         n_eligible_sat_trials=len(eligible),
@@ -123,9 +108,14 @@ def aggregate(trials: list[TrialResult], theta_sat: float = 0.8) -> AggregateRep
 
 
 def compare(base: AggregateReport, prop: AggregateReport) -> Improvement:
-    """Relative gains of the proposed report over the baseline report."""
+    """Relative gains of the proposed report over the baseline report.
+
+    The delay gain is None when either side delivered no probe, the PDR
+    gain when the baseline delivered none.
+    """
     return Improvement(
-        delay_gain=(base.mu_d_ms - prop.mu_d_ms) / base.mu_d_ms,
-        pdr_gain=(prop.mu_pdr - base.mu_pdr) / base.mu_pdr,
+        delay_gain=(None if not base.mu_d_ms or prop.mu_d_ms is None
+                    else (base.mu_d_ms - prop.mu_d_ms) / base.mu_d_ms),
+        pdr_gain=None if not base.mu_pdr else (prop.mu_pdr - base.mu_pdr) / base.mu_pdr,
         sat_reduction_pp=(base.pct_sat - prop.pct_sat) * 100.0,
     )

@@ -27,37 +27,6 @@ class DataPacket:
     hops_traversed: int = 0
 
 
-@dataclass(frozen=True)
-class StatusAdvert:
-    """Periodic broadcast carrying the sender's live joining inputs.
-
-    rn_dbm is the RSSI of the sender's own uplink to its master, absent
-    for cluster roots. children lets a joiner identify this node's slaves
-    for the fairness redirect.
-    """
-
-    sender: int
-    cluster_id: int
-    cluster_size: int
-    m_slaves: int
-    h_hops: int
-    b_occupancy: int
-    ci_ms: float
-    rn_dbm: float | None
-    free_out: int
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class JoinMePacket:
-    sender: int
-    cluster_id: int
-    cluster_size: int
-    free_in: int
-    free_out: int
-    ack_field: int | None = None
-
-
 @dataclass
 class NodeState:
     id: int
@@ -82,10 +51,6 @@ class NodeState:
     @property
     def free_out(self) -> int:
         return self.slave_capacity - len(self.slaves)
-
-    @property
-    def free_in(self) -> int:
-        return 0 if self.master is not None else 1
 
 
 class Network:
@@ -194,34 +159,3 @@ class Network:
                 path = self.path_to_root(nid)
                 assert path[-1] == self.sink_id
                 assert len(path) - 1 == self.nodes[nid].hops_to_sink
-
-
-def make_status_advert(node: NodeState, rn_measured: float | None = None) -> StatusAdvert:
-    """Snapshot the node's live state into a status broadcast."""
-    if node.master is None and rn_measured is not None:
-        raise ValueError("rn is only meaningful for nodes with a master")
-    if node.master is not None and rn_measured is None:
-        raise ValueError("rn_measured required for a node with a master")
-    return StatusAdvert(
-        sender=node.id,
-        cluster_id=node.cluster_id,
-        cluster_size=node.cluster_size,
-        m_slaves=len(node.slaves),
-        h_hops=node.hops_to_sink,
-        b_occupancy=len(node.buffer),
-        ci_ms=node.ci_ms,
-        rn_dbm=rn_measured,
-        free_out=node.free_out,
-        children=tuple(node.slaves),
-    )
-
-
-def make_joinme(node: NodeState, ack_field: int | None = None) -> JoinMePacket:
-    return JoinMePacket(
-        sender=node.id,
-        cluster_id=node.cluster_id,
-        cluster_size=node.cluster_size,
-        free_in=node.free_in,
-        free_out=node.free_out,
-        ack_field=ack_field,
-    )

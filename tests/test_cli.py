@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,9 @@ from scatterjoin.cli import (CSV_COLUMNS, cmd_compare, main,
                              parse_weight_vector, parse_weights_grid)
 from scatterjoin.engine import run_trial
 from scatterjoin.metrics import aggregate, compare
-from scatterjoin.scenario import ScenarioError, training11
+from scatterjoin.scenario import (NodeSpec, Scenario, ScenarioError,
+                                  gen_random_scenario, training11,
+                                  write_scenario)
 
 
 def test_run_on_builtin(capsys):
@@ -71,11 +74,53 @@ def test_compare_rerun_is_bit_exact():
 def test_compare_single_trial_matches_run_trial():
     s = training11()
     base, prop, imp, rows = cmd_compare(scenario=s, trials=1, seed_base=9)
-    theta = s.thresholds.theta_sat
-    assert base == aggregate([run_trial(s, "baseline", 9)], theta)
-    assert prop == aggregate([run_trial(s, "scored", 9)], theta)
+    assert base == aggregate([run_trial(s, "baseline", 9)])
+    assert prop == aggregate([run_trial(s, "scored", 9)])
     assert imp == compare(base, prop)
     assert len(rows) == 2
+
+
+def test_outputs_carry_the_engine_saturation_verdict(tmp_path, capsys):
+    # a scenario threshold far below the 0.8 default must reach every output
+    s = gen_random_scenario(n_nodes=16, seed=0)
+    s = replace(s, thresholds=replace(s.thresholds, theta_sat=0.1))
+    path, out = tmp_path / "r16.json", tmp_path / "cmp.csv"
+    write_scenario(s, str(path))
+    assert main(["compare", "--scenario", str(path), "--trials", "2",
+                 "--seed-base", "0", "--out", str(out)]) == 0
+    with open(out) as f:
+        rows = list(csv.DictReader(f))
+    verdicts = []
+    for row in rows:
+        t = run_trial(s, row["algo"], int(row["seed"]))
+        assert row["sat_branch"] == str(int(t.sat_branch))
+        verdicts.append(t.sat_branch)
+    assert True in verdicts
+    capsys.readouterr()
+    for algo in ("baseline", "scored"):
+        assert main(["run", "--scenario", str(path), "--algo", algo,
+                     "--seed", "0"]) == 0
+        t = run_trial(s, algo, 0)
+        assert f"sat_branch={int(t.sat_branch)}" in capsys.readouterr().out
+
+
+def test_compare_prints_undefined_gain_as_dash(capsys):
+    # a single random-64 trial often delivers no probe on one side
+    assert main(["compare", "--random", "--nodes", "64", "--trials", "1",
+                 "--seed-base", "0"]) == 0
+    gains = capsys.readouterr().out.splitlines()[-1]
+    assert gains.startswith("delay_gain -")
+
+
+def test_zero_joined_trials_fail_with_stage(tmp_path, capsys):
+    s = Scenario(name="isolated", nodes=[NodeSpec(1, (0.0, 0.0)), NodeSpec(2, (9.0, 0.0)),
+                                         NodeSpec(3, (100.0, 100.0))],
+                 sink_id=1, new_node_id=3, declared_unjoinable=True)
+    path = tmp_path / "isolated.json"
+    write_scenario(s, str(path))
+    rc = main(["compare", "--scenario", str(path), "--trials", "1"])
+    assert rc == 1
+    assert "error at aggregate stage: zero joined trials" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_fails_with_stage(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import os
 import random
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from scatterjoin.channel import Position, RadioParams
+import scatterjoin
+from scatterjoin.channel import Position, RadioParams, hears
 from scatterjoin.engine import (ShadowMap, TrialEngine, broadcast_status,
                                 build_network, build_trial_network,
                                 connection_event, generate_traffic,
@@ -97,6 +102,28 @@ def test_join_fails_when_out_of_range():
     assert t.chosen_parent is None
     assert t.probe_sent == 0
     assert t.total_sent == t.total_delivered + t.total_dropped + t.total_in_flight
+
+
+MISCOUNTED_FLUSH = """
+import sys
+from scatterjoin.engine import ConservationError, TrialEngine
+from scatterjoin.scenario import training11
+
+flush = TrialEngine._flush_buffers
+TrialEngine._flush_buffers = lambda self, now_ms: flush(self, now_ms) + 1
+try:
+    TrialEngine(training11(), "scored", 0).run()
+except ConservationError:
+    print(f"optimize={sys.flags.optimize} ConservationError")
+"""
+
+
+def test_conservation_check_survives_optimized_python():
+    src = Path(scatterjoin.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", MISCOUNTED_FLUSH],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "optimize=1 ConservationError", proc.stderr
 
 
 def test_median_empty_network_delay_grows_with_hops():
@@ -200,7 +227,9 @@ def test_broadcast_reaches_exactly_the_hearers():
              NodeState(id=4, pos=Position(100.0, 0.0))]
     net = Network(nodes)
     out = broadcast_status(net.nodes[1], net, RadioParams())
-    assert [rid for rid, _, _ in out] == [2, 3]
+    assert [rid for rid, _ in out] == [2, 3]
+    assert all(c.id == 1 and c.rl_dbm == hears(net.nodes[rid].pos, net.nodes[1].pos,
+                                                RadioParams())[1] for rid, c in out)
     isolated = broadcast_status(net.nodes[4], net, RadioParams())
     assert isolated == []
 
@@ -210,7 +239,7 @@ def test_advert_snapshots_buffer_at_emission():
     net.nodes[2].buffer.append(DataPacket(0, 2, 1, 0.0))
     out = broadcast_status(net.nodes[2], net, RadioParams())
     net.nodes[2].buffer.append(DataPacket(1, 2, 1, 0.0))
-    assert all(adv.b_occupancy == 1 for _, adv, _ in out)
+    assert all(adv.b == 1 for _, adv in out)
 
 
 # -- build-up ----------------------------------------------------------

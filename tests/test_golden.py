@@ -1,0 +1,86 @@
+"""Golden digest: trial results must stay bit-identical across refactors.
+
+The digest is a sha256 over the canonical text of every TrialResult in
+GOLDEN_CASES, every field included (probe records too) and floats written
+with repr. A change to any simulated number changes the digest.
+"""
+
+import dataclasses
+import hashlib
+from dataclasses import replace
+
+from scatterjoin.channel import Position, RadioParams
+from scatterjoin.engine import build_network, run_trial
+from scatterjoin.model import Network, NodeState
+from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario,
+                                  gen_random_scenario, training11)
+
+FAST = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
+
+GOLDEN = "5bb22acc301a79048903791d4759516d87830c47f1e1e8e05dc45ab1a4fabf3c"
+
+
+def canon(x) -> str:
+    if dataclasses.is_dataclass(x):
+        inner = ",".join(f"{f.name}={canon(getattr(x, f.name))}"
+                         for f in dataclasses.fields(x))
+        return f"{type(x).__name__}({inner})"
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(canon(v) for v in x) + "]"
+    if isinstance(x, dict):
+        return "{" + ",".join(f"{canon(k)}:{canon(v)}" for k, v in sorted(x.items())) + "}"
+    return repr(x)
+
+
+def unjoinable() -> Scenario:
+    nodes = [NodeSpec(1, (0.0, 0.0)), NodeSpec(2, (9.0, 0.0)),
+             NodeSpec(3, (100.0, 100.0))]
+    return Scenario(name="isolated", nodes=nodes, sink_id=1, new_node_id=3,
+                    engine=FAST, declared_unjoinable=True)
+
+
+def lone_sink() -> Scenario:
+    """The sink alone plus a joiner with a higher id, 5 m away."""
+    nodes = [NodeSpec(1, (0.0, 0.0)), NodeSpec(5, (5.0, 0.0))]
+    return Scenario(name="lone-sink", nodes=nodes, sink_id=1, new_node_id=5,
+                    engine=FAST)
+
+
+def golden_cases():
+    t11 = training11()
+    shadowed = replace(t11, radio=RadioParams(shadowing_sigma_db=4.0))
+    cases = [(t11, seed) for seed in (0, 1, 2)]
+    cases += [(gen_random_scenario(n_nodes=16, seed=3), 3),
+              (gen_random_scenario(n_nodes=64, seed=1), 1),
+              (shadowed, 11), (unjoinable(), 0), (lone_sink(), 0)]
+    return [(s, algo, seed) for s, seed in cases for algo in ("baseline", "scored")]
+
+
+def golden_digest() -> str:
+    h = hashlib.sha256()
+    for s, algo, seed in golden_cases():
+        h.update(f"{s.name}:{algo}:{seed}=".encode())
+        h.update(canon(run_trial(s, algo, seed)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_trial_results_match_golden_digest():
+    assert golden_digest() == GOLDEN
+
+
+def test_golden_covers_failed_joins():
+    results = {(s.name, algo): run_trial(s, algo, seed)
+               for s, algo, seed in golden_cases() if s.name in ("isolated", "lone-sink")}
+    assert not results[("isolated", "baseline")].joined
+    assert not results[("isolated", "scored")].joined
+    # the joinMe rule refuses a lone sink with a lower cluster id ...
+    assert not results[("lone-sink", "baseline")].joined
+    assert results[("lone-sink", "scored")].chosen_parent == 1
+
+
+def test_baseline_build_phase_attaches_to_lone_sink():
+    # ... while the build phase takes the strongest heard sink-cluster member
+    net = Network([NodeState(id=1, pos=Position(0.0, 0.0)),
+                   NodeState(id=5, pos=Position(5.0, 0.0))])
+    build_network(net, "baseline", RadioParams(), None, None)
+    assert net.nodes[5].master == 1

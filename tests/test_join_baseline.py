@@ -1,16 +1,16 @@
 import random
 
 from scatterjoin.channel import Position
-from scatterjoin.join_baseline import (CONNECT, NONE, WAIT, HeardJoinMe,
-                                       baseline_select)
-from scatterjoin.model import JoinMePacket, NodeState
+from scatterjoin.join_baseline import baseline_select, strongest
+from scatterjoin.join_scored import CandidateInfo
+from scatterjoin.model import NodeState
 
 
-def heard(sender, cluster_size, rl, cluster_id=None, free_out=3, free_in=1):
-    pkt = JoinMePacket(sender=sender, cluster_id=cluster_id or sender,
-                       cluster_size=cluster_size, free_in=free_in,
-                       free_out=free_out)
-    return HeardJoinMe(pkt, rl)
+def heard(sender, cluster_size, rl, cluster_id=None, free_out=3):
+    return CandidateInfo(id=sender, cluster_id=cluster_id or sender,
+                         cluster_size=cluster_size, m=3 - free_out, h=0, b=0,
+                         ci_ms=100.0, rl_dbm=rl, rn_dbm=None,
+                         free_out=free_out, children=())
 
 
 def fresh(nid=20, cluster_size=1):
@@ -21,49 +21,45 @@ def fresh(nid=20, cluster_size=1):
 
 def test_biggest_cluster_wins():
     adverts = [heard(5, 5, -75.0), heard(9, 3, -55.0)]
-    d = baseline_select(adverts, fresh())
-    assert d.kind == CONNECT
-    assert d.parent == 5
+    assert baseline_select(adverts, fresh()) == 5
 
 
 def test_no_adverts_means_wait():
-    assert baseline_select([], fresh()).kind == WAIT
+    assert baseline_select([], fresh()) is None
 
 
 def test_strongest_rssi_within_biggest():
     adverts = [heard(5, 5, -80.0), heard(6, 5, -60.0)]
-    assert baseline_select(adverts, fresh()).parent == 6
+    assert baseline_select(adverts, fresh()) == 6
 
 
 def test_rssi_tie_goes_to_lowest_id():
     adverts = [heard(8, 5, -60.0), heard(4, 5, -60.0)]
-    assert baseline_select(adverts, fresh()).parent == 4
+    assert baseline_select(adverts, fresh()) == 4
 
 
 def test_full_senders_never_selected():
     adverts = [heard(5, 9, -50.0, free_out=0), heard(6, 2, -80.0)]
-    d = baseline_select(adverts, fresh())
-    assert d.parent == 6
-    assert baseline_select([heard(5, 9, -50.0, free_out=0)], fresh()).kind == WAIT
+    assert baseline_select(adverts, fresh()) == 6
+    assert baseline_select([heard(5, 9, -50.0, free_out=0)], fresh()) is None
 
 
 def test_smaller_clusters_ineligible():
     me = fresh(cluster_size=4)
-    d = baseline_select([heard(5, 3, -50.0)], me)
-    assert d.kind == WAIT
+    assert baseline_select([heard(5, 3, -50.0)], me) is None
 
 
 def test_equal_size_lower_cluster_id_joins_higher():
     me = fresh(nid=4, cluster_size=2)
     me.cluster_id = 4
-    assert baseline_select([heard(9, 2, -60.0, cluster_id=9)], me).parent == 9
-    assert baseline_select([heard(2, 2, -60.0, cluster_id=2)], me).kind == WAIT
+    assert baseline_select([heard(9, 2, -60.0, cluster_id=9)], me) == 9
+    assert baseline_select([heard(2, 2, -60.0, cluster_id=2)], me) is None
 
 
 def test_node_with_master_decides_nothing():
     me = fresh()
     me.master = 3
-    assert baseline_select([heard(5, 5, -60.0)], me).kind == NONE
+    assert baseline_select([heard(5, 5, -60.0)], me) is None
 
 
 def test_choice_always_from_max_eligible_cluster():
@@ -74,16 +70,22 @@ def test_choice_always_from_max_eligible_cluster():
         adverts = [heard(s, rng.randint(1, 8), rng.uniform(-90, -50),
                          free_out=rng.randint(0, 3))
                    for s in rng.sample(range(1, 40), rng.randint(0, 8))]
-        d = baseline_select(adverts, me)
-        eligible = [h for h in adverts if h.packet.free_out >= 1
-                    and (h.packet.cluster_size > me.cluster_size
-                         or (h.packet.cluster_size == me.cluster_size
-                             and h.packet.cluster_id > me.cluster_id))]
+        pick = baseline_select(adverts, me)
+        eligible = [h for h in adverts if h.free_out >= 1
+                    and (h.cluster_size > me.cluster_size
+                         or (h.cluster_size == me.cluster_size
+                             and h.cluster_id > me.cluster_id))]
         if not eligible:
-            assert d.kind == WAIT
+            assert pick is None
         else:
-            assert d.kind == CONNECT
-            best_size = max(h.packet.cluster_size for h in eligible)
-            chosen = next(h for h in adverts if h.packet.sender == d.parent)
-            assert chosen.packet.cluster_size == best_size
-            assert chosen.packet.free_out >= 1
+            best_size = max(h.cluster_size for h in eligible)
+            chosen = next(h for h in adverts if h.id == pick)
+            assert chosen.cluster_size == best_size
+            assert chosen.free_out >= 1
+
+
+def test_strongest_ignores_cluster_rule():
+    lone_sink = heard(1, 1, -70.0)
+    assert baseline_select([lone_sink], fresh(nid=5)) is None
+    assert strongest([lone_sink]) == 1
+    assert strongest([heard(8, 1, -60.0), heard(4, 3, -60.0), heard(2, 3, -75.0)]) == 4

@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from scatterjoin.channel import Position
+from scatterjoin.engine import TrialEngine
 from scatterjoin.join_scored import (CandidateInfo, ScoreWeights,
-                                     filter_candidates, make_joinme_ack,
-                                     score_candidate, select_parent)
-from scatterjoin.model import NodeState
+                                     filter_candidates, score_candidate,
+                                     select_parent)
+from scatterjoin.scenario import training11
 
 W = ScoreWeights()
 
@@ -236,8 +236,12 @@ def test_selection_deterministic():
 
 
 def test_joinme_ack_names_parent():
-    me = NodeState(id=12, pos=Position(0.0, 0.0))
-    pkt = make_joinme_ack(me, 7)
-    assert pkt.ack_field == 7
-    assert pkt.sender == 12
-    assert pkt.free_in == 1
+    # the joiner's ack names the pick over what it heard; that node adopts it
+    s = training11()
+    eng = TrialEngine(s, "scored", 0)
+    res = eng.run()
+    heard = [eng.heard[nid] for nid in sorted(eng.heard)]
+    pick = select_parent(filter_candidates(heard, s.thresholds.rl_min_dbm,
+                                           s.thresholds.b_fair), s.weights)
+    assert res.chosen_parent == pick
+    assert eng.net.nodes[s.new_node_id].master == pick

@@ -3,10 +3,19 @@ import statistics
 
 import pytest
 
-from scatterjoin.engine import ProbeRecord, TrialResult, run_trial
-from scatterjoin.metrics import (aggregate, compare, delay_stats,
-                                 is_saturated_branch, pdr)
-from scatterjoin.scenario import training11
+from scatterjoin.cli import format_summary, trial_row
+from scatterjoin.engine import (ProbeRecord, TrialResult, branch_saturated,
+                                run_trial)
+from scatterjoin.metrics import (AggregateError, aggregate, compare,
+                                 delay_stats, pdr)
+from scatterjoin.scenario import NodeSpec, Scenario, training11
+
+
+def verdict(t, theta_sat=0.8):
+    """The engine's saturation predicate over a result's window figures."""
+    return branch_saturated(
+        t.path_to_sink, 1, theta_sat,
+        lambda nid: (t.buffer_avg[nid], t.overflow_drops[nid], t.node_b_max[nid]))
 
 
 def make_trial(algo="scored", seed=0, delays=(200.0, 300.0), dropped=0,
@@ -25,7 +34,7 @@ def make_trial(algo="scored", seed=0, delays=(200.0, 300.0), dropped=0,
         probes.append(ProbeRecord(seq, 1000.0, None, False))
     sent = len(probes)
     nodes = set(path) | {1}
-    return TrialResult(
+    t = TrialResult(
         trial_seed=seed, algo=algo, joined=joined,
         chosen_parent=path[1] if joined and len(path) > 1 else None,
         join_time_ms=200.0 if joined else None,
@@ -42,6 +51,9 @@ def make_trial(algo="scored", seed=0, delays=(200.0, 300.0), dropped=0,
         overflow_drops=drops if drops is not None else {n: 0 for n in nodes},
         node_b_max={n: b_max for n in nodes},
         sat_branch=None, eligible_sat=eligible, avoided_sat=avoided)
+    if joined:
+        t.sat_branch = verdict(t)
+    return t
 
 
 def test_delay_stats_two_samples():
@@ -77,29 +89,37 @@ def test_pdr_undefined_without_probes():
 
 def test_saturation_threshold_rule():
     hot = make_trial(buffer_avg={9: 27.0, 5: 0.0, 1: 0.0})
-    assert is_saturated_branch(hot) is True
+    assert verdict(hot) is True
+    assert verdict(hot, theta_sat=0.95) is False
     idle = make_trial(buffer_avg={9: 0.0, 5: 0.0, 1: 0.0})
-    assert is_saturated_branch(idle) is False
+    assert verdict(idle) is False
 
 
 def test_saturation_boundary_inclusive():
     edge = make_trial(buffer_avg={9: 24.0, 5: 0.0, 1: 0.0})  # exactly 0.8 * 30
-    assert is_saturated_branch(edge, theta_sat=0.8) is True
+    assert verdict(edge, theta_sat=0.8) is True
+    assert verdict(edge, theta_sat=0.81) is False
 
 
 def test_saturation_from_overflow_drops():
     t = make_trial(drops={9: 0, 5: 1, 1: 0})
-    assert is_saturated_branch(t) is True
+    assert verdict(t) is True
+    assert verdict(t, theta_sat=100.0) is True
 
 
 def test_sink_excluded_from_saturation():
-    t = make_trial(buffer_avg={9: 0.0, 5: 0.0, 1: 30.0})
-    assert is_saturated_branch(t) is False
+    t = make_trial(buffer_avg={9: 0.0, 5: 0.0, 1: 30.0}, drops={9: 0, 5: 0, 1: 4})
+    assert verdict(t) is False
 
 
 def test_saturation_undefined_for_failed_join():
-    with pytest.raises(ValueError):
-        is_saturated_branch(make_trial(joined=False))
+    s = Scenario(name="isolated", nodes=[NodeSpec(1, (0.0, 0.0)), NodeSpec(2, (9.0, 0.0)),
+                                         NodeSpec(3, (100.0, 100.0))],
+                 sink_id=1, new_node_id=3, declared_unjoinable=True)
+    t = run_trial(s, "scored", 0)
+    assert not t.joined
+    assert t.sat_branch is None
+    assert trial_row(0, t)["sat_branch"] == ""
 
 
 def test_aggregate_single_trial_reproduces_trial_stats():
@@ -109,7 +129,7 @@ def test_aggregate_single_trial_reproduces_trial_stats():
     assert r.sigma_d_ms == 0.0
     assert r.mu_pdr == pdr(t)
     assert r.sigma_pdr == 0.0
-    assert r.pct_sat == float(is_saturated_branch(t))
+    assert r.pct_sat == float(t.sat_branch)
     assert r.avoid_sat == 1.0
     assert r.mean_hops == t.hops_at_join
     assert r.n_eligible_sat_trials == 1
@@ -137,7 +157,7 @@ def test_failed_joins_excluded_and_counted():
     r = aggregate(trials)
     assert r.n_trials == 2
     assert r.n_joined == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(AggregateError, match="zero joined trials"):
         aggregate([make_trial(joined=False)])
 
 
@@ -185,6 +205,27 @@ def test_compare_sat_reduction_in_percentage_points():
     assert imp.sat_reduction_pp == pytest.approx(30.0 - 6.0)
 
 
+def test_delay_gain_undefined_when_a_side_delivered_nothing():
+    delivered = aggregate([make_trial(algo="baseline", delays=(300.0,), dropped=1)])
+    silent = aggregate([make_trial(algo="scored", delays=(), dropped=2)])
+    assert silent.mu_d_ms is None
+    for base, prop in ((delivered, silent), (silent, delivered)):
+        imp = compare(base, prop)
+        assert imp.delay_gain is None
+        assert "delay_gain -" in format_summary(base, prop, imp)
+
+
+def test_pdr_gain_undefined_when_baseline_delivered_nothing():
+    base = aggregate([make_trial(algo="baseline", delays=(), dropped=2)])
+    prop = aggregate([make_trial(algo="scored", delays=(250.0,), dropped=1)])
+    assert base.mu_pdr == 0.0
+    imp = compare(base, prop)
+    assert imp.pdr_gain is None
+    assert imp.sat_reduction_pp == 0.0
+    assert "pdr_gain -" in format_summary(base, prop, imp)
+    assert compare(prop, base).pdr_gain == pytest.approx(-1.0)
+
+
 def test_compare_with_itself_is_all_zero():
     r = aggregate([make_trial(seed=i) for i in range(4)])
     imp = compare(r, r)
@@ -194,9 +235,15 @@ def test_compare_with_itself_is_all_zero():
 
 
 def test_engine_flag_agrees_with_recount():
-    # the engine's own verdict against a recount from the recorded traces
+    # the engine's own verdict against an independent recount from the
+    # recorded per-node window values
     s = training11()
+    theta = s.thresholds.theta_sat
     for seed in range(6):
         for algo in ("baseline", "scored"):
             t = run_trial(s, algo, seed)
-            assert t.sat_branch == is_saturated_branch(t, s.thresholds.theta_sat)
+            recount = any(nid != s.sink_id and (
+                t.overflow_drops[nid] > 0
+                or t.buffer_avg[nid] >= theta * t.node_b_max[nid])
+                for nid in t.path_to_sink)
+            assert t.sat_branch == recount

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from scatterjoin.channel import Position
+from scatterjoin.channel import Position, RadioParams, hears
+from scatterjoin.engine import broadcast_status, candidate, uplink_rssi
 from scatterjoin.model import (DataPacket, Network, NodeState, SlotExhausted,
-                               TopologyError, make_joinme, make_status_advert)
+                               TopologyError)
 
 
 def node(nid, **kw):
@@ -73,11 +74,15 @@ def test_attach_non_root_rejected():
         net.attach(3, 4)  # 3 already has a master
 
 
+# -- the candidate record a status advert carries ----------------------
+
+
 def test_status_advert_for_sink():
-    adv = make_status_advert(node(1))
-    assert adv.h_hops == 0
+    net = Network([node(1)])
+    adv = candidate(net.nodes[1], -60.0, uplink_rssi(net, RadioParams(), None, net.nodes[1]))
+    assert adv.h == 0
     assert adv.rn_dbm is None
-    assert adv.m_slaves == 0
+    assert adv.m == 0
     assert adv.free_out == 3
 
 
@@ -88,34 +93,41 @@ def test_status_advert_copies_live_fields():
     root = net.nodes[1]
     for i in range(4):
         root.buffer.append(DataPacket(i, 2, 1, 0.0))
-    adv = make_status_advert(root)
-    assert adv.m_slaves == 2
-    assert adv.b_occupancy == 4
+    adv = candidate(root, -60.0, None)
+    assert adv.m == 2
+    assert adv.b == 4
     assert adv.free_out == 1
     assert adv.children == (2, 3)
+    assert adv.rl_dbm == -60.0
 
 
 def test_status_advert_reports_measured_rn():
-    net = chain(2)
-    adv = make_status_advert(net.nodes[2], rn_measured=-70.0)
-    assert adv.rn_dbm == -70.0
+    net = Network([NodeState(id=1, pos=Position(0.0, 0.0)),
+                   NodeState(id=2, pos=Position(6.0, 0.0)),
+                   NodeState(id=3, pos=Position(6.0, 4.0))])
+    net.attach(2, 1)
+    radio = RadioParams()
+    uplink = hears(Position(6.0, 0.0), Position(0.0, 0.0), radio)[1]
+    out = broadcast_status(net.nodes[2], net, radio)
+    assert [rid for rid, _ in out] == [1, 3]
+    assert all(adv.rn_dbm == uplink for _, adv in out)
 
 
 def test_status_advert_rn_consistency_enforced():
     net = chain(2)
-    with pytest.raises(ValueError):
-        make_status_advert(net.nodes[1], rn_measured=-70.0)  # root has no uplink
-    with pytest.raises(ValueError):
-        make_status_advert(net.nodes[2])  # slave needs its uplink measured
+    radio = RadioParams()
+    assert uplink_rssi(net, radio, None, net.nodes[1]) is None  # root has no uplink
+    assert isinstance(uplink_rssi(net, radio, None, net.nodes[2]), float)
 
 
 def test_joinme_snapshot():
+    # the joinMe fields baseline reads travel in the same record
     net = chain(2)
-    pkt = make_joinme(net.nodes[2], ack_field=7)
-    assert pkt.sender == 2
-    assert pkt.free_in == 0
-    assert pkt.cluster_size == 2
-    assert pkt.ack_field == 7
+    adv = candidate(net.nodes[2], -60.0, -70.0)
+    assert adv.id == 2
+    assert adv.cluster_id == 1
+    assert adv.cluster_size == 2
+    assert adv.free_out == 3
 
 
 def test_path_to_root():
