@@ -5,16 +5,30 @@ existing nodes form a sink-rooted tree using the selected join strategy,
 background traffic warms the buffers up, then the designated new node
 listens, decides, attaches, and streams probe packets to the sink while
 per-node buffer occupancy is integrated. Identical (scenario, algo, seed)
-triples produce bit-identical results; event ties break on
-(time, kind, node id).
+triples produce bit-identical results.
+
+Events are plain (time, kind, node, peer) tuples popped in that order,
+so ties break on kind, then node id, then peer. The heap holds only
+pending work: at most one connection event per link, one arrival per
+traffic source, one probe, and the join-phase rounds.
+
+Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
+(from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
+and a connection event is due at a slot only while the sender's buffer
+holds a packet. Packets leave a buffer only at its own link's events, so
+an empty buffer stays empty until something enqueues into it. The
+enqueuing event wakes the link: it pushes the first slot whose key
+(slot, KIND_CONN, node, master) sorts after the enqueuing event's key.
+Every slot skipped that way would have found an empty buffer and done
+nothing, so the trial is the same as one that visits every slot.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .channel import Position, RadioParams, hears
 from .join_baseline import baseline_select, strongest
@@ -34,13 +48,6 @@ ALGOS = ("baseline", "scored")
 
 class ConservationError(RuntimeError):
     """Sent packets do not equal delivered + dropped + in flight."""
-
-
-class Event(NamedTuple):
-    at_ms: float
-    kind: int
-    node: int
-    peer: int = 0
 
 
 @dataclass
@@ -127,16 +134,16 @@ def candidate(node: NodeState, rl_dbm: float, rn_dbm: float | None) -> Candidate
 
 
 def broadcast_status(node: NodeState, net: Network, radio: RadioParams,
-                     shadow: ShadowMap | None = None):
-    """Deliver a fresh status broadcast to every node in range.
+                     receivers, shadow: ShadowMap | None = None):
+    """Deliver a fresh status broadcast to the listed receivers in range.
 
-    Returns (receiver_id, candidate) pairs, each carrying the RSSI that
-    receiver measured. The sender's state is snapshotted at emission
-    time, so the buffer occupancy b is instantaneous.
+    Returns (receiver_id, candidate) pairs in id order, each carrying the
+    RSSI that receiver measured. The sender's state is snapshotted at
+    emission time, so the buffer occupancy b is instantaneous.
     """
     rn = uplink_rssi(net, radio, shadow, node)
     deliveries = []
-    for rid in sorted(net.nodes):
+    for rid in sorted(receivers):
         if rid == node.id:
             continue
         heard, rl = link_rssi(net, radio, shadow, rid, node.id)
@@ -161,8 +168,24 @@ def branch_saturated(path, sink_id: int, theta_sat: float, level) -> bool:
     return False
 
 
+def arrivals(rate_pps: float, horizon_ms: float, rng: random.Random) -> Iterator[float]:
+    """generate_traffic's arrival times, drawn one at a time as the trial needs them."""
+    if rate_pps <= 0:
+        return
+    t = 0.0
+    scale = 1000.0 / rate_pps
+    while True:
+        t += rng.expovariate(1.0) * scale
+        if t >= horizon_ms:
+            return
+        yield t
+
+
 def generate_traffic(rate_pps: float, horizon_ms: float, rng: random.Random) -> list[float]:
-    """Poisson arrival times in ms over [0, horizon_ms) from the given stream."""
+    """Poisson arrival times in ms over [0, horizon_ms) from the given stream.
+
+    The whole list at once: the reference that arrivals() must reproduce.
+    """
     if rate_pps <= 0:
         return []
     times = []
@@ -307,7 +330,11 @@ class TrialEngine:
         self.shadow = ShadowMap(seed, scenario.radio.shadowing_sigma_db,
                                 list(self.net.nodes))
         self.meters = {nid: _Meter() for nid in self.net.nodes}
-        self.heap: list[Event] = []
+        eng = scenario.engine
+        self.horizon = eng.warmup_ms + eng.max_wait_ms + eng.measure_ms + 2 * eng.t_adv_ms
+        self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
+        self._slot: dict[int, float] = {}  # link sender -> earliest slot not yet passed
+        self._sources: dict[int, Iterator[float]] = {}  # node -> its pending arrival times
         self.heard: dict[int, CandidateInfo] = {}  # freshest per sender
         self.probes: list[ProbeRecord] = []
         self._probe_by_seq: dict[int, ProbeRecord] = {}
@@ -351,17 +378,39 @@ class TrialEngine:
 
     # -- event handlers ----------------------------------------------
 
-    def _on_connection_event(self, now_ms: float, sender_id: int, receiver_id: int) -> None:
-        if not self.net.nodes[sender_id].buffer:
+    def _wake(self, nid: int, key: tuple) -> None:
+        """Push nid's link at its first slot sorting after key, the event
+        that gave nid's empty buffer a packet. Roots have no link."""
+        master = self.net.nodes[nid].master
+        if master is None:
             return
+        s, ci = self._slot[nid], self.net.nodes[nid].ci_ms
+        while s < key[0]:
+            s += ci
+        if (s, KIND_CONN, nid, master) <= key:
+            s += ci
+        self._slot[nid] = s
+        if s <= self.horizon:
+            heapq.heappush(self.heap, (s, KIND_CONN, nid, master))
+
+    def _on_connection_event(self, now_ms: float, sender_id: int, receiver_id: int) -> None:
+        sender = self.net.nodes[sender_id]
+        receiver = self.net.nodes[receiver_id]
         self._touch(sender_id, now_ms)
         self._touch(receiver_id, now_ms)
+        receiver_idle = not receiver.buffer
         connection_event(self.net, sender_id, receiver_id,
                          self.scenario.engine.n_ce,
                          on_delivered=self._delivered,
                          on_dropped=self._dropped, now_ms=now_ms)
+        key = (now_ms, KIND_CONN, sender_id, receiver_id)
+        self._slot[sender_id] = now_ms + sender.ci_ms
+        if sender.buffer:
+            self._wake(sender_id, key)
+        if receiver_idle and receiver.buffer:
+            self._wake(receiver_id, key)
 
-    def _on_packet_gen(self, now_ms: float, nid: int, is_probe: bool) -> None:
+    def _on_packet_gen(self, now_ms: float, nid: int, is_probe: int) -> None:
         node = self.net.nodes[nid]
         self._seq += 1
         pkt = DataPacket(self._seq, nid, self.net.sink_id, now_ms)
@@ -376,6 +425,14 @@ class TrialEngine:
             self._dropped(pkt, nid)
         else:
             node.buffer.append(pkt)
+            if len(node.buffer) == 1:
+                self._wake(nid, (now_ms, KIND_GEN, nid, is_probe))
+
+    def _next_arrival(self, nid: int, is_probe: int) -> None:
+        """Push nid's next arrival, if its source has one left."""
+        t = next(self._sources[nid], None)
+        if t is not None:
+            heapq.heappush(self.heap, (t, KIND_GEN, nid, is_probe))
 
     def _on_status_round(self, now_ms: float) -> None:
         """All existing nodes broadcast; the listening joiner keeps the freshest."""
@@ -383,10 +440,9 @@ class TrialEngine:
         for nid in sorted(self.net.nodes):
             if nid == new_id:
                 continue
-            for rid, cand in broadcast_status(self.net.nodes[nid], self.net,
-                                              self.radio, self.shadow):
-                if rid == new_id:
-                    self.heard[nid] = cand
+            for _, cand in broadcast_status(self.net.nodes[nid], self.net, self.radio,
+                                            (new_id,), self.shadow):
+                self.heard[nid] = cand
 
     def _level_at(self, nid: int, now_ms: float) -> tuple[float, int, int]:
         """Running (mean occupancy, drops, b_max) of nid up to now_ms."""
@@ -410,8 +466,8 @@ class TrialEngine:
             if now_ms - self.t_listen >= eng.max_wait_ms:
                 self._finalize(now_ms)
             else:
-                heapq.heappush(self.heap, Event(now_ms + eng.t_adv_ms, KIND_STATUS, 0))
-                heapq.heappush(self.heap, Event(now_ms + eng.t_adv_ms, KIND_JOINME, new_id))
+                heapq.heappush(self.heap, (now_ms + eng.t_adv_ms, KIND_STATUS, 0, 0))
+                heapq.heappush(self.heap, (now_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
             return
 
         theta = self.scenario.thresholds.theta_sat
@@ -433,10 +489,10 @@ class TrialEngine:
 
         interval = 1000.0 / eng.probe_rate
         n_probes = int(round(eng.measure_ms * eng.probe_rate / 1000.0))
-        for i in range(n_probes):
-            heapq.heappush(self.heap, Event(now_ms + i * interval, KIND_GEN, new_id, 1))
-        heapq.heappush(self.heap, Event(now_ms + new.ci_ms, KIND_CONN, new_id, parent))
-        heapq.heappush(self.heap, Event(now_ms + eng.measure_ms, KIND_END, 0))
+        self._sources[new_id] = (now_ms + i * interval for i in range(n_probes))
+        self._next_arrival(new_id, 1)
+        self._slot[new_id] = now_ms + new.ci_ms
+        heapq.heappush(self.heap, (now_ms + eng.measure_ms, KIND_END, 0, 0))
 
     # -- finalization ------------------------------------------------
 
@@ -490,39 +546,35 @@ class TrialEngine:
                       self.scenario.thresholds, shadow=self.shadow,
                       exclude={new_id})
 
-        horizon = eng.warmup_ms + eng.max_wait_ms + eng.measure_ms + 2 * eng.t_adv_ms
         for nid in sorted(self.net.nodes):
             node = self.net.nodes[nid]
             if nid != new_id and node.traffic_rate_pps > 0:
                 rng = random.Random(f"scatterjoin-traffic:{self.seed}:{nid}")
-                for t in generate_traffic(node.traffic_rate_pps, horizon, rng):
-                    heapq.heappush(self.heap, Event(t, KIND_GEN, nid))
+                self._sources[nid] = arrivals(node.traffic_rate_pps, self.horizon, rng)
+                self._next_arrival(nid, 0)
             if node.master is not None:
-                heapq.heappush(self.heap, Event(node.ci_ms, KIND_CONN, nid, node.master))
+                self._slot[nid] = node.ci_ms
 
-        heapq.heappush(self.heap, Event(self.t_listen, KIND_STATUS, 0))
-        heapq.heappush(self.heap, Event(self.t_listen + eng.t_adv_ms, KIND_STATUS, 0))
-        heapq.heappush(self.heap, Event(self.t_listen + eng.t_adv_ms, KIND_JOINME, new_id))
+        heapq.heappush(self.heap, (self.t_listen, KIND_STATUS, 0, 0))
+        heapq.heappush(self.heap, (self.t_listen + eng.t_adv_ms, KIND_STATUS, 0, 0))
+        heapq.heappush(self.heap, (self.t_listen + eng.t_adv_ms, KIND_JOINME, new_id, 0))
 
         while self.heap and not self.done:
-            ev = heapq.heappop(self.heap)
-            if ev.kind == KIND_END:
-                self._finalize(ev.at_ms)
-            elif ev.kind == KIND_CONN:
-                self._on_connection_event(ev.at_ms, ev.node, ev.peer)
-                nxt = ev.at_ms + self.net.nodes[ev.node].ci_ms
-                if nxt <= horizon:
-                    heapq.heappush(self.heap, Event(nxt, KIND_CONN, ev.node, ev.peer))
-            elif ev.kind == KIND_GEN:
-                self._on_packet_gen(ev.at_ms, ev.node, bool(ev.peer))
-            elif ev.kind == KIND_STATUS:
-                if not self.joined:
-                    self._on_status_round(ev.at_ms)
-            elif ev.kind == KIND_JOINME:
-                if not self.joined:
-                    self._on_join_round(ev.at_ms)
+            at_ms, kind, nid, peer = heapq.heappop(self.heap)
+            if kind == KIND_CONN:
+                self._on_connection_event(at_ms, nid, peer)
+            elif kind == KIND_GEN:
+                self._on_packet_gen(at_ms, nid, peer)
+                self._next_arrival(nid, peer)
+            elif kind == KIND_END:
+                self._finalize(at_ms)
+            elif not self.joined:
+                if kind == KIND_STATUS:
+                    self._on_status_round(at_ms)
+                else:
+                    self._on_join_round(at_ms)
         if self.result is None:  # heap ran dry before any terminal event
-            self._finalize(horizon)
+            self._finalize(self.horizon)
         return self.result
 
 

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 from .channel import Position, RadioParams, hears
 from .join_scored import ScoreWeights
@@ -73,9 +74,41 @@ def _check_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _check_value(value, kind: str, where: str) -> None:
+    """Raise unless value fits a field annotated `kind` ("int", "float", ...)."""
+    if kind == "int":
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif kind == "float":
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+        want = "a finite number"
+    elif kind == "bool":
+        ok, want = isinstance(value, bool), "true or false"
+    elif kind == "str":
+        ok, want = isinstance(value, str), "a string"
+    else:
+        return
+    if not ok:
+        raise ScenarioError(f"{where}: expected {want}, got {value!r}")
+
+
+def _check_types(block: dict, cls, where: str) -> None:
+    """Type-check the fields block gives against cls's annotations."""
+    for f in fields(cls):
+        if f.name in block:
+            _check_value(block[f.name], f.type, f"{where}.{f.name}" if where else f.name)
+
+
+def _object(block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where}: expected an object, got {block!r}")
+    return block
+
+
 def _build_block(block: dict, cls, where: str):
     allowed = {f for f in cls.__dataclass_fields__}
-    _check_keys(block, allowed, where)
+    _check_keys(_object(block, where), allowed, where)
+    _check_types(block, cls, where)
     try:
         return cls(**block)
     except (TypeError, ValueError) as e:
@@ -87,16 +120,23 @@ def parse_scenario(doc: dict) -> Scenario:
     top = {"name", "nodes", "sink_id", "new_node_id", "radio", "engine",
            "weights", "thresholds", "declared_unjoinable"}
     _check_keys(doc, top, "scenario")
+    _check_types(doc, Scenario, "")
     if "nodes" not in doc:
         raise ScenarioError("scenario: missing nodes")
+    if not isinstance(doc["nodes"], list):
+        raise ScenarioError(f"nodes: expected a list, got {doc['nodes']!r}")
     nodes = []
     for i, nd in enumerate(doc["nodes"]):
-        _check_keys(nd, set(NodeSpec.__dataclass_fields__), f"nodes[{i}]")
+        where = f"nodes[{i}]"
+        _check_keys(_object(nd, where), set(NodeSpec.__dataclass_fields__), where)
         if "id" not in nd or "pos" not in nd:
-            raise ScenarioError(f"nodes[{i}]: id and pos are required")
+            raise ScenarioError(f"{where}: id and pos are required")
+        _check_types(nd, NodeSpec, where)
         pos = nd["pos"]
         if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-            raise ScenarioError(f"nodes[{i}].pos: expected [x, y]")
+            raise ScenarioError(f"{where}.pos: expected [x, y]")
+        for xy in pos:
+            _check_value(xy, "float", f"{where}.pos")
         kwargs = dict(nd)
         kwargs["pos"] = (float(pos[0]), float(pos[1]))
         nodes.append(NodeSpec(**kwargs))
@@ -137,6 +177,7 @@ def validate_scenario(s: Scenario) -> None:
         raise ScenarioError(f"new_node_id: node {s.new_node_id} missing from nodes")
     if s.new_node_id == s.sink_id:
         raise ScenarioError("new_node_id: must differ from sink_id")
+    _validate_engine(s.engine)
 
     positions = {n.id: Position(*n.pos) for n in s.nodes}
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
@@ -148,6 +189,18 @@ def validate_scenario(s: Scenario) -> None:
     if not heard and not s.declared_unjoinable:
         raise ScenarioError(
             "new_node_id: new node hears nobody and declared_unjoinable is not set")
+
+
+def _validate_engine(e: EngineParams) -> None:
+    """Ranges that keep a trial finite and its measurement window defined."""
+    for name in ("t_adv_ms", "measure_ms", "probe_rate"):
+        if not 0 < getattr(e, name) < math.inf:
+            raise ScenarioError(f"engine.{name}: must be > 0 and finite")
+    for name in ("warmup_ms", "max_wait_ms"):
+        if not 0 <= getattr(e, name) < math.inf:
+            raise ScenarioError(f"engine.{name}: must be >= 0 and finite")
+    if e.n_ce < 1:
+        raise ScenarioError("engine.n_ce: must be >= 1")
 
 
 def _connected(ids, positions, radio, min_rssi=None) -> bool:

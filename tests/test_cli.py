@@ -1,4 +1,5 @@
 import csv
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -138,6 +139,23 @@ def test_invalid_scenario_fails_with_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scenario stage" in err
     assert "turbo" in err
+
+
+@pytest.mark.parametrize("engine,field", [
+    ({"t_adv_ms": 0}, "engine.t_adv_ms"),      # used to reschedule the joinMe forever
+    ({"probe_rate": 0}, "engine.probe_rate"),  # used to divide by zero
+    ({"n_ce": 0}, "engine.n_ce"),              # used to report pdr=0.000 quietly
+])
+def test_bad_engine_values_fail_with_stage(tmp_path, capsys, engine, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "sink_id": 1, "new_node_id": 3, "declared_unjoinable": True, "engine": engine,
+        "nodes": [{"id": 1, "pos": [0, 0]}, {"id": 2, "pos": [9, 0]},
+                  {"id": 3, "pos": [100, 100]}]}))
+    rc = main(["run", "--scenario", str(bad), "--algo", "scored", "--seed", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error at scenario stage" in err and field in err
 
 
 def test_gen_then_run_round_trip(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import heapq
 import os
 import random
 import statistics
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import scatterjoin
+from scatterjoin import engine
 from scatterjoin.channel import Position, RadioParams, hears
-from scatterjoin.engine import (ShadowMap, TrialEngine, broadcast_status,
+from scatterjoin.engine import (KIND_CONN, KIND_GEN, ShadowMap, TrialEngine,
+                                broadcast_status,
                                 build_network, build_trial_network,
                                 connection_event, generate_traffic,
                                 make_network, run_trial)
@@ -226,20 +229,123 @@ def test_broadcast_reaches_exactly_the_hearers():
              NodeState(id=3, pos=Position(-9.0, 0.0)),
              NodeState(id=4, pos=Position(100.0, 0.0))]
     net = Network(nodes)
-    out = broadcast_status(net.nodes[1], net, RadioParams())
+    out = broadcast_status(net.nodes[1], net, RadioParams(), net.nodes)
     assert [rid for rid, _ in out] == [2, 3]
     assert all(c.id == 1 and c.rl_dbm == hears(net.nodes[rid].pos, net.nodes[1].pos,
                                                 RadioParams())[1] for rid, c in out)
-    isolated = broadcast_status(net.nodes[4], net, RadioParams())
+    isolated = broadcast_status(net.nodes[4], net, RadioParams(), net.nodes)
     assert isolated == []
+    # only the listed receivers are served; the sender and non-hearers drop out
+    assert [rid for rid, _ in broadcast_status(net.nodes[1], net, RadioParams(),
+                                               {4, 3, 1})] == [3]
 
 
 def test_advert_snapshots_buffer_at_emission():
     net = _net_pair()
     net.nodes[2].buffer.append(DataPacket(0, 2, 1, 0.0))
-    out = broadcast_status(net.nodes[2], net, RadioParams())
+    out = broadcast_status(net.nodes[2], net, RadioParams(), net.nodes)
     net.nodes[2].buffer.append(DataPacket(1, 2, 1, 0.0))
     assert all(adv.b == 1 for _, adv in out)
+
+
+# -- event core --------------------------------------------------------
+
+
+class CountingHeapq:
+    """Stands in for engine's heapq: keeps every popped event, the largest
+    heap, and pushes that found their link or source already pending."""
+
+    def __init__(self):
+        self.popped = []
+        self.max_len = 0
+        self.doubled = 0
+
+    def heappush(self, heap, item):
+        if item[1] in (KIND_CONN, KIND_GEN):
+            self.doubled += any(e[1:3] == item[1:3] for e in heap)
+        heapq.heappush(heap, item)
+        self.max_len = max(self.max_len, len(heap))
+
+    def heappop(self, heap):
+        item = heapq.heappop(heap)
+        self.popped.append(item)
+        return item
+
+
+def traced_trial(monkeypatch, scenario, algo, seed):
+    """(result, heap stand-in, packets moved per connection event)."""
+    counting, moved = CountingHeapq(), []
+    real = engine.connection_event
+
+    def counted(*args, **kwargs):
+        moved.append(real(*args, **kwargs))
+        return moved[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "heapq", counting)
+        m.setattr(engine, "connection_event", counted)
+        result = run_trial(scenario, algo, seed)
+    return result, counting, moved
+
+
+def event_core_cases():
+    t11 = training11()
+    fractional = replace(t11, nodes=[replace(n, ci_ms=n.ci_ms * 0.333, b_max=5)
+                                     for n in t11.nodes],
+                         engine=replace(FAST, n_ce=1, probe_rate=7.3))
+    unjoinable = Scenario(name="isolated", nodes=[NodeSpec(1, (0.0, 0.0)),
+                                                  NodeSpec(2, (9.0, 0.0)),
+                                                  NodeSpec(3, (100.0, 100.0))],
+                          sink_id=1, new_node_id=3, engine=FAST,
+                          declared_unjoinable=True)
+    cases = [(t11, 0), (t11, 3), (fractional, 1), (gen_random_scenario(16, seed=3), 3),
+             (unjoinable, 0)]
+    return [(s, algo, seed) for s, seed in cases for algo in ("baseline", "scored")]
+
+
+@pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
+def test_every_connection_event_moves_a_packet(monkeypatch, scenario, algo, seed):
+    _, counting, moved = traced_trial(monkeypatch, scenario, algo, seed)
+    conn = [e for e in counting.popped if e[1] == KIND_CONN]
+    assert len(moved) == len(conn)
+    assert all(n >= 1 for n in moved)
+
+
+@pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
+def test_heap_holds_one_entry_per_link_and_source(monkeypatch, scenario, algo, seed):
+    _, counting, _ = traced_trial(monkeypatch, scenario, algo, seed)
+    assert counting.doubled == 0
+    assert counting.max_len <= 2 * len(scenario.nodes) + 4
+
+
+def test_heap_bound_on_random64(monkeypatch):
+    s = gen_random_scenario(64, seed=1)
+    _, counting, _ = traced_trial(monkeypatch, s, "scored", 1)
+    assert counting.doubled == 0
+    assert counting.max_len <= 2 * len(s.nodes) + 4
+
+
+@pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
+def test_arrivals_are_generate_traffic_up_to_trial_end(monkeypatch, scenario, algo, seed):
+    t, counting, _ = traced_trial(monkeypatch, scenario, algo, seed)
+    eng = scenario.engine
+    horizon = eng.warmup_ms + eng.max_wait_ms + eng.measure_ms + 2 * eng.t_adv_ms
+    end = counting.popped[-1][0]
+    for spec in scenario.nodes:
+        if spec.id == scenario.new_node_id or spec.traffic_rate_pps == 0:
+            continue
+        rng = random.Random(f"scatterjoin-traffic:{seed}:{spec.id}")
+        want = [x for x in generate_traffic(spec.traffic_rate_pps, horizon, rng) if x <= end]
+        got = [e[0] for e in counting.popped if e[1] == KIND_GEN and e[2] == spec.id]
+        assert got == want
+    probes = [e[0] for e in counting.popped
+              if e[1] == KIND_GEN and e[2] == scenario.new_node_id]
+    assert probes == [p.created_at_ms for p in t.probes]
+    if t.joined:
+        t_join = eng.warmup_ms + t.join_time_ms
+        interval = 1000.0 / eng.probe_rate
+        assert probes == [t_join + i * interval for i in range(len(probes))]
+        assert len(probes) == round(eng.measure_ms * eng.probe_rate / 1000.0)
 
 
 # -- build-up ----------------------------------------------------------

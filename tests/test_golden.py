@@ -19,6 +19,13 @@ FAST = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
 
 GOLDEN = "5bb22acc301a79048903791d4759516d87830c47f1e1e8e05dc45ab1a4fabf3c"
 
+# Fractional and scaled connection intervals: a link's slots are the
+# accumulated sums ci, ci+ci, ..., which drift from k*ci in the last bits,
+# so these cases pin the exact slot times, ties between links with equal
+# intervals, and overflow drops under b_max=5 and n_ce=1.
+GOLDEN_GRID = "e70279283469bdba62d2ab32f31c216d0a5cb792b2d0402033408932a6864b97"
+FRAC_CI = (33.3, 7.7, 12.9, 41.1, 12.9, 66.7, 7.7, 19.3, 27.1, 33.3, 51.7, 12.9)
+
 
 def canon(x) -> str:
     if dataclasses.is_dataclass(x):
@@ -56,9 +63,29 @@ def golden_cases():
     return [(s, algo, seed) for s, seed in cases for algo in ("baseline", "scored")]
 
 
-def golden_digest() -> str:
+def training11_fractional() -> Scenario:
+    t11 = training11()
+    nodes = [replace(n, ci_ms=ci, b_max=5) for n, ci in zip(t11.nodes, FRAC_CI)]
+    return replace(t11, name="training11-frac", nodes=nodes,
+                   engine=EngineParams(warmup_ms=3000.0, measure_ms=30000.0,
+                                       max_wait_ms=3000.0, n_ce=1, probe_rate=7.3))
+
+
+def random16_scaled() -> Scenario:
+    r = gen_random_scenario(n_nodes=16, seed=5)
+    return replace(r, name=r.name + "-ci0.37",
+                   nodes=[replace(n, ci_ms=n.ci_ms * 0.37) for n in r.nodes])
+
+
+def grid_cases():
+    cases = [(training11_fractional(), 0), (training11_fractional(), 1),
+             (random16_scaled(), 5)]
+    return [(s, algo, seed) for s, seed in cases for algo in ("baseline", "scored")]
+
+
+def golden_digest(cases=None) -> str:
     h = hashlib.sha256()
-    for s, algo, seed in golden_cases():
+    for s, algo, seed in golden_cases() if cases is None else cases:
         h.update(f"{s.name}:{algo}:{seed}=".encode())
         h.update(canon(run_trial(s, algo, seed)).encode() + b"\n")
     return h.hexdigest()
@@ -66,6 +93,16 @@ def golden_digest() -> str:
 
 def test_trial_results_match_golden_digest():
     assert golden_digest() == GOLDEN
+
+
+def test_grid_results_match_golden_digest():
+    assert golden_digest(grid_cases()) == GOLDEN_GRID
+
+
+def test_grid_cases_cover_overflow_drops():
+    drops = [run_trial(s, algo, seed).total_dropped for s, algo, seed in grid_cases()]
+    assert all(d > 0 for d in drops[:4])  # every training11-frac trial
+    assert drops[4] > 0                   # random16 baseline
 
 
 def test_golden_covers_failed_joins():

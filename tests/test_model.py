@@ -108,7 +108,7 @@ def test_status_advert_reports_measured_rn():
     net.attach(2, 1)
     radio = RadioParams()
     uplink = hears(Position(6.0, 0.0), Position(0.0, 0.0), radio)[1]
-    out = broadcast_status(net.nodes[2], net, radio)
+    out = broadcast_status(net.nodes[2], net, radio, net.nodes)
     assert [rid for rid, _ in out] == [1, 3]
     assert all(adv.rn_dbm == uplink for _, adv in out)
 

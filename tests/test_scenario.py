@@ -106,6 +106,42 @@ def test_bad_node_values_rejected():
         parse_scenario(doc)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("t_adv_ms", 0), ("probe_rate", 0), ("n_ce", 0), ("measure_ms", -1000.0),
+    ("measure_ms", 0), ("warmup_ms", -1.0), ("max_wait_ms", -1.0)])
+def test_bad_engine_values_rejected(field, value):
+    with pytest.raises(ScenarioError, match=f"engine.{field}"):
+        parse_scenario(minimal_doc(engine={field: value}))
+
+
+def test_boundary_engine_values_accepted():
+    parse_scenario(minimal_doc(engine={"warmup_ms": 0, "max_wait_ms": 0, "n_ce": 1}))
+
+
+def _node_override(i, **fields):
+    doc = minimal_doc()
+    doc["nodes"][i].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc,where", [
+    (_node_override(0, pos=["a", 0]), r"nodes\[0\]\.pos"),
+    (_node_override(1, pos=[float("nan"), 0]), r"nodes\[1\]\.pos"),
+    (_node_override(0, b_max="30"), r"nodes\[0\]\.b_max"),
+    (_node_override(2, id=True), r"nodes\[2\]\.id"),
+    (minimal_doc(thresholds={"theta_sat": "x"}), r"thresholds\.theta_sat"),
+    (minimal_doc(engine={"n_ce": 1.5}), r"engine\.n_ce"),
+    (minimal_doc(radio={"exponent": None}), r"radio\.exponent"),
+    (minimal_doc(sink_id="1"), r"sink_id"),
+    (minimal_doc(nodes="x"), r"nodes: expected a list"),
+    (minimal_doc(nodes=[7]), r"nodes\[0\]: expected an object"),
+    (minimal_doc(weights=[1, 2]), r"weights: expected an object"),
+])
+def test_mistyped_fields_rejected_by_name(doc, where):
+    with pytest.raises(ScenarioError, match=where):
+        parse_scenario(doc)
+
+
 def test_file_round_trip(tmp_path):
     for seed in range(5):
         s = gen_random_scenario(n_nodes=10, seed=seed, area_m=24.0)
