@@ -10,7 +10,11 @@ triples produce bit-identical results.
 Events are plain (time, kind, node, peer) tuples popped in that order,
 so ties break on kind, then node id, then peer. The heap holds only
 pending work: at most one connection event per link, one arrival per
-traffic source, one probe, and the join-phase rounds.
+traffic source, one probe, and the join-phase rounds. One flat loop in
+TrialEngine.run handles connection and arrival events inline. A packet
+is its sequence number. A delivered probe's hop count is len(path) - 1
+of the joiner's path at the join: no node attaches after the join, so
+the tree a probe crosses is that path.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -33,8 +37,8 @@ from dataclasses import dataclass, field
 from .channel import Position, RadioParams, hears
 from .join_baseline import baseline_select, strongest
 from .join_scored import CandidateInfo, filter_candidates, select_parent
-from .model import DataPacket, Network, NodeState
-from .scenario import Scenario
+from .model import Network, NodeState
+from .scenario import Scenario, check_ranges
 
 # event kinds, in tie-break order
 KIND_STATUS = 0
@@ -202,25 +206,29 @@ def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
                      on_delivered=None, on_dropped=None, now_ms: float = 0.0) -> int:
     """One connection event on a link: move up to n_ce packets.
 
-    Packets leave the sender's buffer head for the receiver's tail, each
-    gaining a hop. A packet reaching the sink (its destination) is
-    consumed via on_delivered; one meeting a full receiver buffer is lost
-    via on_dropped. Returns how many packets left the sender.
+    Packets are sequence numbers. They leave the sender's buffer head in
+    FIFO order. At the sink, every packet is consumed via
+    on_delivered(seq, now_ms). Elsewhere the first k = min(n, free) go to
+    the receiver's tail and the rest are lost via on_dropped(seq,
+    receiver_id). Returns how many packets n left the sender.
     """
-    sender = net.nodes[sender_id]
-    receiver = net.nodes[receiver_id]
-    n = min(n_ce, len(sender.buffer))
-    for _ in range(n):
-        pkt = sender.buffer.popleft()
-        pkt.hops_traversed += 1
-        if receiver_id == net.sink_id and pkt.dst == net.sink_id:
+    src = net.nodes[sender_id].buffer
+    n = min(n_ce, len(src))
+    if receiver_id == net.sink_id:
+        for _ in range(n):
+            seq = src.popleft()
             if on_delivered is not None:
-                on_delivered(pkt, now_ms)
-        elif len(receiver.buffer) >= receiver.b_max:
-            if on_dropped is not None:
-                on_dropped(pkt, receiver_id)
-        else:
-            receiver.buffer.append(pkt)
+                on_delivered(seq, now_ms)
+        return n
+    receiver = net.nodes[receiver_id]
+    dst = receiver.buffer
+    k = max(0, min(n, receiver.b_max - len(dst)))
+    for _ in range(k):
+        dst.append(src.popleft())
+    for _ in range(n - k):
+        seq = src.popleft()
+        if on_dropped is not None:
+            on_dropped(seq, receiver_id)
     return n
 
 
@@ -322,6 +330,7 @@ class TrialEngine:
     def __init__(self, scenario: Scenario, algo: str, seed: int):
         if algo not in ALGOS:
             raise ValueError(f"unknown algorithm {algo!r}")
+        check_ranges(scenario)
         self.scenario = scenario
         self.algo = algo
         self.seed = seed
@@ -340,9 +349,7 @@ class TrialEngine:
         self._probe_by_seq: dict[int, ProbeRecord] = {}
         self.total_sent = self.total_delivered = self.total_dropped = 0
         self.probe_sent = self.probe_delivered = self.probe_dropped = 0
-        self._seq = 0
         self.joined = False
-        self.done = False
         self.result: TrialResult | None = None
         self.t_listen = scenario.engine.warmup_ms
         self.t_join: float | None = None
@@ -360,18 +367,18 @@ class TrialEngine:
         m.area += len(self.net.nodes[nid].buffer) * (now_ms - m.last_ms)
         m.last_ms = now_ms
 
-    def _delivered(self, pkt: DataPacket, now_ms: float) -> None:
+    def _delivered(self, seq: int, now_ms: float) -> None:
         self.total_delivered += 1
-        rec = self._probe_by_seq.get(pkt.seq)
+        rec = self._probe_by_seq.get(seq)
         if rec is not None:
             rec.delivered_at_ms = now_ms
-            rec.hops = pkt.hops_traversed
+            rec.hops = len(self.path) - 1
             self.probe_delivered += 1
 
-    def _dropped(self, pkt: DataPacket, at_nid: int) -> None:
+    def _dropped(self, seq: int, at_nid: int) -> None:
         self.total_dropped += 1
         self.meters[at_nid].drops += 1
-        rec = self._probe_by_seq.get(pkt.seq)
+        rec = self._probe_by_seq.get(seq)
         if rec is not None:
             rec.dropped = True
             self.probe_dropped += 1
@@ -392,47 +399,6 @@ class TrialEngine:
         self._slot[nid] = s
         if s <= self.horizon:
             heapq.heappush(self.heap, (s, KIND_CONN, nid, master))
-
-    def _on_connection_event(self, now_ms: float, sender_id: int, receiver_id: int) -> None:
-        sender = self.net.nodes[sender_id]
-        receiver = self.net.nodes[receiver_id]
-        self._touch(sender_id, now_ms)
-        self._touch(receiver_id, now_ms)
-        receiver_idle = not receiver.buffer
-        connection_event(self.net, sender_id, receiver_id,
-                         self.scenario.engine.n_ce,
-                         on_delivered=self._delivered,
-                         on_dropped=self._dropped, now_ms=now_ms)
-        key = (now_ms, KIND_CONN, sender_id, receiver_id)
-        self._slot[sender_id] = now_ms + sender.ci_ms
-        if sender.buffer:
-            self._wake(sender_id, key)
-        if receiver_idle and receiver.buffer:
-            self._wake(receiver_id, key)
-
-    def _on_packet_gen(self, now_ms: float, nid: int, is_probe: int) -> None:
-        node = self.net.nodes[nid]
-        self._seq += 1
-        pkt = DataPacket(self._seq, nid, self.net.sink_id, now_ms)
-        self.total_sent += 1
-        if is_probe:
-            rec = ProbeRecord(pkt.seq, now_ms)
-            self.probes.append(rec)
-            self._probe_by_seq[pkt.seq] = rec
-            self.probe_sent += 1
-        self._touch(nid, now_ms)
-        if len(node.buffer) >= node.b_max:
-            self._dropped(pkt, nid)
-        else:
-            node.buffer.append(pkt)
-            if len(node.buffer) == 1:
-                self._wake(nid, (now_ms, KIND_GEN, nid, is_probe))
-
-    def _next_arrival(self, nid: int, is_probe: int) -> None:
-        """Push nid's next arrival, if its source has one left."""
-        t = next(self._sources[nid], None)
-        if t is not None:
-            heapq.heappush(self.heap, (t, KIND_GEN, nid, is_probe))
 
     def _on_status_round(self, now_ms: float) -> None:
         """All existing nodes broadcast; the listening joiner keeps the freshest."""
@@ -489,8 +455,9 @@ class TrialEngine:
 
         interval = 1000.0 / eng.probe_rate
         n_probes = int(round(eng.measure_ms * eng.probe_rate / 1000.0))
-        self._sources[new_id] = (now_ms + i * interval for i in range(n_probes))
-        self._next_arrival(new_id, 1)
+        self._sources[new_id] = (now_ms + i * interval for i in range(1, n_probes))
+        if n_probes > 0:
+            heapq.heappush(self.heap, (now_ms, KIND_GEN, new_id, 1))
         self._slot[new_id] = now_ms + new.ci_ms
         heapq.heappush(self.heap, (now_ms + eng.measure_ms, KIND_END, 0, 0))
 
@@ -535,7 +502,6 @@ class TrialEngine:
                 self.path, self.net.sink_id, self.scenario.thresholds.theta_sat,
                 lambda nid: (r.buffer_avg[nid], r.overflow_drops[nid], b_max[nid]))
         self.result = r
-        self.done = True
 
     # -- main loop ---------------------------------------------------
 
@@ -546,33 +512,86 @@ class TrialEngine:
                       self.scenario.thresholds, shadow=self.shadow,
                       exclude={new_id})
 
+        heap, sources = self.heap, self._sources
         for nid in sorted(self.net.nodes):
             node = self.net.nodes[nid]
             if nid != new_id and node.traffic_rate_pps > 0:
                 rng = random.Random(f"scatterjoin-traffic:{self.seed}:{nid}")
-                self._sources[nid] = arrivals(node.traffic_rate_pps, self.horizon, rng)
-                self._next_arrival(nid, 0)
+                sources[nid] = arrivals(node.traffic_rate_pps, self.horizon, rng)
+                t = next(sources[nid], None)
+                if t is not None:
+                    heapq.heappush(heap, (t, KIND_GEN, nid, 0))
             if node.master is not None:
                 self._slot[nid] = node.ci_ms
 
-        heapq.heappush(self.heap, (self.t_listen, KIND_STATUS, 0, 0))
-        heapq.heappush(self.heap, (self.t_listen + eng.t_adv_ms, KIND_STATUS, 0, 0))
-        heapq.heappush(self.heap, (self.t_listen + eng.t_adv_ms, KIND_JOINME, new_id, 0))
+        heapq.heappush(heap, (self.t_listen, KIND_STATUS, 0, 0))
+        heapq.heappush(heap, (self.t_listen + eng.t_adv_ms, KIND_STATUS, 0, 0))
+        heapq.heappush(heap, (self.t_listen + eng.t_adv_ms, KIND_JOINME, new_id, 0))
 
-        while self.heap and not self.done:
-            at_ms, kind, nid, peer = heapq.heappop(self.heap)
+        # Connection and arrival events are handled inline on these locals.
+        # heapq and connection_event are looked up here, per trial, so a
+        # stand-in installed on the module still sees every call.
+        push, pop = heapq.heappush, heapq.heappop
+        move = connection_event
+        net, nodes, meters, slot = self.net, self.net.nodes, self.meters, self._slot
+        horizon, n_ce = self.horizon, eng.n_ce
+        delivered, dropped, wake = self._delivered, self._dropped, self._wake
+        probes, probe_by_seq = self.probes, self._probe_by_seq
+        seq = 0
+        while heap:
+            now, kind, nid, peer = pop(heap)
             if kind == KIND_CONN:
-                self._on_connection_event(at_ms, nid, peer)
+                sender, receiver = nodes[nid], nodes[peer]
+                m = meters[nid]
+                m.area += len(sender.buffer) * (now - m.last_ms)
+                m.last_ms = now
+                m = meters[peer]
+                m.area += len(receiver.buffer) * (now - m.last_ms)
+                m.last_ms = now
+                receiver_idle = not receiver.buffer
+                move(net, nid, peer, n_ce, delivered, dropped, now)
+                # the sender's next slot always sorts after this event
+                s = slot[nid] = now + sender.ci_ms
+                if sender.buffer and s <= horizon:
+                    push(heap, (s, KIND_CONN, nid, peer))
+                if receiver_idle and receiver.buffer:
+                    wake(peer, (now, KIND_CONN, nid, peer))
             elif kind == KIND_GEN:
-                self._on_packet_gen(at_ms, nid, peer)
-                self._next_arrival(nid, peer)
+                node = nodes[nid]
+                buf = node.buffer
+                seq += 1
+                self.total_sent += 1
+                if peer:
+                    rec = ProbeRecord(seq, now)
+                    probes.append(rec)
+                    probe_by_seq[seq] = rec
+                    self.probe_sent += 1
+                m = meters[nid]
+                m.area += len(buf) * (now - m.last_ms)
+                m.last_ms = now
+                if len(buf) >= node.b_max:
+                    self.total_dropped += 1
+                    m.drops += 1
+                    if peer:
+                        rec.dropped = True
+                        self.probe_dropped += 1
+                else:
+                    buf.append(seq)
+                    if len(buf) == 1:
+                        wake(nid, (now, KIND_GEN, nid, peer))
+                t = next(sources[nid], None)
+                if t is not None:
+                    push(heap, (t, KIND_GEN, nid, peer))
             elif kind == KIND_END:
-                self._finalize(at_ms)
+                self._finalize(now)
+                break
             elif not self.joined:
                 if kind == KIND_STATUS:
-                    self._on_status_round(at_ms)
+                    self._on_status_round(now)
                 else:
-                    self._on_join_round(at_ms)
+                    self._on_join_round(now)
+                    if self.result is not None:
+                        break
         if self.result is None:  # heap ran dry before any terminal event
             self._finalize(self.horizon)
         return self.result

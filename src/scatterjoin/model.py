@@ -1,4 +1,4 @@
-"""Mesh state: nodes, clusters, the master/slave tree, and the packets they exchange."""
+"""Mesh state: nodes, clusters and the master/slave tree; buffers hold packet seqs."""
 
 from __future__ import annotations
 
@@ -16,15 +16,6 @@ class SlotExhausted(Exception):
 
 class TopologyError(Exception):
     """An attach would violate the cluster-tree structure."""
-
-
-@dataclass
-class DataPacket:
-    seq: int
-    src: int
-    dst: int
-    created_at_ms: float
-    hops_traversed: int = 0
 
 
 @dataclass

@@ -156,6 +156,22 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def validate_scenario(s: Scenario) -> None:
+    """Every check a scenario must pass: check_ranges, then the hearing graph."""
+    check_ranges(s)
+    positions = {n.id: Position(*n.pos) for n in s.nodes}
+    existing = [n.id for n in s.nodes if n.id != s.new_node_id]
+    if not _connected(existing, positions, s.radio):
+        raise ScenarioError("nodes: hearing graph without the new node is disconnected")
+    new_pos = positions[s.new_node_id]
+    heard = [nid for nid in existing
+             if hears(new_pos, positions[nid], s.radio)[0]]
+    if not heard and not s.declared_unjoinable:
+        raise ScenarioError(
+            "new_node_id: new node hears nobody and declared_unjoinable is not set")
+
+
+def check_ranges(s: Scenario) -> None:
+    """The O(N) checks on ids and ranges; every trial runs them."""
     seen = set()
     for n in s.nodes:
         if n.id in seen:
@@ -178,17 +194,13 @@ def validate_scenario(s: Scenario) -> None:
     if s.new_node_id == s.sink_id:
         raise ScenarioError("new_node_id: must differ from sink_id")
     _validate_engine(s.engine)
-
-    positions = {n.id: Position(*n.pos) for n in s.nodes}
-    existing = [n.id for n in s.nodes if n.id != s.new_node_id]
-    if not _connected(existing, positions, s.radio):
-        raise ScenarioError("nodes: hearing graph without the new node is disconnected")
-    new_pos = positions[s.new_node_id]
-    heard = [nid for nid in existing
-             if hears(new_pos, positions[nid], s.radio)[0]]
-    if not heard and not s.declared_unjoinable:
-        raise ScenarioError(
-            "new_node_id: new node hears nobody and declared_unjoinable is not set")
+    t = s.thresholds
+    if not math.isfinite(t.rl_min_dbm):
+        raise ScenarioError("thresholds.rl_min_dbm: must be finite")
+    if t.b_fair < 0:
+        raise ScenarioError("thresholds.b_fair: must be >= 0")
+    if not 0 < t.theta_sat <= 1:
+        raise ScenarioError("thresholds.theta_sat: must be > 0 and <= 1")
 
 
 def _validate_engine(e: EngineParams) -> None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,8 +12,8 @@ from scatterjoin.cli import (CSV_COLUMNS, cmd_compare, main,
 from scatterjoin.engine import run_trial
 from scatterjoin.metrics import aggregate, compare
 from scatterjoin.scenario import (NodeSpec, Scenario, ScenarioError,
-                                  gen_random_scenario, training11,
-                                  write_scenario)
+                                  gen_random_scenario, scenario_to_dict,
+                                  training11, write_scenario)
 
 
 def test_run_on_builtin(capsys):
@@ -152,6 +153,22 @@ def test_bad_engine_values_fail_with_stage(tmp_path, capsys, engine, field):
         "sink_id": 1, "new_node_id": 3, "declared_unjoinable": True, "engine": engine,
         "nodes": [{"id": 1, "pos": [0, 0]}, {"id": 2, "pos": [9, 0]},
                   {"id": 3, "pos": [100, 100]}]}))
+    rc = main(["run", "--scenario", str(bad), "--algo", "scored", "--seed", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error at scenario stage" in err and field in err
+
+
+@pytest.mark.parametrize("thresholds,field", [
+    ({"rl_min_dbm": -math.inf}, "thresholds.rl_min_dbm"),
+    ({"b_fair": -1}, "thresholds.b_fair"),
+    ({"theta_sat": 1.5}, "thresholds.theta_sat"),
+])
+def test_bad_threshold_values_fail_with_stage(tmp_path, capsys, thresholds, field):
+    bad = tmp_path / "bad.json"
+    doc = scenario_to_dict(training11())
+    doc["thresholds"].update(thresholds)
+    bad.write_text(json.dumps(doc))
     rc = main(["run", "--scenario", str(bad), "--algo", "scored", "--seed", "1"])
     assert rc == 1
     err = capsys.readouterr().err

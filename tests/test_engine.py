@@ -17,8 +17,8 @@ from scatterjoin.engine import (KIND_CONN, KIND_GEN, ShadowMap, TrialEngine,
                                 build_network, build_trial_network,
                                 connection_event, generate_traffic,
                                 make_network, run_trial)
-from scatterjoin.model import DataPacket, Network, NodeState
-from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario,
+from scatterjoin.model import Network, NodeState
+from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
 
 FAST = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
@@ -166,32 +166,42 @@ def _net_pair(b_max=30):
 
 def test_connection_event_moves_at_most_n_ce():
     net = _net_pair()
-    for i in range(6):
-        net.nodes[3].buffer.append(DataPacket(i, 3, 1, 0.0))
+    net.nodes[3].buffer.extend(range(6))
     moved = connection_event(net, 3, 2, n_ce=4)
     assert moved == 4
-    assert len(net.nodes[3].buffer) == 2
-    assert len(net.nodes[2].buffer) == 4
-    assert all(p.hops_traversed == 1 for p in net.nodes[2].buffer)
+    assert list(net.nodes[3].buffer) == [4, 5]
+    assert list(net.nodes[2].buffer) == [0, 1, 2, 3]  # moved seqs arrive in FIFO order
 
 
 def test_connection_event_drops_on_full_receiver():
     net = _net_pair(b_max=2)
-    for i in range(4):
-        net.nodes[3].buffer.append(DataPacket(i, 3, 1, 0.0))
+    net.nodes[3].buffer.extend(range(4))
     dropped = []
     connection_event(net, 3, 2, n_ce=4,
-                     on_dropped=lambda pkt, nid: dropped.append((pkt.seq, nid)))
-    assert len(net.nodes[2].buffer) == 2
+                     on_dropped=lambda seq, nid: dropped.append((seq, nid)))
+    assert list(net.nodes[2].buffer) == [0, 1]
     assert dropped == [(2, 2), (3, 2)]
+
+
+def test_connection_event_fills_partly_full_receiver():
+    net = _net_pair(b_max=5)
+    net.nodes[2].buffer.extend([100, 101])
+    net.nodes[3].buffer.extend(range(4))
+    dropped = []
+    moved = connection_event(net, 3, 2, n_ce=4,
+                             on_dropped=lambda seq, nid: dropped.append((seq, nid)))
+    assert moved == 4
+    assert list(net.nodes[3].buffer) == []
+    assert list(net.nodes[2].buffer) == [100, 101, 0, 1, 2]
+    assert dropped == [(3, 2)]
 
 
 def test_sink_consumes_destined_packets():
     net = _net_pair()
-    net.nodes[2].buffer.append(DataPacket(0, 3, 1, 10.0))
+    net.nodes[2].buffer.append(0)
     delivered = []
     connection_event(net, 2, 1, n_ce=4, now_ms=250.0,
-                     on_delivered=lambda pkt, t: delivered.append((pkt.seq, t)))
+                     on_delivered=lambda seq, t: delivered.append((seq, t)))
     assert delivered == [(0, 250.0)]
     assert len(net.nodes[1].buffer) == 0
 
@@ -242,9 +252,9 @@ def test_broadcast_reaches_exactly_the_hearers():
 
 def test_advert_snapshots_buffer_at_emission():
     net = _net_pair()
-    net.nodes[2].buffer.append(DataPacket(0, 2, 1, 0.0))
+    net.nodes[2].buffer.append(0)
     out = broadcast_status(net.nodes[2], net, RadioParams(), net.nodes)
-    net.nodes[2].buffer.append(DataPacket(1, 2, 1, 0.0))
+    net.nodes[2].buffer.append(1)
     assert all(adv.b == 1 for _, adv in out)
 
 
@@ -346,6 +356,22 @@ def test_arrivals_are_generate_traffic_up_to_trial_end(monkeypatch, scenario, al
         interval = 1000.0 / eng.probe_rate
         assert probes == [t_join + i * interval for i in range(len(probes))]
         assert len(probes) == round(eng.measure_ms * eng.probe_rate / 1000.0)
+
+
+@pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
+def test_delivered_probes_traverse_the_join_path(scenario, algo, seed):
+    # a probe's hops are len(path) - 1: the tree is frozen once the joiner attaches
+    t = run_trial(scenario, algo, seed)
+    assert all(p.hops == t.hops_at_join for p in t.probes if p.delivered_at_ms is not None)
+
+
+def test_engine_checks_ranges_of_a_scenario_built_in_code():
+    s = Scenario(name="isolated", nodes=[NodeSpec(1, (0.0, 0.0)), NodeSpec(2, (9.0, 0.0)),
+                                         NodeSpec(3, (100.0, 100.0))],
+                 sink_id=1, new_node_id=3, engine=replace(FAST, t_adv_ms=0.0),
+                 declared_unjoinable=True)
+    with pytest.raises(ScenarioError, match=r"engine\.t_adv_ms"):
+        TrialEngine(s, "scored", 0)
 
 
 # -- build-up ----------------------------------------------------------

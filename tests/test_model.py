@@ -4,8 +4,7 @@ import pytest
 
 from scatterjoin.channel import Position, RadioParams, hears
 from scatterjoin.engine import broadcast_status, candidate, uplink_rssi
-from scatterjoin.model import (DataPacket, Network, NodeState, SlotExhausted,
-                               TopologyError)
+from scatterjoin.model import Network, NodeState, SlotExhausted, TopologyError
 
 
 def node(nid, **kw):
@@ -92,7 +91,7 @@ def test_status_advert_copies_live_fields():
     net.attach(3, 1)
     root = net.nodes[1]
     for i in range(4):
-        root.buffer.append(DataPacket(i, 2, 1, 0.0))
+        root.buffer.append(i)
     adv = candidate(root, -60.0, None)
     assert adv.m == 2
     assert adv.b == 4

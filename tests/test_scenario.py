@@ -1,9 +1,11 @@
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
-from scatterjoin.scenario import (GenerationError, ScenarioError,
-                                  gen_random_scenario, load_scenario,
+from scatterjoin.scenario import (GenerationError, ScenarioError, Thresholds,
+                                  check_ranges, gen_random_scenario, load_scenario,
                                   parse_scenario, scenario_to_dict,
                                   training11, validate_scenario,
                                   write_scenario)
@@ -116,6 +118,19 @@ def test_bad_engine_values_rejected(field, value):
 
 def test_boundary_engine_values_accepted():
     parse_scenario(minimal_doc(engine={"warmup_ms": 0, "max_wait_ms": 0, "n_ce": 1}))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("rl_min_dbm", math.nan), ("rl_min_dbm", -math.inf), ("b_fair", -1),
+    ("theta_sat", 0.0), ("theta_sat", 1.5), ("theta_sat", math.nan)])
+def test_bad_threshold_values_rejected(field, value):
+    s = replace(training11(), thresholds=Thresholds(**{field: value}))
+    with pytest.raises(ScenarioError, match=rf"thresholds\.{field}"):
+        check_ranges(s)
+
+
+def test_boundary_threshold_values_accepted():
+    parse_scenario(minimal_doc(thresholds={"b_fair": 0, "theta_sat": 1.0}))
 
 
 def _node_override(i, **fields):
