@@ -6,13 +6,13 @@ import argparse
 import csv
 import itertools
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .engine import run_trial
 from .join_scored import ScoreWeights
 from .metrics import (AggregateError, AggregateReport, Improvement, aggregate,
                       compare, delay_stats, pdr)
-from .scenario import (GenerationError, Scenario, ScenarioError,
+from .scenario import (GenerationError, Scenario, ScenarioError, _build,
                        gen_random_scenario, load_scenario, training11,
                        write_scenario)
 
@@ -27,6 +27,14 @@ def _load(ref: str) -> Scenario:
     if ref == "training11":
         return training11()
     return load_scenario(ref)
+
+
+def _with_weights(s: Scenario, overrides: dict | None) -> Scenario:
+    """s with its weights overridden, checked like a file's weights block."""
+    if not overrides:
+        return s
+    block = {**asdict(s.weights), **overrides}
+    return replace(s, weights=_build(ScoreWeights, block, "weights"))
 
 
 def parse_weight_vector(text: str) -> dict:
@@ -100,8 +108,7 @@ def cmd_compare(scenario: Scenario | None = None, random_nodes: int | None = Non
             s = gen_random_scenario(n_nodes=random_nodes, seed=seed, area_m=area_m)
         else:
             s = scenario
-        if weights:
-            s = replace(s, weights=replace(s.weights, **weights))
+        s = _with_weights(s, weights)
         for algo, bucket in (("baseline", base_trials), ("scored", prop_trials)):
             t = run_trial(s, algo, seed)
             bucket.append(t)
@@ -141,9 +148,8 @@ def format_summary(base: AggregateReport, prop: AggregateReport,
 
 
 def _cmd_run(args) -> int:
-    s = _load(args.scenario)
-    if args.weights:
-        s = replace(s, weights=replace(s.weights, **parse_weight_vector(args.weights)))
+    weights = parse_weight_vector(args.weights) if args.weights else None
+    s = _with_weights(_load(args.scenario), weights)
     t = run_trial(s, args.algo, args.seed)
     row = trial_row(0, t)
     if t.joined:
@@ -188,8 +194,8 @@ def _cmd_sweep(args) -> int:
         prop_trials = []
         for i in range(args.trials):
             seed = args.seed_base + i
-            s = gen_random_scenario(n_nodes=args.nodes, seed=seed, area_m=args.area)
-            s = replace(s, weights=replace(s.weights, **vector))
+            s = _with_weights(
+                gen_random_scenario(n_nodes=args.nodes, seed=seed, area_m=args.area), vector)
             prop_trials.append(run_trial(s, "scored", seed))
         report = aggregate(prop_trials)
         results.append((vector, report))

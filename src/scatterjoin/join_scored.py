@@ -57,6 +57,9 @@ class ScoreWeights:
             raise ValueError("weights must be >= 0")
         if not sum(weights) > 0:
             raise ValueError("weights must not all be zero")
+        for bound in ("m_max", "b_max"):  # both divide in score_candidate
+            if getattr(self, bound) < 1:
+                raise ValueError(f"{bound} must be >= 1")
         if not self.ci_min_ms < self.ci_max_ms:
             raise ValueError("ci_min_ms must be below ci_max_ms")
         if not self.rssi_lo < self.rssi_hi:

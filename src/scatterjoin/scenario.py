@@ -5,7 +5,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, asdict, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 from .channel import Position, RadioParams, hears
 from .join_scored import ScoreWeights
@@ -68,89 +71,69 @@ class Scenario:
         raise KeyError(node_id)
 
 
-def _check_keys(block: dict, allowed: set[str], where: str) -> None:
-    unknown = set(block) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+# The file defaults that differ from the dataclass's: a file without
+# new_node_id gets 0, which check_ranges then rejects by name.
+_FILE_DEFAULTS = {Scenario: {"name": "unnamed", "new_node_id": 0}}
+
+# annotation -> (accepts a JSON value, what it wants); the float bound also
+# rejects an int too big for a float, where math.isfinite would overflow
+_SCALARS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max, "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+_hints = cache(get_type_hints)  # resolved annotations per dataclass
 
 
-def _check_value(value, kind: str, where: str) -> None:
-    """Raise unless value fits a field annotated `kind` ("int", "float", ...)."""
-    if kind == "int":
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
-    elif kind == "float":
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-        want = "a finite number"
-    elif kind == "bool":
-        ok, want = isinstance(value, bool), "true or false"
-    elif kind == "str":
-        ok, want = isinstance(value, str), "a string"
-    else:
-        return
-    if not ok:
-        raise ScenarioError(f"{where}: expected {want}, got {value!r}")
+def _build(cls, block, where: str):
+    """A cls built from a JSON object, each field checked against its annotation.
 
-
-def _check_types(block: dict, cls, where: str) -> None:
-    """Type-check the fields block gives against cls's annotations."""
-    for f in fields(cls):
-        if f.name in block:
-            _check_value(block[f.name], f.type, f"{where}.{f.name}" if where else f.name)
-
-
-def _object(block, where: str) -> dict:
+    Unknown keys and missing required fields are rejected, and a
+    constructor's ValueError becomes a ScenarioError naming the block.
+    """
     if not isinstance(block, dict):
         raise ScenarioError(f"{where}: expected an object, got {block!r}")
-    return block
-
-
-def _build_block(block: dict, cls, where: str):
-    allowed = {f for f in cls.__dataclass_fields__}
-    _check_keys(_object(block, where), allowed, where)
-    _check_types(block, cls, where)
+    hints = _hints(cls)
+    unknown = set(block) - set(hints)
+    if unknown:
+        raise ScenarioError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+    block = {**_FILE_DEFAULTS.get(cls, {}), **block}
+    missing = [f.name for f in fields(cls) if f.name not in block
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ScenarioError(f"{where}: missing {', '.join(missing)}")
+    prefix = "" if cls is Scenario else f"{where}."
+    kwargs = {k: _value(hints[k], v, prefix + k) for k, v in block.items()}
     try:
-        return cls(**block)
-    except (TypeError, ValueError) as e:
+        return cls(**kwargs)
+    except ValueError as e:
         raise ScenarioError(f"{where}: {e}") from e
+
+
+def _value(kind, value, where: str):
+    """value checked against the annotation kind; a float field gets a float."""
+    if is_dataclass(kind):
+        return _build(kind, value, where)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{where}: expected a list, got {value!r}")
+        return [_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if origin is tuple:
+        if not (isinstance(value, (list, tuple)) and len(value) == len(args)):
+            raise ScenarioError(f"{where}: expected {len(args)} values, got {value!r}")
+        return tuple(_value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    accepts, want = _SCALARS[kind]
+    if not accepts(value):
+        raise ScenarioError(f"{where}: expected {want}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build and validate a Scenario from a parsed JSON document."""
-    top = {"name", "nodes", "sink_id", "new_node_id", "radio", "engine",
-           "weights", "thresholds", "declared_unjoinable"}
-    _check_keys(doc, top, "scenario")
-    _check_types(doc, Scenario, "")
-    if "nodes" not in doc:
-        raise ScenarioError("scenario: missing nodes")
-    if not isinstance(doc["nodes"], list):
-        raise ScenarioError(f"nodes: expected a list, got {doc['nodes']!r}")
-    nodes = []
-    for i, nd in enumerate(doc["nodes"]):
-        where = f"nodes[{i}]"
-        _check_keys(_object(nd, where), set(NodeSpec.__dataclass_fields__), where)
-        if "id" not in nd or "pos" not in nd:
-            raise ScenarioError(f"{where}: id and pos are required")
-        _check_types(nd, NodeSpec, where)
-        pos = nd["pos"]
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 2):
-            raise ScenarioError(f"{where}.pos: expected [x, y]")
-        for xy in pos:
-            _check_value(xy, "float", f"{where}.pos")
-        kwargs = dict(nd)
-        kwargs["pos"] = (float(pos[0]), float(pos[1]))
-        nodes.append(NodeSpec(**kwargs))
-    s = Scenario(
-        name=doc.get("name", "unnamed"),
-        nodes=nodes,
-        sink_id=doc.get("sink_id", 1),
-        new_node_id=doc.get("new_node_id", 0),
-        radio=_build_block(doc.get("radio", {}), RadioParams, "radio"),
-        engine=_build_block(doc.get("engine", {}), EngineParams, "engine"),
-        weights=_build_block(doc.get("weights", {}), ScoreWeights, "weights"),
-        thresholds=_build_block(doc.get("thresholds", {}), Thresholds, "thresholds"),
-        declared_unjoinable=doc.get("declared_unjoinable", False),
-    )
+    s = _build(Scenario, doc, "scenario")
     validate_scenario(s)
     return s
 
@@ -173,18 +156,20 @@ def validate_scenario(s: Scenario) -> None:
 def check_ranges(s: Scenario) -> None:
     """The O(N) checks on ids and ranges; every trial runs them."""
     seen = set()
-    for n in s.nodes:
+    for i, n in enumerate(s.nodes):
+        if n.id < 1:
+            raise ScenarioError(f"nodes[{i}].id: must be >= 1")
         if n.id in seen:
             raise ScenarioError(f"nodes: duplicate id {n.id}")
         seen.add(n.id)
         if n.ci_ms <= 0:
-            raise ScenarioError(f"nodes[{n.id}].ci_ms: must be > 0")
+            raise ScenarioError(f"nodes[{i}].ci_ms: must be > 0")
         if n.b_max < 1:
-            raise ScenarioError(f"nodes[{n.id}].b_max: must be >= 1")
+            raise ScenarioError(f"nodes[{i}].b_max: must be >= 1")
         if n.slave_capacity < 0:
-            raise ScenarioError(f"nodes[{n.id}].slave_capacity: must be >= 0")
+            raise ScenarioError(f"nodes[{i}].slave_capacity: must be >= 0")
         if n.traffic_rate_pps < 0:
-            raise ScenarioError(f"nodes[{n.id}].traffic_rate_pps: must be >= 0")
+            raise ScenarioError(f"nodes[{i}].traffic_rate_pps: must be >= 0")
     if s.sink_id not in seen:
         raise ScenarioError(f"sink_id: node {s.sink_id} missing from nodes")
     if s.sink_id != 1:
@@ -257,10 +242,8 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
         raise ScenarioError(f"parse error in {path}: {e}") from e
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
     return parse_scenario(doc)
 
 
@@ -310,6 +293,8 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
     """
     if n_nodes < 3:
         raise GenerationError("n_nodes must be >= 3")
+    if not 0 < area_m < math.inf:
+        raise GenerationError("area_m: must be > 0 and finite")
     radio = radio or RadioParams()
     engine = engine or EngineParams()
     weights = weights or ScoreWeights()

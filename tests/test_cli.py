@@ -175,6 +175,56 @@ def test_bad_threshold_values_fail_with_stage(tmp_path, capsys, thresholds, fiel
     assert "error at scenario stage" in err and field in err
 
 
+def test_node_id_below_one_fails_with_stage(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    doc = scenario_to_dict(training11())
+    doc["nodes"][3]["id"] = 0
+    bad.write_text(json.dumps(doc))
+    rc = main(["run", "--scenario", str(bad), "--algo", "scored", "--seed", "0"])
+    assert rc == 1
+    assert "error at scenario stage: nodes[3].id: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "training11", "--algo", "scored", "--seed", "0",
+     "--weights=0,0,0,0,0,0"],
+    ["run", "--scenario", "training11", "--algo", "scored", "--seed", "0",
+     "--weights=0.1,-0.2,0.25,0.2,0.15,0.1"],
+    ["run", "--scenario", "training11", "--algo", "scored", "--seed", "0",
+     "--weights=nan,0.2,0.25,0.2,0.15,0.1"],
+    # every score was NaN, and scored picked the saturated branch
+    ["run", "--scenario", "training11", "--algo", "scored", "--seed", "0",
+     "--weights=inf,0,0,0,0,0"],
+    ["compare", "--scenario", "training11", "--trials", "1",
+     "--weights=inf,0,0,0,0,0"],
+    ["sweep", "--random", "--nodes", "10", "--area", "24", "--trials", "1",
+     "--weights-grid", "w_b=-1"],
+])
+def test_bad_weight_overrides_fail_with_stage(capsys, argv):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""  # no trial result
+    assert err.startswith("error at scenario stage: weights")
+
+
+def test_weight_overrides_checked_through_the_api():
+    with pytest.raises(ScenarioError, match=r"weights\.w_m: expected a finite number"):
+        cmd_compare(scenario=training11(), trials=1, weights={"w_m": math.inf})
+    with pytest.raises(ScenarioError, match="unknown field.*w_zz"):
+        cmd_compare(scenario=training11(), trials=1, weights={"w_zz": 1.0})
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--random", "--trials", "1", "--area", "nan"],
+    ["gen", "--seed", "0", "--area", "inf", "--out", "never-written.json"],
+])
+def test_bad_area_fails_with_stage(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(
+        "error at generation stage: area_m: must be > 0 and finite")
+
+
 def test_gen_then_run_round_trip(tmp_path, capsys):
     path = tmp_path / "r.json"
     assert main(["gen", "--nodes", "10", "--seed", "4", "--area", "24",

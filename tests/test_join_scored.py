@@ -128,6 +128,10 @@ def test_weight_validation():
         ScoreWeights(ci_min_ms=400.0, ci_max_ms=7.5)
     with pytest.raises(ValueError):
         ScoreWeights(rssi_lo=-50.0, rssi_hi=-90.0)
+    with pytest.raises(ValueError, match="m_max"):
+        ScoreWeights(m_max=0)    # divides in score_candidate
+    with pytest.raises(ValueError, match="b_max"):
+        ScoreWeights(b_max=0)
 
 
 # -- filtering ---------------------------------------------------------

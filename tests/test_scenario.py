@@ -1,10 +1,15 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from scatterjoin.scenario import (GenerationError, ScenarioError, Thresholds,
+from scatterjoin.channel import RadioParams
+from scatterjoin.engine import TrialEngine
+from scatterjoin.join_scored import ScoreWeights
+from scatterjoin.scenario import (EngineParams, GenerationError, NodeSpec,
+                                  Scenario, ScenarioError, Thresholds,
                                   check_ranges, gen_random_scenario, load_scenario,
                                   parse_scenario, scenario_to_dict,
                                   training11, validate_scenario,
@@ -157,6 +162,85 @@ def test_mistyped_fields_rejected_by_name(doc, where):
         parse_scenario(doc)
 
 
+def test_engine_checks_node_ids_of_a_scenario_built_in_code():
+    s = training11()
+    s = replace(s, nodes=s.nodes[:-2] + [replace(s.nodes[-2], id=0), s.nodes[-1]])
+    with pytest.raises(ScenarioError, match=r"nodes\[10\]\.id"):
+        TrialEngine(s, "scored", 0)
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_node_override(1, id=0), r"nodes\[1\]\.id: must be >= 1"),
+    (_node_override(1, id=-3), r"nodes\[1\]\.id: must be >= 1"),
+    (minimal_doc(weights={"m_max": 0}), "weights: m_max must be >= 1"),
+    (minimal_doc(weights={"b_max": 0}), "weights: b_max must be >= 1"),
+    ([minimal_doc()], "scenario: expected an object"),
+    ({"sink_id": 1, "new_node_id": 3}, "scenario: missing nodes"),
+    (minimal_doc(nodes=[{"id": 1}]), r"nodes\[0\]: missing pos"),
+    (minimal_doc(nodes=[{}]), r"nodes\[0\]: missing id, pos"),
+    ({k: v for k, v in minimal_doc().items() if k != "new_node_id"},
+     "new_node_id: node 0 missing"),
+    (minimal_doc(weights={"w_m": 10 ** 400}), r"weights\.w_m: expected a finite number"),
+    (minimal_doc(radio={"exponent": math.inf}), r"radio\.exponent: expected a finite"),
+    (_node_override(0, pos=[0.0]), r"nodes\[0\]\.pos: expected 2 values"),
+    (minimal_doc(radio={"exponent": 0.0}), "radio: path-loss exponent"),
+])
+def test_malformed_documents_rejected_by_name(doc, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(doc)
+
+
+def test_file_defaults_and_float_fields():
+    doc = minimal_doc()
+    del doc["name"]
+    doc["nodes"][1].update(pos=[9, 0], ci_ms=50)
+    s = parse_scenario(doc)
+    assert s.name == "unnamed"
+    assert s.nodes[1].pos == (9.0, 0.0) and type(s.nodes[1].pos[0]) is float
+    assert type(s.nodes[1].ci_ms) is float
+
+
+def test_overlong_integer_in_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"sink_id": ' + "1" * 5000 + "}")
+    with pytest.raises(ScenarioError, match="parse error"):
+        load_scenario(path)
+
+
+# Every field a scenario file can carry: top level, in a block, in a node.
+FIELD_PATHS = (
+    [(f.name,) for f in fields(Scenario)]
+    + [(block, f.name)
+       for block, cls in (("radio", RadioParams), ("engine", EngineParams),
+                          ("weights", ScoreWeights), ("thresholds", Thresholds))
+       for f in fields(cls)]
+    + [("nodes", i, f.name) for i in range(3) for f in fields(NodeSpec)])
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_json_value_parses_or_fails_by_name(value):
+    for path in FIELD_PATHS:
+        doc = minimal_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key] if isinstance(key, int) else target.setdefault(key, {})
+        target[path[-1]] = value
+        try:
+            s = parse_scenario(doc)
+        except ScenarioError:
+            continue
+        for algo in ("baseline", "scored"):
+            TrialEngine(s, algo, 0)
+
+
 def test_file_round_trip(tmp_path):
     for seed in range(5):
         s = gen_random_scenario(n_nodes=10, seed=seed, area_m=24.0)
@@ -209,6 +293,12 @@ def test_hot_tier_present_in_most_seeds():
 def test_generation_fails_on_hopeless_layout():
     with pytest.raises(GenerationError, match="tries"):
         gen_random_scenario(n_nodes=5, seed=0, area_m=500.0, max_retries=15)
+
+
+@pytest.mark.parametrize("area_m", [math.nan, math.inf, 0.0, -5.0])
+def test_bad_area_rejected(area_m):
+    with pytest.raises(GenerationError, match="area_m: must be > 0 and finite"):
+        gen_random_scenario(n_nodes=8, seed=0, area_m=area_m)
 
 
 def test_too_few_nodes_rejected():
