@@ -70,8 +70,11 @@ def hears(a: Position, b: Position, params: RadioParams,
           noise_draw: float = 0.0) -> tuple[bool, float]:
     """Whether b's signal at a (or vice versa) clears the receive threshold.
 
-    Returns (heard, rssi_dbm). Co-located nodes count as 1 m apart.
+    Returns (heard, rssi_dbm). Co-located nodes count as 1 m apart, and
+    nodes too far apart for a float distance are out of range.
     """
     d = max(dist(a, b), 1.0)
+    if d == math.inf:
+        return False, -math.inf
     rl = path_loss_rssi(d, params, noise_draw)
     return rl >= params.rx_threshold_dbm, rl

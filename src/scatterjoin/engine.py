@@ -10,11 +10,14 @@ triples produce bit-identical results.
 Events are plain (time, kind, node, peer) tuples popped in that order,
 so ties break on kind, then node id, then peer. The heap holds only
 pending work: at most one connection event per link, one arrival per
-traffic source, one probe, and the join-phase rounds. One flat loop in
-TrialEngine.run handles connection and arrival events inline. A packet
-is its sequence number. A delivered probe's hop count is len(path) - 1
-of the joiner's path at the join: no node attaches after the join, so
-the tree a probe crosses is that path.
+traffic source, one probe, and the joiner's next joinMe. One flat loop
+in TrialEngine.run handles connection and arrival events inline. A
+buffered packet is None (background traffic) or its ProbeRecord (a
+probe). At each joinMe the joiner hears a fresh status broadcast from
+every node in range: positions and shadowing are frozen for the trial,
+so it always hears the same nodes, with their state at that instant. A
+delivered probe's hop count is hops_at_join: no node attaches after the
+join, so the tree a probe crosses is the joiner's path at the join.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -40,7 +43,8 @@ from .join_scored import CandidateInfo, filter_candidates, select_parent
 from .model import Network, NodeState
 from .scenario import Scenario, check_ranges
 
-# event kinds, in tie-break order
+# event kinds, in tie-break order; the joinMe round hears the status
+# broadcasts itself, so no KIND_STATUS event is ever scheduled
 KIND_STATUS = 0
 KIND_JOINME = 1
 KIND_CONN = 2
@@ -67,20 +71,20 @@ class ProbeRecord:
 class TrialResult:
     trial_seed: int
     algo: str
-    joined: bool
-    chosen_parent: int | None
-    join_time_ms: float | None
-    hops_at_join: int | None
-    path_to_sink: list[int]
-    probes: list[ProbeRecord]
-    probe_sent: int
-    probe_delivered: int
-    probe_dropped: int
-    probe_in_flight: int
-    total_sent: int
-    total_delivered: int
-    total_dropped: int
-    total_in_flight: int
+    joined: bool = False
+    chosen_parent: int | None = None
+    join_time_ms: float | None = None
+    hops_at_join: int | None = None
+    path_to_sink: list[int] = field(default_factory=list)
+    probes: list[ProbeRecord] = field(default_factory=list)
+    probe_sent: int = 0
+    probe_delivered: int = 0
+    probe_dropped: int = 0
+    probe_in_flight: int = 0
+    total_sent: int = 0
+    total_delivered: int = 0
+    total_dropped: int = 0
+    total_in_flight: int = 0
     buffer_avg: dict = field(default_factory=dict)      # node -> mean occupancy, measurement window
     overflow_drops: dict = field(default_factory=dict)  # node -> drops, measurement window
     node_b_max: dict = field(default_factory=dict)
@@ -203,22 +207,20 @@ def generate_traffic(rate_pps: float, horizon_ms: float, rng: random.Random) -> 
 
 
 def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
-                     on_delivered=None, on_dropped=None, now_ms: float = 0.0) -> int:
+                     on_delivered, on_dropped, now_ms: float) -> int:
     """One connection event on a link: move up to n_ce packets.
 
-    Packets are sequence numbers. They leave the sender's buffer head in
-    FIFO order. At the sink, every packet is consumed via
-    on_delivered(seq, now_ms). Elsewhere the first k = min(n, free) go to
-    the receiver's tail and the rest are lost via on_dropped(seq,
-    receiver_id). Returns how many packets n left the sender.
+    Packets leave the sender's buffer head in FIFO order. At the sink,
+    every packet is consumed via on_delivered(packet, now_ms). Elsewhere
+    the first k = min(n, free) go to the receiver's tail and the rest are
+    lost via on_dropped(packet, receiver_id). Returns how many packets n
+    left the sender.
     """
     src = net.nodes[sender_id].buffer
     n = min(n_ce, len(src))
     if receiver_id == net.sink_id:
         for _ in range(n):
-            seq = src.popleft()
-            if on_delivered is not None:
-                on_delivered(seq, now_ms)
+            on_delivered(src.popleft(), now_ms)
         return n
     receiver = net.nodes[receiver_id]
     dst = receiver.buffer
@@ -226,9 +228,7 @@ def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
     for _ in range(k):
         dst.append(src.popleft())
     for _ in range(n - k):
-        seq = src.popleft()
-        if on_dropped is not None:
-            on_dropped(seq, receiver_id)
+        on_dropped(src.popleft(), receiver_id)
     return n
 
 
@@ -334,31 +334,18 @@ class TrialEngine:
         self.scenario = scenario
         self.algo = algo
         self.seed = seed
-        self.radio = scenario.radio
-        self.net = make_network(scenario)
-        self.shadow = ShadowMap(seed, scenario.radio.shadowing_sigma_db,
-                                list(self.net.nodes))
-        self.meters = {nid: _Meter() for nid in self.net.nodes}
+        ids = [n.id for n in scenario.nodes]
+        self.shadow = ShadowMap(seed, scenario.radio.shadowing_sigma_db, ids)
+        self.meters = {nid: _Meter() for nid in ids}
         eng = scenario.engine
         self.horizon = eng.warmup_ms + eng.max_wait_ms + eng.measure_ms + 2 * eng.t_adv_ms
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
         self._slot: dict[int, float] = {}  # link sender -> earliest slot not yet passed
         self._sources: dict[int, Iterator[float]] = {}  # node -> its pending arrival times
-        self.heard: dict[int, CandidateInfo] = {}  # freshest per sender
-        self.probes: list[ProbeRecord] = []
-        self._probe_by_seq: dict[int, ProbeRecord] = {}
-        self.total_sent = self.total_delivered = self.total_dropped = 0
-        self.probe_sent = self.probe_delivered = self.probe_dropped = 0
-        self.joined = False
-        self.result: TrialResult | None = None
-        self.t_listen = scenario.engine.warmup_ms
+        self.result = TrialResult(trial_seed=seed, algo=algo)
+        self.t_listen = eng.warmup_ms
         self.t_join: float | None = None
-        self.chosen: int | None = None
-        self.path: list[int] = []
-        self.eligible_sat = False
-        self.avoided_sat = False
-        self._join_snap_area: dict[int, float] = {}
-        self._join_snap_drops: dict[int, int] = {}
+        self._join_snap: dict[int, tuple[float, int]] = {}  # node -> (area, drops) at the join
 
     # -- bookkeeping -------------------------------------------------
 
@@ -367,21 +354,17 @@ class TrialEngine:
         m.area += len(self.net.nodes[nid].buffer) * (now_ms - m.last_ms)
         m.last_ms = now_ms
 
-    def _delivered(self, seq: int, now_ms: float) -> None:
-        self.total_delivered += 1
-        rec = self._probe_by_seq.get(seq)
-        if rec is not None:
-            rec.delivered_at_ms = now_ms
-            rec.hops = len(self.path) - 1
-            self.probe_delivered += 1
+    def _delivered(self, probe: ProbeRecord | None, now_ms: float) -> None:
+        self.result.total_delivered += 1
+        if probe is not None:
+            probe.delivered_at_ms = now_ms
+            probe.hops = self.result.hops_at_join
 
-    def _dropped(self, seq: int, at_nid: int) -> None:
-        self.total_dropped += 1
+    def _dropped(self, probe: ProbeRecord | None, at_nid: int) -> None:
+        self.result.total_dropped += 1
         self.meters[at_nid].drops += 1
-        rec = self._probe_by_seq.get(seq)
-        if rec is not None:
-            rec.dropped = True
-            self.probe_dropped += 1
+        if probe is not None:
+            probe.dropped = True
 
     # -- event handlers ----------------------------------------------
 
@@ -400,66 +383,60 @@ class TrialEngine:
         if s <= self.horizon:
             heapq.heappush(self.heap, (s, KIND_CONN, nid, master))
 
-    def _on_status_round(self, now_ms: float) -> None:
-        """All existing nodes broadcast; the listening joiner keeps the freshest."""
-        new_id = self.scenario.new_node_id
-        for nid in sorted(self.net.nodes):
-            if nid == new_id:
-                continue
-            for _, cand in broadcast_status(self.net.nodes[nid], self.net, self.radio,
-                                            (new_id,), self.shadow):
-                self.heard[nid] = cand
-
     def _level_at(self, nid: int, now_ms: float) -> tuple[float, int, int]:
         """Running (mean occupancy, drops, b_max) of nid up to now_ms."""
         node, m = self.net.nodes[nid], self.meters[nid]
         return m.avg_until(len(node.buffer), now_ms), m.drops, node.b_max
 
-    def _on_join_round(self, now_ms: float) -> None:
-        """The joiner's own joinMe emission: decide, request, attach."""
-        eng = self.scenario.engine
-        new_id = self.scenario.new_node_id
-        new = self.net.nodes[new_id]
-        cands = [self.heard[s] for s in sorted(self.heard)]
+    def _on_join_round(self, now_ms: float) -> bool:
+        """The joiner's own joinMe emission: hear, decide, request, attach.
+
+        Returns True when the wait budget ran out with no parent picked.
+        """
+        s, net, r = self.scenario, self.net, self.result
+        eng = s.engine
+        new_id = s.new_node_id
+        new = net.nodes[new_id]
+        cands = [cand for nid in sorted(net.nodes) if nid != new_id
+                 for _, cand in broadcast_status(net.nodes[nid], net, s.radio,
+                                                 (new_id,), self.shadow)]
         if self.algo == "baseline":
             parent = baseline_select(cands, new)
         else:
             # the pick goes out in the joinMe ack field; only it answers
-            parent = scored_select(cands, self.scenario.thresholds,
-                                   self.scenario.weights)
+            parent = scored_select(cands, s.thresholds, s.weights)
 
         if parent is None:
             if now_ms - self.t_listen >= eng.max_wait_ms:
-                self._finalize(now_ms)
-            else:
-                heapq.heappush(self.heap, (now_ms + eng.t_adv_ms, KIND_STATUS, 0, 0))
-                heapq.heappush(self.heap, (now_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
-            return
+                return True
+            heapq.heappush(self.heap, (now_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
+            return False
 
-        theta = self.scenario.thresholds.theta_sat
-        labels = {c.id: branch_saturated(self.net.path_to_root(c.id), self.net.sink_id,
+        theta = s.thresholds.theta_sat
+        labels = {c.id: branch_saturated(net.path_to_root(c.id), net.sink_id,
                                          theta, lambda nid: self._level_at(nid, now_ms))
                   for c in cands}
-        self.eligible_sat = any(labels.values()) and not all(labels.values())
-        self.avoided_sat = self.eligible_sat and not labels[parent]
+        r.eligible_sat = any(labels.values()) and not all(labels.values())
+        r.avoided_sat = r.eligible_sat and not labels[parent]
 
-        self.net.attach(new_id, parent)
-        self.joined = True
+        net.attach(new_id, parent)
+        r.joined = True
+        r.chosen_parent = parent
+        r.path_to_sink = net.path_to_root(new_id)
+        r.join_time_ms = now_ms - self.t_listen
+        r.hops_at_join = new.hops_to_sink
         self.t_join = now_ms
-        self.chosen = parent
-        self.path = self.net.path_to_root(new_id)
-        for nid in sorted(self.net.nodes):
+        for nid in sorted(net.nodes):
             self._touch(nid, now_ms)
-            self._join_snap_area[nid] = self.meters[nid].area
-            self._join_snap_drops[nid] = self.meters[nid].drops
+            self._join_snap[nid] = (self.meters[nid].area, self.meters[nid].drops)
 
         interval = 1000.0 / eng.probe_rate
-        n_probes = int(round(eng.measure_ms * eng.probe_rate / 1000.0))
+        n_probes = eng.n_probes()
         self._sources[new_id] = (now_ms + i * interval for i in range(1, n_probes))
-        if n_probes > 0:
-            heapq.heappush(self.heap, (now_ms, KIND_GEN, new_id, 1))
+        heapq.heappush(self.heap, (now_ms, KIND_GEN, new_id, 1))
         self._slot[new_id] = now_ms + new.ci_ms
         heapq.heappush(self.heap, (now_ms + eng.measure_ms, KIND_END, 0, 0))
+        return False
 
     # -- finalization ------------------------------------------------
 
@@ -471,46 +448,36 @@ class TrialEngine:
         return in_flight
 
     def _finalize(self, now_ms: float) -> None:
-        """Close the trial; window figures and the verdict only if joined."""
-        in_flight = self._flush_buffers(now_ms)
-        if self.total_sent - self.total_delivered - self.total_dropped != in_flight:
+        """Close the trial: in-flight counts, probe tallies, and the window
+        figures and verdict if joined."""
+        r = self.result
+        r.total_in_flight = self._flush_buffers(now_ms)
+        if r.total_sent - r.total_delivered - r.total_dropped != r.total_in_flight:
             raise ConservationError(
-                f"{self.algo} seed {self.seed}: {self.total_sent} sent, "
-                f"{self.total_delivered} delivered, {self.total_dropped} dropped, "
-                f"{in_flight} in flight")
-        b_max = {nid: n.b_max for nid, n in sorted(self.net.nodes.items())}
-        r = TrialResult(
-            trial_seed=self.seed, algo=self.algo, joined=self.joined,
-            chosen_parent=self.chosen, join_time_ms=None, hops_at_join=None,
-            path_to_sink=list(self.path), probes=self.probes,
-            probe_sent=self.probe_sent, probe_delivered=self.probe_delivered,
-            probe_dropped=self.probe_dropped,
-            probe_in_flight=self.probe_sent - self.probe_delivered - self.probe_dropped,
-            total_sent=self.total_sent, total_delivered=self.total_delivered,
-            total_dropped=self.total_dropped, total_in_flight=in_flight,
-            node_b_max=b_max, eligible_sat=self.eligible_sat,
-            avoided_sat=self.avoided_sat)
-        if self.joined:
+                f"{self.algo} seed {self.seed}: {r.total_sent} sent, "
+                f"{r.total_delivered} delivered, {r.total_dropped} dropped, "
+                f"{r.total_in_flight} in flight")
+        r.probe_sent = len(r.probes)
+        r.probe_delivered = sum(p.delivered_at_ms is not None for p in r.probes)
+        r.probe_dropped = sum(p.dropped for p in r.probes)
+        r.probe_in_flight = r.probe_sent - r.probe_delivered - r.probe_dropped
+        r.node_b_max = b_max = {nid: n.b_max for nid, n in sorted(self.net.nodes.items())}
+        if r.joined:
             window = now_ms - self.t_join
             for nid in sorted(self.net.nodes):
-                m = self.meters[nid]
-                r.buffer_avg[nid] = (m.area - self._join_snap_area[nid]) / window
-                r.overflow_drops[nid] = m.drops - self._join_snap_drops[nid]
-            r.join_time_ms = self.t_join - self.t_listen
-            r.hops_at_join = self.net.nodes[self.scenario.new_node_id].hops_to_sink
+                m, (area, drops) = self.meters[nid], self._join_snap[nid]
+                r.buffer_avg[nid] = (m.area - area) / window
+                r.overflow_drops[nid] = m.drops - drops
             r.sat_branch = branch_saturated(
-                self.path, self.net.sink_id, self.scenario.thresholds.theta_sat,
+                r.path_to_sink, self.net.sink_id, self.scenario.thresholds.theta_sat,
                 lambda nid: (r.buffer_avg[nid], r.overflow_drops[nid], b_max[nid]))
-        self.result = r
 
     # -- main loop ---------------------------------------------------
 
     def run(self) -> TrialResult:
         eng = self.scenario.engine
         new_id = self.scenario.new_node_id
-        build_network(self.net, self.algo, self.radio, self.scenario.weights,
-                      self.scenario.thresholds, shadow=self.shadow,
-                      exclude={new_id})
+        self.net = build_trial_network(self.scenario, self.algo, self.shadow)
 
         heap, sources = self.heap, self._sources
         for nid in sorted(self.net.nodes):
@@ -523,9 +490,6 @@ class TrialEngine:
                     heapq.heappush(heap, (t, KIND_GEN, nid, 0))
             if node.master is not None:
                 self._slot[nid] = node.ci_ms
-
-        heapq.heappush(heap, (self.t_listen, KIND_STATUS, 0, 0))
-        heapq.heappush(heap, (self.t_listen + eng.t_adv_ms, KIND_STATUS, 0, 0))
         heapq.heappush(heap, (self.t_listen + eng.t_adv_ms, KIND_JOINME, new_id, 0))
 
         # Connection and arrival events are handled inline on these locals.
@@ -536,8 +500,8 @@ class TrialEngine:
         net, nodes, meters, slot = self.net, self.net.nodes, self.meters, self._slot
         horizon, n_ce = self.horizon, eng.n_ce
         delivered, dropped, wake = self._delivered, self._dropped, self._wake
-        probes, probe_by_seq = self.probes, self._probe_by_seq
-        seq = 0
+        r = self.result
+        probes = r.probes
         while heap:
             now, kind, nid, peer = pop(heap)
             if kind == KIND_CONN:
@@ -559,41 +523,31 @@ class TrialEngine:
             elif kind == KIND_GEN:
                 node = nodes[nid]
                 buf = node.buffer
-                seq += 1
-                self.total_sent += 1
+                r.total_sent += 1
+                packet = None
                 if peer:
-                    rec = ProbeRecord(seq, now)
-                    probes.append(rec)
-                    probe_by_seq[seq] = rec
-                    self.probe_sent += 1
+                    packet = ProbeRecord(r.total_sent, now)
+                    probes.append(packet)
                 m = meters[nid]
                 m.area += len(buf) * (now - m.last_ms)
                 m.last_ms = now
                 if len(buf) >= node.b_max:
-                    self.total_dropped += 1
+                    r.total_dropped += 1
                     m.drops += 1
                     if peer:
-                        rec.dropped = True
-                        self.probe_dropped += 1
+                        packet.dropped = True
                 else:
-                    buf.append(seq)
+                    buf.append(packet)
                     if len(buf) == 1:
                         wake(nid, (now, KIND_GEN, nid, peer))
                 t = next(sources[nid], None)
                 if t is not None:
                     push(heap, (t, KIND_GEN, nid, peer))
-            elif kind == KIND_END:
-                self._finalize(now)
+            elif kind == KIND_END or self._on_join_round(now):
                 break
-            elif not self.joined:
-                if kind == KIND_STATUS:
-                    self._on_status_round(now)
-                else:
-                    self._on_join_round(now)
-                    if self.result is not None:
-                        break
-        if self.result is None:  # heap ran dry before any terminal event
-            self._finalize(self.horizon)
+        else:  # the heap ran dry before any terminal event
+            now = horizon
+        self._finalize(now)
         return self.result
 
 

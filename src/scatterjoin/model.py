@@ -1,4 +1,4 @@
-"""Mesh state: nodes, clusters and the master/slave tree; buffers hold packet seqs."""
+"""Mesh state: nodes, clusters and the master/slave tree; buffers hold packets."""
 
 from __future__ import annotations
 
@@ -108,7 +108,11 @@ class Network:
         return path
 
     def check_invariants(self) -> None:
-        """Raise AssertionError if any structural invariant is broken."""
+        """Raise TopologyError if any structural invariant is broken."""
+        def check(ok, message):
+            if not ok:
+                raise TopologyError(message)
+
         by_cluster: dict[int, list[NodeState]] = {}
         for n in self.nodes.values():
             by_cluster.setdefault(n.cluster_id, []).append(n)
@@ -117,36 +121,37 @@ class Network:
             size = len(members)
             total += size
             roots = [n for n in members if n.master is None]
-            assert len(roots) == 1, f"cluster {cid} has {len(roots)} roots"
+            check(len(roots) == 1, f"cluster {cid} has {len(roots)} roots")
             root = roots[0]
-            assert root.hops_to_sink == 0, f"root {root.id} has nonzero hops"
+            check(root.hops_to_sink == 0, f"root {root.id} has nonzero hops")
             edges = 0
             for n in members:
-                assert n.cluster_size == size, \
-                    f"node {n.id} believes cluster size {n.cluster_size}, actual {size}"
-                assert n.free_out >= 0, f"node {n.id} over-subscribed slots"
-                assert len(n.buffer) <= n.b_max, f"node {n.id} buffer overflow"
+                check(n.cluster_size == size,
+                      f"node {n.id} believes cluster size {n.cluster_size}, actual {size}")
+                check(n.free_out >= 0, f"node {n.id} over-subscribed slots")
+                check(len(n.buffer) <= n.b_max, f"node {n.id} buffer overflow")
                 for sid in n.slaves:
                     s = self.nodes[sid]
-                    assert s.master == n.id, f"slave {sid} does not point back to {n.id}"
-                    assert s.cluster_id == cid
-                    assert s.hops_to_sink == n.hops_to_sink + 1, \
-                        f"node {sid}: hops {s.hops_to_sink} != parent {n.hops_to_sink}+1"
+                    check(s.master == n.id, f"slave {sid} does not point back to {n.id}")
+                    check(s.cluster_id == cid, f"slave {sid} outside cluster {cid}")
+                    check(s.hops_to_sink == n.hops_to_sink + 1,
+                          f"node {sid}: hops {s.hops_to_sink} != parent {n.hops_to_sink}+1")
                     edges += 1
-            assert edges == size - 1, f"cluster {cid}: {edges} edges for {size} nodes"
+            check(edges == size - 1, f"cluster {cid}: {edges} edges for {size} nodes")
             # tree reachability from the root
             reached = set()
             stack = [root.id]
             while stack:
                 nid = stack.pop()
-                assert nid not in reached, f"cycle through node {nid}"
+                check(nid not in reached, f"cycle through node {nid}")
                 reached.add(nid)
                 stack.extend(self.nodes[nid].slaves)
-            assert len(reached) == size, f"cluster {cid} is not connected"
-        assert total == len(self.nodes)
+            check(len(reached) == size, f"cluster {cid} is not connected")
+        check(total == len(self.nodes), f"{total} clustered nodes of {len(self.nodes)}")
         sink = self.nodes.get(self.sink_id)
         if sink is not None and sink.master is None:
             for nid in self.cluster_members(sink.cluster_id):
                 path = self.path_to_root(nid)
-                assert path[-1] == self.sink_id
-                assert len(path) - 1 == self.nodes[nid].hops_to_sink
+                check(path[-1] == self.sink_id, f"node {nid} does not reach the sink")
+                check(len(path) - 1 == self.nodes[nid].hops_to_sink,
+                      f"node {nid}: hops {self.nodes[nid].hops_to_sink} != path length")

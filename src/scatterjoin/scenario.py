@@ -44,6 +44,10 @@ class EngineParams:
     n_ce: int = 4
     max_wait_ms: float = 10000.0
 
+    def n_probes(self) -> int:
+        """Probes a joined trial sends: one per 1/probe_rate over measure_ms."""
+        return round(self.measure_ms * self.probe_rate / 1000.0)
+
 
 @dataclass
 class Thresholds:
@@ -198,6 +202,13 @@ def _validate_engine(e: EngineParams) -> None:
             raise ScenarioError(f"engine.{name}: must be >= 0 and finite")
     if e.n_ce < 1:
         raise ScenarioError("engine.n_ce: must be >= 1")
+    try:
+        n_probes = e.n_probes()
+    except OverflowError as exc:  # round(inf)
+        raise ScenarioError("engine.measure_ms: measure_ms * probe_rate overflows") from exc
+    if n_probes < 1:
+        raise ScenarioError("engine.measure_ms: the window holds no probe at engine.probe_rate "
+                            "(measure_ms * probe_rate / 1000 must round to >= 1)")
 
 
 def _connected(ids, positions, radio, min_rssi=None) -> bool:
@@ -276,10 +287,6 @@ def training11() -> Scenario:
 
 
 def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
-                        radio: RadioParams | None = None,
-                        engine: EngineParams | None = None,
-                        weights: ScoreWeights | None = None,
-                        thresholds: Thresholds | None = None,
                         max_retries: int = 500) -> Scenario:
     """Uniform random layout in an area_m x area_m square, deterministic per seed.
 
@@ -295,10 +302,6 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
         raise GenerationError("n_nodes must be >= 3")
     if not 0 < area_m < math.inf:
         raise GenerationError("area_m: must be > 0 and finite")
-    radio = radio or RadioParams()
-    engine = engine or EngineParams()
-    weights = weights or ScoreWeights()
-    thresholds = thresholds or Thresholds()
     rng = random.Random(f"scatterjoin-scenario:{seed}")
     new_id = n_nodes
 
@@ -310,8 +313,7 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
             rate = 0.0 if nid in (1, new_id) else rng.choice(RATE_TIERS_PPS)
             nodes.append(NodeSpec(nid, pos, ci_ms=ci, traffic_rate_pps=rate))
         s = Scenario(name=f"random{n_nodes}-seed{seed}", nodes=nodes,
-                     sink_id=1, new_node_id=new_id, radio=radio, engine=engine,
-                     weights=weights, thresholds=thresholds)
+                     sink_id=1, new_node_id=new_id)
         if _acceptable(s):
             validate_scenario(s)
             return s

@@ -108,3 +108,12 @@ def test_bad_radio_params_rejected(kwargs):
 def test_non_finite_position_rejected():
     with pytest.raises(ValueError):
         Position(float("nan"), 0.0)
+
+
+def test_overflowing_distance_is_out_of_range():
+    # finite positions whose distance overflows a float; path_loss_rssi still rejects inf
+    a, b = Position(1e308, 0.0), Position(-1e308, 0.0)
+    assert dist(a, b) == math.inf
+    assert hears(a, b, RadioParams()) == (False, -math.inf)
+    with pytest.raises(ValueError):
+        path_loss_rssi(dist(a, b), RadioParams())

@@ -186,6 +186,32 @@ def test_node_id_below_one_fails_with_stage(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--algo", "scored", "--seed", "0"],  # died formatting a missing delay
+    ["compare", "--trials", "1"],                # died sorting a missing PDR
+])
+def test_window_without_probes_fails_with_stage(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    doc = scenario_to_dict(training11())
+    doc["engine"]["measure_ms"] = 40.0  # 0.4 probes at 10 pps
+    bad.write_text(json.dumps(doc))
+    assert main(argv + ["--scenario", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error at scenario stage: engine.measure_ms: the window holds no probe")
+
+
+def test_far_apart_nodes_fail_with_stage(tmp_path, capsys):
+    # their distance overflows to inf, which path_loss_rssi used to raise on
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"sink_id": 1, "new_node_id": 2,
+                               "nodes": [{"id": 1, "pos": [1e308, 0]},
+                                         {"id": 2, "pos": [-1e308, 0]}]}))
+    assert main(["run", "--scenario", str(bad), "--algo", "scored", "--seed", "0"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error at scenario stage: new_node_id: new node hears nobody")
+
+
+@pytest.mark.parametrize("argv", [
     ["run", "--scenario", "training11", "--algo", "scored", "--seed", "0",
      "--weights=0,0,0,0,0,0"],
     ["run", "--scenario", "training11", "--algo", "scored", "--seed", "0",

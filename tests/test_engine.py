@@ -16,7 +16,7 @@ from scatterjoin.engine import (KIND_CONN, KIND_GEN, ShadowMap, TrialEngine,
                                 broadcast_status,
                                 build_network, build_trial_network,
                                 connection_event, generate_traffic,
-                                make_network, run_trial)
+                                link_rssi, make_network, run_trial)
 from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
@@ -164,21 +164,30 @@ def _net_pair(b_max=30):
     return net
 
 
+def recorded_event(net, sender_id, receiver_id, n_ce, now_ms=0.0):
+    """connection_event with recording callbacks: (moved, delivered, dropped)."""
+    delivered, dropped = [], []
+    moved = connection_event(net, sender_id, receiver_id, n_ce,
+                             lambda pkt, t: delivered.append((pkt, t)),
+                             lambda pkt, nid: dropped.append((pkt, nid)), now_ms)
+    return moved, delivered, dropped
+
+
 def test_connection_event_moves_at_most_n_ce():
     net = _net_pair()
     net.nodes[3].buffer.extend(range(6))
-    moved = connection_event(net, 3, 2, n_ce=4)
+    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
     assert moved == 4
+    assert delivered == [] and dropped == []
     assert list(net.nodes[3].buffer) == [4, 5]
-    assert list(net.nodes[2].buffer) == [0, 1, 2, 3]  # moved seqs arrive in FIFO order
+    assert list(net.nodes[2].buffer) == [0, 1, 2, 3]  # moved packets arrive in FIFO order
 
 
 def test_connection_event_drops_on_full_receiver():
     net = _net_pair(b_max=2)
     net.nodes[3].buffer.extend(range(4))
-    dropped = []
-    connection_event(net, 3, 2, n_ce=4,
-                     on_dropped=lambda seq, nid: dropped.append((seq, nid)))
+    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    assert moved == 4 and delivered == []
     assert list(net.nodes[2].buffer) == [0, 1]
     assert dropped == [(2, 2), (3, 2)]
 
@@ -187,10 +196,8 @@ def test_connection_event_fills_partly_full_receiver():
     net = _net_pair(b_max=5)
     net.nodes[2].buffer.extend([100, 101])
     net.nodes[3].buffer.extend(range(4))
-    dropped = []
-    moved = connection_event(net, 3, 2, n_ce=4,
-                             on_dropped=lambda seq, nid: dropped.append((seq, nid)))
-    assert moved == 4
+    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    assert moved == 4 and delivered == []
     assert list(net.nodes[3].buffer) == []
     assert list(net.nodes[2].buffer) == [100, 101, 0, 1, 2]
     assert dropped == [(3, 2)]
@@ -198,11 +205,11 @@ def test_connection_event_fills_partly_full_receiver():
 
 def test_sink_consumes_destined_packets():
     net = _net_pair()
-    net.nodes[2].buffer.append(0)
-    delivered = []
-    connection_event(net, 2, 1, n_ce=4, now_ms=250.0,
-                     on_delivered=lambda seq, t: delivered.append((seq, t)))
-    assert delivered == [(0, 250.0)]
+    net.nodes[2].buffer.extend(range(6))
+    moved, delivered, dropped = recorded_event(net, 2, 1, n_ce=4, now_ms=250.0)
+    assert moved == 4 and dropped == []
+    assert delivered == [(0, 250.0), (1, 250.0), (2, 250.0), (3, 250.0)]
+    assert list(net.nodes[2].buffer) == [4, 5]
     assert len(net.nodes[1].buffer) == 0
 
 
@@ -256,6 +263,42 @@ def test_advert_snapshots_buffer_at_emission():
     out = broadcast_status(net.nodes[2], net, RadioParams(), net.nodes)
     net.nodes[2].buffer.append(1)
     assert all(adv.b == 1 for _, adv in out)
+
+
+def joinme_candidates(monkeypatch, scenario, algo, seed):
+    """(engine, result, the candidate list the join rule got at each joinMe)."""
+    rule = "baseline_select" if algo == "baseline" else "filter_candidates"
+    real_rule, real_build = getattr(engine, rule), engine.build_network
+    seen = []
+
+    def recording(cands, *args):
+        seen.append(list(cands))
+        return real_rule(cands, *args)
+
+    def build(*args, **kwargs):
+        real_build(*args, **kwargs)
+        seen.clear()  # the build phase's own picks are not joinMe rounds
+
+    monkeypatch.setattr(engine, rule, recording)
+    monkeypatch.setattr(engine, "build_network", build)
+    eng = TrialEngine(scenario, algo, seed)
+    return eng, eng.run(), seen
+
+
+@pytest.mark.parametrize("sigma", [0.0, 4.0])
+@pytest.mark.parametrize("algo", ["baseline", "scored"])
+def test_joinme_hears_exactly_the_nodes_in_range(monkeypatch, algo, sigma):
+    # positions and shadowing are frozen, so every joinMe hears the same nodes
+    s = replace(training11(), radio=RadioParams(shadowing_sigma_db=sigma))
+    eng, res, seen = joinme_candidates(monkeypatch, s, algo, 0)
+    new_id = s.new_node_id
+    links = {nid: link_rssi(eng.net, s.radio, eng.shadow, new_id, nid)
+             for nid in sorted(eng.net.nodes) if nid != new_id}
+    in_range = [(nid, rl) for nid, (heard, rl) in links.items() if heard]
+    assert res.joined and seen
+    assert 0 < len(in_range) < len(links)
+    for cands in seen:
+        assert [(c.id, c.rl_dbm) for c in cands] == in_range
 
 
 # -- event core --------------------------------------------------------
@@ -372,6 +415,15 @@ def test_engine_checks_ranges_of_a_scenario_built_in_code():
                  declared_unjoinable=True)
     with pytest.raises(ScenarioError, match=r"engine\.t_adv_ms"):
         TrialEngine(s, "scored", 0)
+
+
+def test_engine_checks_probe_count_of_a_scenario_built_in_code():
+    # 40 ms at 10 pps rounds to no probe: the trial joined but measured nothing
+    s = replace(training11(), engine=replace(FAST, measure_ms=40.0))
+    with pytest.raises(ScenarioError, match=r"engine\.measure_ms: the window holds no probe"):
+        TrialEngine(s, "scored", 0)
+    t = run_trial(replace(training11(), engine=replace(FAST, measure_ms=100.0)), "scored", 0)
+    assert t.joined and t.probe_sent == 1
 
 
 # -- build-up ----------------------------------------------------------

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from scatterjoin import engine
 from scatterjoin.engine import TrialEngine
 from scatterjoin.join_scored import (CandidateInfo, ScoreWeights,
                                      filter_candidates, score_candidate,
@@ -239,12 +240,17 @@ def test_selection_deterministic():
         assert select_parent(list(cands), W) == first
 
 
-def test_joinme_ack_names_parent():
+def test_joinme_ack_names_parent(monkeypatch):
     # the joiner's ack names the pick over what it heard; that node adopts it
     s = training11()
+    handed = []
+    monkeypatch.setattr(engine, "filter_candidates",
+                        lambda cands, *args: handed.append(list(cands))
+                        or filter_candidates(cands, *args))
     eng = TrialEngine(s, "scored", 0)
     res = eng.run()
-    heard = [eng.heard[nid] for nid in sorted(eng.heard)]
+    heard = handed[-1]  # the build phase filters first; the joinMe comes last
+    assert heard and all(c.id != s.new_node_id for c in heard)
     pick = select_parent(filter_candidates(heard, s.thresholds.rl_min_dbm,
                                            s.thresholds.b_fair), s.weights)
     assert res.chosen_parent == pick

@@ -1,6 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import scatterjoin
 
 from scatterjoin.channel import Position, RadioParams, hears
 from scatterjoin.engine import broadcast_status, candidate, uplink_rssi
@@ -172,3 +179,38 @@ def test_cluster_sizes_sum_to_node_count():
         for n in net.nodes.values():
             seen[n.cluster_id] = n.cluster_size
         assert sum(seen.values()) == len(net.nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(0, 3), min_size=2, max_size=8), data=st.data())
+def test_any_attach_sequence_is_refused_or_keeps_invariants(caps, data):
+    net = Network([node(i, slave_capacity=c) for i, c in enumerate(caps, start=1)])
+    ids = st.integers(1, len(caps))
+    for child, parent in data.draw(st.lists(st.tuples(ids, ids), max_size=12)):
+        try:
+            net.attach(child, parent)
+        except (SlotExhausted, TopologyError):
+            pass
+        net.check_invariants()
+
+
+INFLATED_CLUSTER = """
+import sys
+from scatterjoin.channel import Position
+from scatterjoin.model import Network, NodeState, TopologyError
+
+net = Network([NodeState(id=1, pos=Position(0.0, 0.0), cluster_size=7)])
+try:
+    net.check_invariants()
+except TopologyError as e:
+    print(f"optimize={sys.flags.optimize} {e}")
+"""
+
+
+def test_invariant_check_survives_optimized_python():
+    src = Path(scatterjoin.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", INFLATED_CLUSTER],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "optimize=1 node 1 believes cluster size 7, actual 1", \
+        proc.stderr

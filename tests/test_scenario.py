@@ -184,6 +184,11 @@ def test_engine_checks_node_ids_of_a_scenario_built_in_code():
     (minimal_doc(radio={"exponent": math.inf}), r"radio\.exponent: expected a finite"),
     (_node_override(0, pos=[0.0]), r"nodes\[0\]\.pos: expected 2 values"),
     (minimal_doc(radio={"exponent": 0.0}), "radio: path-loss exponent"),
+    # windows that hold no probe; 0.5 probes rounds to 0
+    (minimal_doc(engine={"measure_ms": 40.0}), r"engine\.measure_ms: the window holds no probe"),
+    (minimal_doc(engine={"measure_ms": 50.0}), r"engine\.measure_ms: the window holds no probe"),
+    (minimal_doc(engine={"measure_ms": 1e308, "probe_rate": 1e10}),
+     r"engine\.measure_ms: measure_ms \* probe_rate overflows"),
 ])
 def test_malformed_documents_rejected_by_name(doc, message):
     with pytest.raises(ScenarioError, match=message):
