@@ -50,18 +50,19 @@ def parse_weight_vector(text: str) -> dict:
 
 
 def parse_weights_grid(spec: str) -> list[dict]:
-    axes = []
+    axes = {}
     for part in spec.split(";"):
         name, sep, vals = part.partition("=")
         name = name.strip()
         if not sep or name not in WEIGHT_NAMES:
             raise ScenarioError(f"weights-grid: bad axis {part!r}")
+        if name in axes:
+            raise ScenarioError(f"weights-grid: repeated axis {name!r}")
         try:
-            axes.append((name, [float(v) for v in vals.split(",")]))
+            axes[name] = [float(v) for v in vals.split(",")]
         except ValueError as e:
             raise ScenarioError(f"weights-grid: {e}") from e
-    return [dict(zip([n for n, _ in axes], combo))
-            for combo in itertools.product(*[v for _, v in axes])]
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 def trial_row(index: int, trial) -> dict:
@@ -155,8 +156,9 @@ def _cmd_run(args) -> int:
     if t.joined:
         print(f"joined parent={t.chosen_parent} hops={t.hops_at_join} "
               f"join_time={t.join_time_ms:.0f}ms")
-        print(f"mu_d={row['mu_d_ms'] or float('nan'):.1f}ms "
-              f"sigma_d={row['sigma_d_ms'] or 0:.1f}ms pdr={row['pdr']:.3f} "
+        mu_d, sd = ("-", "-") if row["mu_d_ms"] == "" else (
+            f"{row['mu_d_ms']:.1f}", f"{row['sigma_d_ms']:.1f}")
+        print(f"mu_d={mu_d}ms sigma_d={sd}ms pdr={row['pdr']:.3f} "
               f"sat_branch={row['sat_branch']}")
     else:
         print("join failed: no usable neighbor before the wait budget expired")
@@ -186,8 +188,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if not args.random:
-        raise ScenarioError("sweep: only --random is supported")
+    if args.trials < 1:
+        raise ScenarioError("trials must be >= 1")
     grid = parse_weights_grid(args.weights_grid)
     results = []
     for vector in grid:

@@ -13,11 +13,11 @@ pending work: at most one connection event per link, one arrival per
 traffic source, one probe, and the joiner's next joinMe. One flat loop
 in TrialEngine.run handles connection and arrival events inline. A
 buffered packet is None (background traffic) or its ProbeRecord (a
-probe). At each joinMe the joiner hears a fresh status broadcast from
-every node in range: positions and shadowing are frozen for the trial,
-so it always hears the same nodes, with their state at that instant. A
-delivered probe's hop count is hops_at_join: no node attaches after the
-join, so the tree a probe crosses is the joiner's path at the join.
+probe). Links are frozen for the trial; Links works each out once. Both
+the build phase and each joinMe hear through broadcast_status: the same
+nodes every time, with their state at that instant. A delivered probe's
+hop count is hops_at_join: no node attaches after the join, so the tree
+a probe crosses is the joiner's path at the join.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -93,71 +93,52 @@ class TrialResult:
     avoided_sat: bool = False
 
 
-class ShadowMap:
-    """Per-ordered-pair shadowing draws, frozen for the whole trial.
+class Links:
+    """Every directed link of one layout, frozen for the trial.
 
-    Drawn eagerly in id order so paired runs of both algorithms on the
-    same seed see identical link conditions.
+    links[at_id, from_id] is (heard, rssi) for from_id's signal received
+    at at_id, worked out by hears on first use and kept. With a seed and
+    shadowing on, one standard-normal draw per ordered pair is taken up
+    front in id order, so paired runs of both algorithms on the same seed
+    see identical links. seed=None is the unshadowed layout.
     """
 
-    def __init__(self, seed: int, sigma: float, node_ids):
-        self.sigma = sigma
-        self._draws = {}
-        if sigma > 0:
+    def __init__(self, positions: dict[int, Position], radio: RadioParams,
+                 seed: int | None = None):
+        self.positions, self.radio = positions, radio
+        self._draws: dict[tuple[int, int], float] = {}
+        self._known: dict[tuple[int, int], tuple[bool, float]] = {}
+        if seed is not None and radio.shadowing_sigma_db > 0:
             rng = random.Random(f"scatterjoin-shadow:{seed}")
-            ids = sorted(node_ids)
-            for a in ids:
-                for b in ids:
-                    if a != b:
-                        self._draws[(a, b)] = rng.gauss(0.0, 1.0)
+            ids = sorted(positions)
+            self._draws = {(a, b): rng.gauss(0.0, 1.0) for a in ids for b in ids if a != b}
 
-    def draw(self, a: int, b: int) -> float:
-        if self.sigma == 0:
-            return 0.0
-        return self._draws[(a, b)]
-
-
-def link_rssi(net: Network, radio: RadioParams, shadow: ShadowMap | None,
-              at_id: int, from_id: int) -> tuple[bool, float]:
-    """from_id's signal as received at at_id."""
-    noise = shadow.draw(at_id, from_id) if shadow is not None else 0.0
-    return hears(net.nodes[at_id].pos, net.nodes[from_id].pos, radio, noise)
+    def __getitem__(self, link: tuple[int, int]) -> tuple[bool, float]:
+        known = self._known.get(link)
+        if known is None:
+            at_id, from_id = link
+            known = self._known[link] = hears(self.positions[at_id], self.positions[from_id],
+                                              self.radio, self._draws.get(link, 0.0))
+        return known
 
 
-def uplink_rssi(net: Network, radio: RadioParams, shadow: ShadowMap | None,
-                node: NodeState) -> float | None:
-    """node's measured link to its master; None for cluster roots."""
-    if node.master is None:
+def broadcast_status(node: NodeState, net: Network, links: Links,
+                     receiver_id: int) -> CandidateInfo | None:
+    """node's fresh status broadcast as receiver_id hears it; None out of range.
+
+    The sender's state is snapshotted at emission time, so the buffer
+    occupancy b is instantaneous. rn_dbm is the sender's measured link to
+    its master, None for cluster roots.
+    """
+    heard, rl = links[receiver_id, node.id]
+    if not heard:
         return None
-    return link_rssi(net, radio, shadow, node.id, node.master)[1]
-
-
-def candidate(node: NodeState, rl_dbm: float, rn_dbm: float | None) -> CandidateInfo:
-    """node's live state as a neighbour heard at rl_dbm, uplink rn_dbm."""
+    rn = None if node.master is None else links[node.id, node.master][1]
     return CandidateInfo(
         id=node.id, cluster_id=node.cluster_id, cluster_size=node.cluster_size,
         m=len(node.slaves), h=node.hops_to_sink, b=len(node.buffer),
-        ci_ms=node.ci_ms, rl_dbm=rl_dbm, rn_dbm=rn_dbm, free_out=node.free_out,
+        ci_ms=node.ci_ms, rl_dbm=rl, rn_dbm=rn, free_out=node.free_out,
         children=tuple(node.slaves))
-
-
-def broadcast_status(node: NodeState, net: Network, radio: RadioParams,
-                     receivers, shadow: ShadowMap | None = None):
-    """Deliver a fresh status broadcast to the listed receivers in range.
-
-    Returns (receiver_id, candidate) pairs in id order, each carrying the
-    RSSI that receiver measured. The sender's state is snapshotted at
-    emission time, so the buffer occupancy b is instantaneous.
-    """
-    rn = uplink_rssi(net, radio, shadow, node)
-    deliveries = []
-    for rid in sorted(receivers):
-        if rid == node.id:
-            continue
-        heard, rl = link_rssi(net, radio, shadow, rid, node.id)
-        if heard:
-            deliveries.append((rid, candidate(node, rl, rn)))
-    return deliveries
 
 
 def branch_saturated(path, sink_id: int, theta_sat: float, level) -> bool:
@@ -232,18 +213,12 @@ def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
     return n
 
 
-def _gather_candidates(net, joiner_id, radio, shadow):
+def _gather_candidates(net, joiner_id, links):
     """Live candidate records for every heard member of the sink's cluster."""
     sink_cluster = net.nodes[net.sink_id].cluster_id
-    cands = []
-    for mid in net.cluster_members(sink_cluster):
-        member = net.nodes[mid]
-        if member.free_out < 1:
-            continue
-        heard, rl = link_rssi(net, radio, shadow, joiner_id, mid)
-        if heard:
-            cands.append(candidate(member, rl, uplink_rssi(net, radio, shadow, member)))
-    return cands
+    members = (net.nodes[mid] for mid in net.cluster_members(sink_cluster))
+    return [c for m in members if m.free_out >= 1
+            if (c := broadcast_status(m, net, links, joiner_id)) is not None]
 
 
 def scored_select(cands: list[CandidateInfo], thresholds, weights) -> int | None:
@@ -252,8 +227,7 @@ def scored_select(cands: list[CandidateInfo], thresholds, weights) -> int | None
                                            thresholds.b_fair), weights)
 
 
-def build_network(net: Network, algo: str, radio: RadioParams, weights,
-                  thresholds, shadow: ShadowMap | None = None,
+def build_network(net: Network, algo: str, links: Links, weights, thresholds,
                   on_attach=None, exclude=()) -> None:
     """Sink-anchored build-up: unattached roots join the sink's cluster.
 
@@ -273,7 +247,7 @@ def build_network(net: Network, algo: str, radio: RadioParams, weights,
                 continue
             if node.cluster_id == net.nodes[net.sink_id].cluster_id:
                 continue
-            cands = _gather_candidates(net, nid, radio, shadow)
+            cands = _gather_candidates(net, nid, links)
             if not cands:
                 continue
             if algo == "baseline":
@@ -298,13 +272,15 @@ def make_network(scenario: Scenario) -> Network:
     return Network(nodes, sink_id=scenario.sink_id)
 
 
-def build_trial_network(scenario: Scenario, algo: str,
-                        shadow: ShadowMap | None = None, on_attach=None) -> Network:
-    """Network after the phase-1 build-up, before any traffic."""
+def build_trial_network(scenario: Scenario, algo: str, links: Links | None = None,
+                        on_attach=None) -> Network:
+    """Network after the phase-1 build-up, before any traffic; unshadowed
+    links unless given."""
     net = make_network(scenario)
-    build_network(net, algo, scenario.radio, scenario.weights,
-                  scenario.thresholds, shadow=shadow, on_attach=on_attach,
-                  exclude={scenario.new_node_id})
+    if links is None:
+        links = Links({nid: n.pos for nid, n in net.nodes.items()}, scenario.radio)
+    build_network(net, algo, links, scenario.weights, scenario.thresholds,
+                  on_attach=on_attach, exclude={scenario.new_node_id})
     return net
 
 
@@ -334,9 +310,9 @@ class TrialEngine:
         self.scenario = scenario
         self.algo = algo
         self.seed = seed
-        ids = [n.id for n in scenario.nodes]
-        self.shadow = ShadowMap(seed, scenario.radio.shadowing_sigma_db, ids)
-        self.meters = {nid: _Meter() for nid in ids}
+        self.links = Links({n.id: Position(*n.pos) for n in scenario.nodes},
+                           scenario.radio, seed)
+        self.meters = {n.id: _Meter() for n in scenario.nodes}
         eng = scenario.engine
         self.horizon = eng.warmup_ms + eng.max_wait_ms + eng.measure_ms + 2 * eng.t_adv_ms
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
@@ -397,9 +373,8 @@ class TrialEngine:
         eng = s.engine
         new_id = s.new_node_id
         new = net.nodes[new_id]
-        cands = [cand for nid in sorted(net.nodes) if nid != new_id
-                 for _, cand in broadcast_status(net.nodes[nid], net, s.radio,
-                                                 (new_id,), self.shadow)]
+        cands = [c for nid in sorted(net.nodes) if nid != new_id
+                 if (c := broadcast_status(net.nodes[nid], net, self.links, new_id)) is not None]
         if self.algo == "baseline":
             parent = baseline_select(cands, new)
         else:
@@ -477,7 +452,7 @@ class TrialEngine:
     def run(self) -> TrialResult:
         eng = self.scenario.engine
         new_id = self.scenario.new_node_id
-        self.net = build_trial_network(self.scenario, self.algo, self.shadow)
+        self.net = build_trial_network(self.scenario, self.algo, self.links)
 
         heap, sources = self.heap, self._sources
         for nid in sorted(self.net.nodes):

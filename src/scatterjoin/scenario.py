@@ -68,12 +68,6 @@ class Scenario:
     thresholds: Thresholds = field(default_factory=Thresholds)
     declared_unjoinable: bool = False
 
-    def node(self, node_id: int) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
 
 # The file defaults that differ from the dataclass's: a file without
 # new_node_id gets 0, which check_ranges then rejects by name.
@@ -323,7 +317,7 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
 
 
 def _acceptable(s: Scenario) -> bool:
-    from .engine import build_trial_network  # local import to avoid a cycle
+    from .engine import Links, build_trial_network  # local import to avoid a cycle
 
     positions = {n.id: Position(*n.pos) for n in s.nodes}
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
@@ -336,8 +330,9 @@ def _acceptable(s: Scenario) -> bool:
               if hears(new_pos, positions[nid], s.radio)[1] >= s.thresholds.rl_min_dbm]
     if len(usable) < 2:
         return False
+    links = Links(positions, s.radio)
     for algo in ("baseline", "scored"):
-        net = build_trial_network(s, algo)
+        net = build_trial_network(s, algo, links)
         attached = sum(1 for nid in existing if net.nodes[nid].master is not None)
         if attached != len(existing) - 1:  # everyone but the sink
             return False

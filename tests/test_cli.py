@@ -24,6 +24,20 @@ def test_run_on_builtin(capsys):
     assert "pdr=" in out
 
 
+def test_run_without_delivered_probe_prints_no_delay(tmp_path, capsys):
+    # this layout joins on baseline but delivers no probe at seed 0
+    path, out = tmp_path / "r64.json", tmp_path / "row.csv"
+    assert main(["gen", "--nodes", "64", "--seed", "1", "--out", str(path)]) == 0
+    assert main(["run", "--scenario", str(path), "--algo", "baseline",
+                 "--seed", "0", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "mu_d=-ms sigma_d=-ms pdr=0.000" in printed
+    with open(out) as f:
+        row = next(csv.DictReader(f))
+    assert row["joined"] == "1"
+    assert row["mu_d_ms"] == row["sigma_d_ms"] == ""
+
+
 def test_run_writes_csv_row(tmp_path):
     out = tmp_path / "one.csv"
     assert main(["run", "--scenario", "training11", "--algo", "baseline",
@@ -273,6 +287,22 @@ def test_weights_grid_parsing():
     assert {"w_b": 0.1, "w_ci": 0.2} in grid
     with pytest.raises(ScenarioError):
         parse_weights_grid("w_nope=1.0")
+    with pytest.raises(ScenarioError, match="weights-grid: repeated axis 'w_b'"):
+        parse_weights_grid("w_b=0.1;w_b=0.4")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--random", "--trials", "0"], "trials must be >= 1"),
+    (["sweep", "--random", "--trials", "0", "--weights-grid", "w_b=0.1"],
+     "trials must be >= 1"),
+    (["sweep", "--random", "--trials", "1", "--weights-grid", "w_b=0.1;w_b=0.4"],
+     "weights-grid: repeated axis 'w_b'"),
+])
+def test_bad_counts_and_grids_fail_at_scenario_stage(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error at scenario stage: {message}\n"
+    assert captured.out == ""
 
 
 def test_run_with_weight_override(capsys):

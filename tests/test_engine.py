@@ -1,3 +1,4 @@
+import collections
 import heapq
 import os
 import random
@@ -12,11 +13,11 @@ import pytest
 import scatterjoin
 from scatterjoin import engine
 from scatterjoin.channel import Position, RadioParams, hears
-from scatterjoin.engine import (KIND_CONN, KIND_GEN, ShadowMap, TrialEngine,
+from scatterjoin.engine import (KIND_CONN, KIND_GEN, Links, TrialEngine,
                                 broadcast_status,
                                 build_network, build_trial_network,
                                 connection_event, generate_traffic,
-                                link_rssi, make_network, run_trial)
+                                make_network, run_trial)
 from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
@@ -240,29 +241,37 @@ def test_traffic_streams_reproducible_and_disjoint():
 # -- broadcast_status --------------------------------------------------
 
 
+def links_of(net):
+    return Links({nid: n.pos for nid, n in net.nodes.items()}, RadioParams())
+
+
 def test_broadcast_reaches_exactly_the_hearers():
     nodes = [NodeState(id=1, pos=Position(0.0, 0.0)),
              NodeState(id=2, pos=Position(9.0, 0.0)),
              NodeState(id=3, pos=Position(-9.0, 0.0)),
              NodeState(id=4, pos=Position(100.0, 0.0))]
     net = Network(nodes)
-    out = broadcast_status(net.nodes[1], net, RadioParams(), net.nodes)
-    assert [rid for rid, _ in out] == [2, 3]
+    links = links_of(net)
+
+    def heard(sender):
+        return {rid: c for rid in net.nodes if rid != sender
+                if (c := broadcast_status(net.nodes[sender], net, links, rid)) is not None}
+
+    out = heard(1)
+    assert sorted(out) == [2, 3]
     assert all(c.id == 1 and c.rl_dbm == hears(net.nodes[rid].pos, net.nodes[1].pos,
-                                                RadioParams())[1] for rid, c in out)
-    isolated = broadcast_status(net.nodes[4], net, RadioParams(), net.nodes)
-    assert isolated == []
-    # only the listed receivers are served; the sender and non-hearers drop out
-    assert [rid for rid, _ in broadcast_status(net.nodes[1], net, RadioParams(),
-                                               {4, 3, 1})] == [3]
+                                                RadioParams())[1] for rid, c in out.items())
+    assert heard(4) == {}
+    assert broadcast_status(net.nodes[1], net, links, 4) is None
 
 
 def test_advert_snapshots_buffer_at_emission():
     net = _net_pair()
     net.nodes[2].buffer.append(0)
-    out = broadcast_status(net.nodes[2], net, RadioParams(), net.nodes)
+    links = links_of(net)
+    out = [broadcast_status(net.nodes[2], net, links, rid) for rid in (1, 3)]
     net.nodes[2].buffer.append(1)
-    assert all(adv.b == 1 for _, adv in out)
+    assert all(adv.b == 1 for adv in out)
 
 
 def joinme_candidates(monkeypatch, scenario, algo, seed):
@@ -292,8 +301,8 @@ def test_joinme_hears_exactly_the_nodes_in_range(monkeypatch, algo, sigma):
     s = replace(training11(), radio=RadioParams(shadowing_sigma_db=sigma))
     eng, res, seen = joinme_candidates(monkeypatch, s, algo, 0)
     new_id = s.new_node_id
-    links = {nid: link_rssi(eng.net, s.radio, eng.shadow, new_id, nid)
-             for nid in sorted(eng.net.nodes) if nid != new_id}
+    fresh = Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio, 0)
+    links = {nid: fresh[new_id, nid] for nid in sorted(eng.net.nodes) if nid != new_id}
     in_range = [(nid, rl) for nid, (heard, rl) in links.items() if heard]
     assert res.joined and seen
     assert 0 < len(in_range) < len(links)
@@ -457,16 +466,61 @@ def test_shadowing_trials_still_deterministic():
 
 
 def test_shadow_map_paired_across_algos():
-    m = ShadowMap(9, 3.0, [1, 2, 3])
-    n = ShadowMap(9, 3.0, [1, 2, 3])
-    assert all(m.draw(a, b) == n.draw(a, b)
-               for a in (1, 2, 3) for b in (1, 2, 3) if a != b)
-    assert m.draw(1, 2) != m.draw(2, 1)  # ordered pairs draw independently
+    s = replace(training11(), radio=RadioParams(shadowing_sigma_db=3.0))
+    m = TrialEngine(s, "baseline", 9).links
+    n = TrialEngine(s, "scored", 9).links
+    pairs = [(a.id, b.id) for a in s.nodes for b in s.nodes if a.id != b.id]
+    assert [m[p] for p in pairs] == [n[p] for p in pairs]
+    assert m[1, 2] != m[2, 1]  # ordered pairs draw independently
+
+
+def test_unshadowed_links_ignore_sigma():
+    s = replace(training11(), radio=RadioParams(shadowing_sigma_db=4.0))
+    positions = {n.id: Position(*n.pos) for n in s.nodes}
+    plain = Links(positions, s.radio)
+    shadowed = Links(positions, s.radio, 11)
+    pairs = [(a, b) for a in positions for b in positions if a != b]
+    assert all(plain[a, b] == hears(positions[a], positions[b], RadioParams())
+               for a, b in pairs)
+    assert any(plain[p] != shadowed[p] for p in pairs)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 4.0])
+@pytest.mark.parametrize("algo", ["baseline", "scored"])
+def test_each_link_reaches_hears_at_most_once(monkeypatch, algo, sigma):
+    calls = collections.Counter()
+
+    def counting(a, b, radio, noise=0.0):
+        calls[a, b] += 1
+        return hears(a, b, radio, noise)
+
+    monkeypatch.setattr(engine, "hears", counting)
+    for s in (replace(training11(), radio=RadioParams(shadowing_sigma_db=sigma)),
+              gen_random_scenario(n_nodes=16, seed=3)):
+        calls.clear()
+        assert run_trial(s, algo, 5).joined
+        assert calls and max(calls.values()) == 1
+
+
+def test_both_phases_hear_through_broadcast_status(monkeypatch):
+    heard = []
+
+    def recording(node, net, links, receiver_id):
+        heard.append((node.id, receiver_id))
+        return real(node, net, links, receiver_id)
+
+    real = engine.broadcast_status
+    monkeypatch.setattr(engine, "broadcast_status", recording)
+    s = training11()
+    assert run_trial(s, "scored", 0).joined
+    receivers = {rid for _, rid in heard}
+    assert s.new_node_id in receivers and len(receivers) > 1  # joinMe and build phase
+    assert all(sender != rid for sender, rid in heard)  # no node hears itself
 
 
 def test_unknown_algorithm_rejected():
     with pytest.raises(ValueError):
         run_trial(training11(), "fancy", 0)
     with pytest.raises(ValueError):
-        build_network(make_network(training11()), "fancy", RadioParams(),
+        build_network(make_network(training11()), "fancy", Links({}, RadioParams()),
                       None, None)

@@ -10,7 +10,7 @@ import hashlib
 from dataclasses import replace
 
 from scatterjoin.channel import Position, RadioParams
-from scatterjoin.engine import build_network, run_trial
+from scatterjoin.engine import Links, build_network, run_trial
 from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario,
                                   gen_random_scenario, training11)
@@ -119,5 +119,6 @@ def test_baseline_build_phase_attaches_to_lone_sink():
     # ... while the build phase takes the strongest heard sink-cluster member
     net = Network([NodeState(id=1, pos=Position(0.0, 0.0)),
                    NodeState(id=5, pos=Position(5.0, 0.0))])
-    build_network(net, "baseline", RadioParams(), None, None)
+    links = Links({nid: n.pos for nid, n in net.nodes.items()}, RadioParams())
+    build_network(net, "baseline", links, None, None)
     assert net.nodes[5].master == 1

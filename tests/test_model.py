@@ -10,12 +10,16 @@ from hypothesis import given, settings, strategies as st
 import scatterjoin
 
 from scatterjoin.channel import Position, RadioParams, hears
-from scatterjoin.engine import broadcast_status, candidate, uplink_rssi
+from scatterjoin.engine import Links, broadcast_status
 from scatterjoin.model import Network, NodeState, SlotExhausted, TopologyError
 
 
 def node(nid, **kw):
     return NodeState(id=nid, pos=Position(0.0, 0.0), **kw)
+
+
+def links_of(net, radio=RadioParams()):
+    return Links({nid: n.pos for nid, n in net.nodes.items()}, radio)
 
 
 def chain(n):
@@ -84,8 +88,8 @@ def test_attach_non_root_rejected():
 
 
 def test_status_advert_for_sink():
-    net = Network([node(1)])
-    adv = candidate(net.nodes[1], -60.0, uplink_rssi(net, RadioParams(), None, net.nodes[1]))
+    net = Network([node(1), node(2)])
+    adv = broadcast_status(net.nodes[1], net, links_of(net), 2)
     assert adv.h == 0
     assert adv.rn_dbm is None
     assert adv.m == 0
@@ -99,12 +103,13 @@ def test_status_advert_copies_live_fields():
     root = net.nodes[1]
     for i in range(4):
         root.buffer.append(i)
-    adv = candidate(root, -60.0, None)
+    links = links_of(net)
+    adv = broadcast_status(root, net, links, 2)
     assert adv.m == 2
     assert adv.b == 4
     assert adv.free_out == 1
     assert adv.children == (2, 3)
-    assert adv.rl_dbm == -60.0
+    assert adv.rl_dbm == links[2, 1][1] == hears(net.nodes[2].pos, root.pos, RadioParams())[1]
 
 
 def test_status_advert_reports_measured_rn():
@@ -114,22 +119,22 @@ def test_status_advert_reports_measured_rn():
     net.attach(2, 1)
     radio = RadioParams()
     uplink = hears(Position(6.0, 0.0), Position(0.0, 0.0), radio)[1]
-    out = broadcast_status(net.nodes[2], net, radio, net.nodes)
-    assert [rid for rid, _ in out] == [1, 3]
-    assert all(adv.rn_dbm == uplink for _, adv in out)
+    links = links_of(net, radio)
+    out = [broadcast_status(net.nodes[2], net, links, rid) for rid in (1, 3)]
+    assert all(adv is not None and adv.rn_dbm == uplink for adv in out)
 
 
 def test_status_advert_rn_consistency_enforced():
     net = chain(2)
-    radio = RadioParams()
-    assert uplink_rssi(net, radio, None, net.nodes[1]) is None  # root has no uplink
-    assert isinstance(uplink_rssi(net, radio, None, net.nodes[2]), float)
+    links = links_of(net)
+    assert broadcast_status(net.nodes[1], net, links, 2).rn_dbm is None  # root has no uplink
+    assert isinstance(broadcast_status(net.nodes[2], net, links, 1).rn_dbm, float)
 
 
 def test_joinme_snapshot():
     # the joinMe fields baseline reads travel in the same record
     net = chain(2)
-    adv = candidate(net.nodes[2], -60.0, -70.0)
+    adv = broadcast_status(net.nodes[2], net, links_of(net), 1)
     assert adv.id == 2
     assert adv.cluster_id == 1
     assert adv.cluster_size == 2

@@ -280,8 +280,9 @@ def test_generated_scenarios_validate():
         s = gen_random_scenario(n_nodes=12, seed=seed, area_m=26.0)
         validate_scenario(s)
         assert s.new_node_id == 12
-        assert s.node(1).traffic_rate_pps == 0.0
-        assert s.node(s.new_node_id).traffic_rate_pps == 0.0
+        rates = {n.id: n.traffic_rate_pps for n in s.nodes}
+        assert rates[1] == 0.0
+        assert rates[s.new_node_id] == 0.0
 
 
 def test_hot_tier_present_in_most_seeds():
