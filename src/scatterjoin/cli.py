@@ -191,14 +191,13 @@ def _cmd_sweep(args) -> int:
     if args.trials < 1:
         raise ScenarioError("trials must be >= 1")
     grid = parse_weights_grid(args.weights_grid)
+    seeds = range(args.seed_base, args.seed_base + args.trials)
+    layouts = [gen_random_scenario(n_nodes=args.nodes, seed=seed, area_m=args.area)
+               for seed in seeds]
     results = []
     for vector in grid:
-        prop_trials = []
-        for i in range(args.trials):
-            seed = args.seed_base + i
-            s = _with_weights(
-                gen_random_scenario(n_nodes=args.nodes, seed=seed, area_m=args.area), vector)
-            prop_trials.append(run_trial(s, "scored", seed))
+        prop_trials = [run_trial(_with_weights(s, vector), "scored", seed)
+                       for s, seed in zip(layouts, seeds)]
         report = aggregate(prop_trials)
         results.append((vector, report))
         label = ",".join(f"{k}={v:g}" for k, v in vector.items())

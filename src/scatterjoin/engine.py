@@ -5,7 +5,8 @@ existing nodes form a sink-rooted tree using the selected join strategy,
 background traffic warms the buffers up, then the designated new node
 listens, decides, attaches, and streams probe packets to the sink while
 per-node buffer occupancy is integrated. Identical (scenario, algo, seed)
-triples produce bit-identical results.
+triples produce bit-identical results. A Scenario checks its inputs when
+it is built, so the engine checks none.
 
 Events are plain (time, kind, node, peer) tuples popped in that order,
 so ties break on kind, then node id, then peer. The heap holds only
@@ -36,12 +37,15 @@ import heapq
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .channel import Position, RadioParams, hears
 from .join_baseline import baseline_select, strongest
 from .join_scored import CandidateInfo, filter_candidates, select_parent
 from .model import Network, NodeState
-from .scenario import Scenario, check_ranges
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 # event kinds, in tie-break order; the joinMe round hears the status
 # broadcasts itself, so no KIND_STATUS event is ever scheduled
@@ -122,8 +126,7 @@ class Links:
         return known
 
 
-def broadcast_status(node: NodeState, net: Network, links: Links,
-                     receiver_id: int) -> CandidateInfo | None:
+def broadcast_status(node: NodeState, links: Links, receiver_id: int) -> CandidateInfo | None:
     """node's fresh status broadcast as receiver_id hears it; None out of range.
 
     The sender's state is snapshotted at emission time, so the buffer
@@ -218,7 +221,7 @@ def _gather_candidates(net, joiner_id, links):
     sink_cluster = net.nodes[net.sink_id].cluster_id
     members = (net.nodes[mid] for mid in net.cluster_members(sink_cluster))
     return [c for m in members if m.free_out >= 1
-            if (c := broadcast_status(m, net, links, joiner_id)) is not None]
+            if (c := broadcast_status(m, links, joiner_id)) is not None]
 
 
 def scored_select(cands: list[CandidateInfo], thresholds, weights) -> int | None:
@@ -306,7 +309,6 @@ class TrialEngine:
     def __init__(self, scenario: Scenario, algo: str, seed: int):
         if algo not in ALGOS:
             raise ValueError(f"unknown algorithm {algo!r}")
-        check_ranges(scenario)
         self.scenario = scenario
         self.algo = algo
         self.seed = seed
@@ -314,7 +316,7 @@ class TrialEngine:
                            scenario.radio, seed)
         self.meters = {n.id: _Meter() for n in scenario.nodes}
         eng = scenario.engine
-        self.horizon = eng.warmup_ms + eng.max_wait_ms + eng.measure_ms + 2 * eng.t_adv_ms
+        self.horizon = eng.horizon_ms()
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
         self._slot: dict[int, float] = {}  # link sender -> earliest slot not yet passed
         self._sources: dict[int, Iterator[float]] = {}  # node -> its pending arrival times
@@ -374,7 +376,7 @@ class TrialEngine:
         new_id = s.new_node_id
         new = net.nodes[new_id]
         cands = [c for nid in sorted(net.nodes) if nid != new_id
-                 if (c := broadcast_status(net.nodes[nid], net, self.links, new_id)) is not None]
+                 if (c := broadcast_status(net.nodes[nid], self.links, new_id)) is not None]
         if self.algo == "baseline":
             parent = baseline_select(cands, new)
         else:

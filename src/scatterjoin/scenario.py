@@ -1,4 +1,8 @@
-"""Scenario definition, validation, JSON round-tripping, and random generation."""
+"""Scenario definition, validation, JSON round-tripping, and random generation.
+
+A Scenario checks its ids and ranges when it is built; the hearing-graph
+checks hear through one engine.Links table each.
+"""
 
 from __future__ import annotations
 
@@ -10,11 +14,13 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
-from .channel import Position, RadioParams, hears
+from .channel import Position, RadioParams, hears  # noqa: F401 -- bench/spans.py patches it
+from .engine import Links, build_trial_network
 from .join_scored import ScoreWeights
 
 CI_TIERS_MS = (50.0, 100.0, 200.0, 400.0)
 RATE_TIERS_PPS = (0.0, 2.0, 5.0, 20.0)  # the 20 pps tier creates saturated branches
+MAX_EVENTS = 10 ** 7  # a scenario's worst-case event count per trial
 
 
 class ScenarioError(ValueError):
@@ -25,7 +31,7 @@ class GenerationError(RuntimeError):
     """Random generation could not satisfy the connectivity requirements."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeSpec:
     id: int
     pos: tuple[float, float]
@@ -35,7 +41,7 @@ class NodeSpec:
     traffic_rate_pps: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineParams:
     t_adv_ms: float = 200.0
     warmup_ms: float = 5000.0
@@ -48,15 +54,19 @@ class EngineParams:
         """Probes a joined trial sends: one per 1/probe_rate over measure_ms."""
         return round(self.measure_ms * self.probe_rate / 1000.0)
 
+    def horizon_ms(self) -> float:
+        """Simulated time no event of a trial reaches past."""
+        return self.warmup_ms + self.max_wait_ms + self.measure_ms + 2 * self.t_adv_ms
 
-@dataclass
+
+@dataclass(frozen=True)
 class Thresholds:
     rl_min_dbm: float = -85.0
     b_fair: int = 1
     theta_sat: float = 0.8
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     nodes: list[NodeSpec]
@@ -68,9 +78,65 @@ class Scenario:
     thresholds: Thresholds = field(default_factory=Thresholds)
     declared_unjoinable: bool = False
 
+    def __post_init__(self):
+        """The O(N) checks on ids and ranges, then the worst-case event count."""
+        seen = set()
+        for i, n in enumerate(self.nodes):
+            if not n.id >= 1:
+                raise ScenarioError(f"nodes[{i}].id: must be >= 1")
+            if n.id in seen:
+                raise ScenarioError(f"nodes: duplicate id {n.id}")
+            seen.add(n.id)
+            if not n.ci_ms > 0:
+                raise ScenarioError(f"nodes[{i}].ci_ms: must be > 0")
+            if not n.b_max >= 1:
+                raise ScenarioError(f"nodes[{i}].b_max: must be >= 1")
+            if not n.slave_capacity >= 0:
+                raise ScenarioError(f"nodes[{i}].slave_capacity: must be >= 0")
+            if not n.traffic_rate_pps >= 0:
+                raise ScenarioError(f"nodes[{i}].traffic_rate_pps: must be >= 0")
+        if self.sink_id not in seen:
+            raise ScenarioError(f"sink_id: node {self.sink_id} missing from nodes")
+        if self.sink_id != 1:
+            raise ScenarioError("sink_id: the sink carries the reserved id 1")
+        if self.new_node_id not in seen:
+            raise ScenarioError(f"new_node_id: node {self.new_node_id} missing from nodes")
+        if self.new_node_id == self.sink_id:
+            raise ScenarioError("new_node_id: must differ from sink_id")
+        e = self.engine  # ranges that keep a trial finite and its window defined
+        for name in ("t_adv_ms", "measure_ms", "probe_rate"):
+            if not 0 < getattr(e, name) < math.inf:
+                raise ScenarioError(f"engine.{name}: must be > 0 and finite")
+        for name in ("warmup_ms", "max_wait_ms"):
+            if not 0 <= getattr(e, name) < math.inf:
+                raise ScenarioError(f"engine.{name}: must be >= 0 and finite")
+        if not e.n_ce >= 1:
+            raise ScenarioError("engine.n_ce: must be >= 1")
+        try:
+            n_probes = e.n_probes()
+        except OverflowError as exc:  # round(inf)
+            raise ScenarioError("engine.measure_ms: measure_ms * probe_rate overflows") from exc
+        if n_probes < 1:
+            raise ScenarioError("engine.measure_ms: the window holds no probe at engine."
+                                "probe_rate (measure_ms * probe_rate / 1000 must round to >= 1)")
+        t = self.thresholds
+        if not math.isfinite(t.rl_min_dbm):
+            raise ScenarioError("thresholds.rl_min_dbm: must be finite")
+        if not t.b_fair >= 0:
+            raise ScenarioError("thresholds.b_fair: must be >= 0")
+        if not 0 < t.theta_sat <= 1:
+            raise ScenarioError("thresholds.theta_sat: must be > 0 and <= 1")
+        horizon = e.horizon_ms()  # joinMe rounds, probes, then per node: slots, arrivals
+        events = e.max_wait_ms / e.t_adv_ms + n_probes + sum(
+            horizon / n.ci_ms + (n.id != self.new_node_id and n.traffic_rate_pps * horizon / 1e3)
+            for n in self.nodes)
+        if not events <= MAX_EVENTS:
+            raise ScenarioError(f"scenario: a trial may take {events:.3g} events, over the "
+                                f"{MAX_EVENTS:.0e} limit")
+
 
 # The file defaults that differ from the dataclass's: a file without
-# new_node_id gets 0, which check_ranges then rejects by name.
+# new_node_id gets 0, which Scenario's own checks then reject by name.
 _FILE_DEFAULTS = {Scenario: {"name": "unnamed", "new_node_id": 0}}
 
 # annotation -> (accepts a JSON value, what it wants); the float bound also
@@ -88,8 +154,9 @@ _hints = cache(get_type_hints)  # resolved annotations per dataclass
 def _build(cls, block, where: str):
     """A cls built from a JSON object, each field checked against its annotation.
 
-    Unknown keys and missing required fields are rejected, and a
-    constructor's ValueError becomes a ScenarioError naming the block.
+    Unknown keys and missing required fields are rejected. A constructor's
+    ScenarioError passes unchanged, and any other ValueError becomes a
+    ScenarioError naming the block.
     """
     if not isinstance(block, dict):
         raise ScenarioError(f"{where}: expected an object, got {block!r}")
@@ -106,6 +173,8 @@ def _build(cls, block, where: str):
     kwargs = {k: _value(hints[k], v, prefix + k) for k, v in block.items()}
     try:
         return cls(**kwargs)
+    except ScenarioError:
+        raise
     except ValueError as e:
         raise ScenarioError(f"{where}: {e}") from e
 
@@ -137,87 +206,22 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def validate_scenario(s: Scenario) -> None:
-    """Every check a scenario must pass: check_ranges, then the hearing graph."""
-    check_ranges(s)
-    positions = {n.id: Position(*n.pos) for n in s.nodes}
+    """The hearing-graph checks a scenario's own ranges cannot make."""
+    links = Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio)
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
-    if not _connected(existing, positions, s.radio):
+    if not _connected(existing, links, s.radio.rx_threshold_dbm):
         raise ScenarioError("nodes: hearing graph without the new node is disconnected")
-    new_pos = positions[s.new_node_id]
-    heard = [nid for nid in existing
-             if hears(new_pos, positions[nid], s.radio)[0]]
-    if not heard and not s.declared_unjoinable:
-        raise ScenarioError(
-            "new_node_id: new node hears nobody and declared_unjoinable is not set")
+    if not s.declared_unjoinable and not any(links[s.new_node_id, nid][0] for nid in existing):
+        raise ScenarioError("new_node_id: new node hears nobody and declared_unjoinable is not set")
 
 
-def check_ranges(s: Scenario) -> None:
-    """The O(N) checks on ids and ranges; every trial runs them."""
-    seen = set()
-    for i, n in enumerate(s.nodes):
-        if n.id < 1:
-            raise ScenarioError(f"nodes[{i}].id: must be >= 1")
-        if n.id in seen:
-            raise ScenarioError(f"nodes: duplicate id {n.id}")
-        seen.add(n.id)
-        if n.ci_ms <= 0:
-            raise ScenarioError(f"nodes[{i}].ci_ms: must be > 0")
-        if n.b_max < 1:
-            raise ScenarioError(f"nodes[{i}].b_max: must be >= 1")
-        if n.slave_capacity < 0:
-            raise ScenarioError(f"nodes[{i}].slave_capacity: must be >= 0")
-        if n.traffic_rate_pps < 0:
-            raise ScenarioError(f"nodes[{i}].traffic_rate_pps: must be >= 0")
-    if s.sink_id not in seen:
-        raise ScenarioError(f"sink_id: node {s.sink_id} missing from nodes")
-    if s.sink_id != 1:
-        raise ScenarioError("sink_id: the sink carries the reserved id 1")
-    if s.new_node_id not in seen:
-        raise ScenarioError(f"new_node_id: node {s.new_node_id} missing from nodes")
-    if s.new_node_id == s.sink_id:
-        raise ScenarioError("new_node_id: must differ from sink_id")
-    _validate_engine(s.engine)
-    t = s.thresholds
-    if not math.isfinite(t.rl_min_dbm):
-        raise ScenarioError("thresholds.rl_min_dbm: must be finite")
-    if t.b_fair < 0:
-        raise ScenarioError("thresholds.b_fair: must be >= 0")
-    if not 0 < t.theta_sat <= 1:
-        raise ScenarioError("thresholds.theta_sat: must be > 0 and <= 1")
-
-
-def _validate_engine(e: EngineParams) -> None:
-    """Ranges that keep a trial finite and its measurement window defined."""
-    for name in ("t_adv_ms", "measure_ms", "probe_rate"):
-        if not 0 < getattr(e, name) < math.inf:
-            raise ScenarioError(f"engine.{name}: must be > 0 and finite")
-    for name in ("warmup_ms", "max_wait_ms"):
-        if not 0 <= getattr(e, name) < math.inf:
-            raise ScenarioError(f"engine.{name}: must be >= 0 and finite")
-    if e.n_ce < 1:
-        raise ScenarioError("engine.n_ce: must be >= 1")
-    try:
-        n_probes = e.n_probes()
-    except OverflowError as exc:  # round(inf)
-        raise ScenarioError("engine.measure_ms: measure_ms * probe_rate overflows") from exc
-    if n_probes < 1:
-        raise ScenarioError("engine.measure_ms: the window holds no probe at engine.probe_rate "
-                            "(measure_ms * probe_rate / 1000 must round to >= 1)")
-
-
-def _connected(ids, positions, radio, min_rssi=None) -> bool:
-    if not ids:
-        return True
-    threshold = radio.rx_threshold_dbm if min_rssi is None else min_rssi
-    seen = {ids[0]}
-    frontier = [ids[0]]
+def _connected(ids, links: Links, threshold: float) -> bool:
+    """Whether ids (never empty) form one component over links at or above threshold dBm."""
+    seen, frontier = {ids[0]}, [ids[0]]
     while frontier:
         cur = frontier.pop()
         for other in ids:
-            if other in seen:
-                continue
-            _, rl = hears(positions[cur], positions[other], radio)
-            if rl >= threshold:
+            if other not in seen and links[cur, other][1] >= threshold:
                 seen.add(other)
                 frontier.append(other)
     return len(seen) == len(ids)
@@ -275,9 +279,7 @@ def training11() -> Scenario:
         n(11, (9.0, -9.0), ci_ms=100.0, traffic_rate_pps=2.0),     # leaf
         n(12, (17.8, 17.2), ci_ms=50.0),                           # joining device
     ]
-    s = Scenario(name="training11", nodes=nodes, sink_id=1, new_node_id=12)
-    validate_scenario(s)
-    return s
+    return Scenario(name="training11", nodes=nodes, sink_id=1, new_node_id=12)
 
 
 def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
@@ -309,7 +311,6 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
         s = Scenario(name=f"random{n_nodes}-seed{seed}", nodes=nodes,
                      sink_id=1, new_node_id=new_id)
         if _acceptable(s):
-            validate_scenario(s)
             return s
     raise GenerationError(
         f"no viable layout after {max_retries} tries (seed {seed}); "
@@ -317,20 +318,16 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
 
 
 def _acceptable(s: Scenario) -> bool:
-    from .engine import Links, build_trial_network  # local import to avoid a cycle
-
-    positions = {n.id: Position(*n.pos) for n in s.nodes}
+    """gen_random_scenario's test; it implies every validate_scenario check,
+    since a link the scored filter can use is heard and at or above rl_min_dbm."""
+    links = Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio)
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
-    if not _connected(existing, positions, s.radio):
+    floor = max(s.thresholds.rl_min_dbm, s.radio.rx_threshold_dbm)
+    if not _connected(existing, links, floor):
         return False
-    if not _connected(existing, positions, s.radio, min_rssi=s.thresholds.rl_min_dbm):
-        return False
-    new_pos = positions[s.new_node_id]
-    usable = [nid for nid in existing
-              if hears(new_pos, positions[nid], s.radio)[1] >= s.thresholds.rl_min_dbm]
+    usable = [nid for nid in existing if links[s.new_node_id, nid][1] >= floor]
     if len(usable) < 2:
         return False
-    links = Links(positions, s.radio)
     for algo in ("baseline", "scored"):
         net = build_trial_network(s, algo, links)
         attached = sum(1 for nid in existing if net.nodes[nid].master is not None)

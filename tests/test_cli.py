@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from scatterjoin import cli
 from scatterjoin.cli import (CSV_COLUMNS, cmd_compare, main,
                              parse_weight_vector, parse_weights_grid)
 from scatterjoin.engine import run_trial
@@ -214,6 +215,17 @@ def test_window_without_probes_fails_with_stage(tmp_path, capsys, argv):
     assert err.startswith("error at scenario stage: engine.measure_ms: the window holds no probe")
 
 
+def test_scenario_that_would_hang_a_trial_fails_with_stage(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    doc = scenario_to_dict(training11())
+    doc["nodes"][3]["ci_ms"] = 1e-6  # 7.5e10 connection slots
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--algo", "scored", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error at scenario stage: scenario: a trial may take 7.54e+10 events")
+
+
 def test_far_apart_nodes_fail_with_stage(tmp_path, capsys):
     # their distance overflows to inf, which path_loss_rssi used to raise on
     bad = tmp_path / "bad.json"
@@ -321,6 +333,20 @@ def test_sweep_smoke(tmp_path, capsys):
     with open(out) as f:
         rows = list(csv.reader(f))
     assert len(rows) == 3  # header + 2 vectors
+
+
+def test_sweep_draws_each_layout_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(**kwargs):
+        calls.append(kwargs["seed"])
+        return gen_random_scenario(**kwargs)
+
+    monkeypatch.setattr(cli, "gen_random_scenario", counting)
+    assert main(["sweep", "--random", "--nodes", "10", "--area", "24", "--trials", "3",
+                 "--seed-base", "5", "--weights-grid", "w_b=0.0,0.25;w_ci=0.1,0.2"]) == 0
+    assert calls == [5, 6, 7]  # one per trial, not one per trial and vector
+    assert capsys.readouterr().out.count("mu_pdr=") == 4
 
 
 def test_console_entry_point_smoke():

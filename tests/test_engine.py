@@ -255,21 +255,21 @@ def test_broadcast_reaches_exactly_the_hearers():
 
     def heard(sender):
         return {rid: c for rid in net.nodes if rid != sender
-                if (c := broadcast_status(net.nodes[sender], net, links, rid)) is not None}
+                if (c := broadcast_status(net.nodes[sender], links, rid)) is not None}
 
     out = heard(1)
     assert sorted(out) == [2, 3]
     assert all(c.id == 1 and c.rl_dbm == hears(net.nodes[rid].pos, net.nodes[1].pos,
                                                 RadioParams())[1] for rid, c in out.items())
     assert heard(4) == {}
-    assert broadcast_status(net.nodes[1], net, links, 4) is None
+    assert broadcast_status(net.nodes[1], links, 4) is None
 
 
 def test_advert_snapshots_buffer_at_emission():
     net = _net_pair()
     net.nodes[2].buffer.append(0)
     links = links_of(net)
-    out = [broadcast_status(net.nodes[2], net, links, rid) for rid in (1, 3)]
+    out = [broadcast_status(net.nodes[2], links, rid) for rid in (1, 3)]
     net.nodes[2].buffer.append(1)
     assert all(adv.b == 1 for adv in out)
 
@@ -391,7 +391,7 @@ def test_heap_bound_on_random64(monkeypatch):
 def test_arrivals_are_generate_traffic_up_to_trial_end(monkeypatch, scenario, algo, seed):
     t, counting, _ = traced_trial(monkeypatch, scenario, algo, seed)
     eng = scenario.engine
-    horizon = eng.warmup_ms + eng.max_wait_ms + eng.measure_ms + 2 * eng.t_adv_ms
+    horizon = eng.horizon_ms()
     end = counting.popped[-1][0]
     for spec in scenario.nodes:
         if spec.id == scenario.new_node_id or spec.traffic_rate_pps == 0:
@@ -418,19 +418,17 @@ def test_delivered_probes_traverse_the_join_path(scenario, algo, seed):
 
 
 def test_engine_checks_ranges_of_a_scenario_built_in_code():
-    s = Scenario(name="isolated", nodes=[NodeSpec(1, (0.0, 0.0)), NodeSpec(2, (9.0, 0.0)),
+    with pytest.raises(ScenarioError, match=r"engine\.t_adv_ms"):
+        Scenario(name="isolated", nodes=[NodeSpec(1, (0.0, 0.0)), NodeSpec(2, (9.0, 0.0)),
                                          NodeSpec(3, (100.0, 100.0))],
                  sink_id=1, new_node_id=3, engine=replace(FAST, t_adv_ms=0.0),
                  declared_unjoinable=True)
-    with pytest.raises(ScenarioError, match=r"engine\.t_adv_ms"):
-        TrialEngine(s, "scored", 0)
 
 
 def test_engine_checks_probe_count_of_a_scenario_built_in_code():
     # 40 ms at 10 pps rounds to no probe: the trial joined but measured nothing
-    s = replace(training11(), engine=replace(FAST, measure_ms=40.0))
     with pytest.raises(ScenarioError, match=r"engine\.measure_ms: the window holds no probe"):
-        TrialEngine(s, "scored", 0)
+        replace(training11(), engine=replace(FAST, measure_ms=40.0))
     t = run_trial(replace(training11(), engine=replace(FAST, measure_ms=100.0)), "scored", 0)
     assert t.joined and t.probe_sent == 1
 
@@ -505,9 +503,9 @@ def test_each_link_reaches_hears_at_most_once(monkeypatch, algo, sigma):
 def test_both_phases_hear_through_broadcast_status(monkeypatch):
     heard = []
 
-    def recording(node, net, links, receiver_id):
+    def recording(node, links, receiver_id):
         heard.append((node.id, receiver_id))
-        return real(node, net, links, receiver_id)
+        return real(node, links, receiver_id)
 
     real = engine.broadcast_status
     monkeypatch.setattr(engine, "broadcast_status", recording)

@@ -7,13 +7,15 @@ with repr. A change to any simulated number changes the digest.
 
 import dataclasses
 import hashlib
+import json
 from dataclasses import replace
 
 from scatterjoin.channel import Position, RadioParams
 from scatterjoin.engine import Links, build_network, run_trial
 from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario,
-                                  gen_random_scenario, training11)
+                                  gen_random_scenario, scenario_to_dict,
+                                  training11)
 
 FAST = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
 
@@ -25,6 +27,11 @@ GOLDEN = "5bb22acc301a79048903791d4759516d87830c47f1e1e8e05dc45ab1a4fabf3c"
 # intervals, and overflow drops under b_max=5 and n_ce=1.
 GOLDEN_GRID = "e70279283469bdba62d2ab32f31c216d0a5cb792b2d0402033408932a6864b97"
 FRAC_CI = (33.3, 7.7, 12.9, 41.1, 12.9, 66.7, 7.7, 19.3, 27.1, 33.3, 51.7, 12.9)
+
+# Generated layouts: every accept/reject decision of gen_random_scenario
+# over these (n_nodes, seeds, area_m) families, as the files it writes.
+GOLDEN_LAYOUTS = "c58a142eb7fa78ad75013008edae8b0c417aa25ba1581033b785983cf0d3b508"
+LAYOUT_FAMILIES = ((16, range(150), 30.0), (10, range(100), 24.0), (64, range(16), 30.0))
 
 
 def canon(x) -> str:
@@ -91,12 +98,25 @@ def golden_digest(cases=None) -> str:
     return h.hexdigest()
 
 
+def layouts_digest() -> str:
+    h = hashlib.sha256()
+    for n_nodes, seeds, area_m in LAYOUT_FAMILIES:
+        for seed in seeds:
+            s = gen_random_scenario(n_nodes=n_nodes, seed=seed, area_m=area_m)
+            h.update(json.dumps(scenario_to_dict(s), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
 def test_trial_results_match_golden_digest():
     assert golden_digest() == GOLDEN
 
 
 def test_grid_results_match_golden_digest():
     assert golden_digest(grid_cases()) == GOLDEN_GRID
+
+
+def test_generated_layouts_match_golden_digest():
+    assert layouts_digest() == GOLDEN_LAYOUTS
 
 
 def test_grid_cases_cover_overflow_drops():

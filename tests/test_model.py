@@ -89,7 +89,7 @@ def test_attach_non_root_rejected():
 
 def test_status_advert_for_sink():
     net = Network([node(1), node(2)])
-    adv = broadcast_status(net.nodes[1], net, links_of(net), 2)
+    adv = broadcast_status(net.nodes[1], links_of(net), 2)
     assert adv.h == 0
     assert adv.rn_dbm is None
     assert adv.m == 0
@@ -104,7 +104,7 @@ def test_status_advert_copies_live_fields():
     for i in range(4):
         root.buffer.append(i)
     links = links_of(net)
-    adv = broadcast_status(root, net, links, 2)
+    adv = broadcast_status(root, links, 2)
     assert adv.m == 2
     assert adv.b == 4
     assert adv.free_out == 1
@@ -120,21 +120,21 @@ def test_status_advert_reports_measured_rn():
     radio = RadioParams()
     uplink = hears(Position(6.0, 0.0), Position(0.0, 0.0), radio)[1]
     links = links_of(net, radio)
-    out = [broadcast_status(net.nodes[2], net, links, rid) for rid in (1, 3)]
+    out = [broadcast_status(net.nodes[2], links, rid) for rid in (1, 3)]
     assert all(adv is not None and adv.rn_dbm == uplink for adv in out)
 
 
 def test_status_advert_rn_consistency_enforced():
     net = chain(2)
     links = links_of(net)
-    assert broadcast_status(net.nodes[1], net, links, 2).rn_dbm is None  # root has no uplink
-    assert isinstance(broadcast_status(net.nodes[2], net, links, 1).rn_dbm, float)
+    assert broadcast_status(net.nodes[1], links, 2).rn_dbm is None  # root has no uplink
+    assert isinstance(broadcast_status(net.nodes[2], links, 1).rn_dbm, float)
 
 
 def test_joinme_snapshot():
     # the joinMe fields baseline reads travel in the same record
     net = chain(2)
-    adv = broadcast_status(net.nodes[2], net, links_of(net), 1)
+    adv = broadcast_status(net.nodes[2], links_of(net), 1)
     assert adv.id == 2
     assert adv.cluster_id == 1
     assert adv.cluster_size == 2

@@ -1,16 +1,20 @@
+import ast
+import collections
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scatterjoin import engine, scenario
 from scatterjoin.channel import RadioParams
 from scatterjoin.engine import TrialEngine
 from scatterjoin.join_scored import ScoreWeights
 from scatterjoin.scenario import (EngineParams, GenerationError, NodeSpec,
                                   Scenario, ScenarioError, Thresholds,
-                                  check_ranges, gen_random_scenario, load_scenario,
+                                  _acceptable, gen_random_scenario, load_scenario,
                                   parse_scenario, scenario_to_dict,
                                   training11, validate_scenario,
                                   write_scenario)
@@ -129,9 +133,8 @@ def test_boundary_engine_values_accepted():
     ("rl_min_dbm", math.nan), ("rl_min_dbm", -math.inf), ("b_fair", -1),
     ("theta_sat", 0.0), ("theta_sat", 1.5), ("theta_sat", math.nan)])
 def test_bad_threshold_values_rejected(field, value):
-    s = replace(training11(), thresholds=Thresholds(**{field: value}))
     with pytest.raises(ScenarioError, match=rf"thresholds\.{field}"):
-        check_ranges(s)
+        replace(training11(), thresholds=Thresholds(**{field: value}))
 
 
 def test_boundary_threshold_values_accepted():
@@ -142,6 +145,16 @@ def _node_override(i, **fields):
     doc = minimal_doc()
     doc["nodes"][i].update(fields)
     return doc
+
+
+def _training11_node4(**fields):
+    doc = scenario_to_dict(training11())
+    doc["nodes"][3].update(fields)
+    return doc
+
+
+# A scenario whose trial could run for hours fails on its worst-case event count.
+HANGS = "scenario: a trial may take .* events, over the 1e\\+07 limit"
 
 
 @pytest.mark.parametrize("doc,where", [
@@ -164,9 +177,8 @@ def test_mistyped_fields_rejected_by_name(doc, where):
 
 def test_engine_checks_node_ids_of_a_scenario_built_in_code():
     s = training11()
-    s = replace(s, nodes=s.nodes[:-2] + [replace(s.nodes[-2], id=0), s.nodes[-1]])
     with pytest.raises(ScenarioError, match=r"nodes\[10\]\.id"):
-        TrialEngine(s, "scored", 0)
+        replace(s, nodes=s.nodes[:-2] + [replace(s.nodes[-2], id=0), s.nodes[-1]])
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -189,10 +201,87 @@ def test_engine_checks_node_ids_of_a_scenario_built_in_code():
     (minimal_doc(engine={"measure_ms": 50.0}), r"engine\.measure_ms: the window holds no probe"),
     (minimal_doc(engine={"measure_ms": 1e308, "probe_rate": 1e10}),
      r"engine\.measure_ms: measure_ms \* probe_rate overflows"),
+    # inputs that would hang a trial: 1e10 joinMe rounds, 7.5e10 connection
+    # slots, 7.5e10 arrivals
+    (minimal_doc(nodes=[{"id": 1, "pos": [0.0, 0.0]}, {"id": 2, "pos": [9.0, 0.0]},
+                        {"id": 3, "pos": [100.0, 100.0]}],
+                 declared_unjoinable=True, engine={"t_adv_ms": 1e-6}), HANGS),
+    (_training11_node4(ci_ms=1e-6), HANGS),
+    (_training11_node4(traffic_rate_pps=1e9), HANGS),
+    # training11 takes at most 15,768 events; over a 1e8 ms window, 1.7e7 slots
+    ({**scenario_to_dict(training11()), "engine": {"measure_ms": 1e8}}, HANGS),
 ])
 def test_malformed_documents_rejected_by_name(doc, message):
     with pytest.raises(ScenarioError, match=message):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("where,build", [
+    (r"nodes\[3\]\.ci_ms", lambda s: {"nodes": _with_node(s, 3, ci_ms=math.nan)}),
+    (r"nodes\[3\]\.traffic_rate_pps",
+     lambda s: {"nodes": _with_node(s, 3, traffic_rate_pps=math.nan)}),
+    (r"engine\.t_adv_ms", lambda s: {"engine": EngineParams(t_adv_ms=math.nan)}),
+    (r"engine\.warmup_ms", lambda s: {"engine": EngineParams(warmup_ms=math.nan)}),
+    (r"engine\.probe_rate", lambda s: {"engine": EngineParams(probe_rate=math.nan)}),
+    (r"thresholds\.rl_min_dbm", lambda s: {"thresholds": Thresholds(rl_min_dbm=math.nan)}),
+    (r"thresholds\.theta_sat", lambda s: {"thresholds": Thresholds(theta_sat=math.nan)}),
+])
+def test_code_built_nan_rejected_by_name(where, build):
+    s = training11()
+    with pytest.raises(ScenarioError, match=where):
+        replace(s, **build(s))
+
+
+def _with_node(s, i, **fields):
+    return [replace(n, **fields) if k == i else n for k, n in enumerate(s.nodes)]
+
+
+def test_scenario_fields_cannot_be_reassigned():
+    s = training11()
+    for obj, name in ((s, "new_node_id"), (s.nodes[0], "ci_ms"),
+                      (s.engine, "t_adv_ms"), (s.thresholds, "b_fair")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, 0)
+
+
+@pytest.mark.parametrize("check", [validate_scenario, _acceptable])
+def test_hearing_checks_reach_hears_once_per_ordered_pair(monkeypatch, check):
+    calls = collections.Counter()
+
+    def counting(a, b, radio, draw=0.0):
+        calls[a, b] += 1
+        return real(a, b, radio, draw)
+
+    real = engine.hears
+    monkeypatch.setattr(engine, "hears", counting)
+    monkeypatch.setattr(scenario, "hears", None)  # scenario code hears only through Links
+    for s in [training11()] + [gen_random_scenario(n_nodes=n, seed=seed)
+                               for n, seed in ((16, 0), (16, 1), (64, 0))]:
+        calls.clear()
+        check(s)
+        assert calls and max(calls.values()) == 1
+
+
+def test_engine_and_scenario_import_without_a_cycle():
+    src = Path(engine.__file__).parent
+
+    def imports_of(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+
+    def names_scenario(n):
+        names = [a.name for a in n.names] + [getattr(n, "module", None) or ""]
+        return any(name.split(".")[-1] == "scenario" for name in names)
+
+    tree = ast.parse((src / "engine.py").read_text())
+    guarded = {id(n) for block in ast.walk(tree)
+               if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+               for n in imports_of(block)}
+    assert [n.lineno for n in imports_of(tree)
+            if names_scenario(n) and id(n) not in guarded] == []
+    tree = ast.parse((src / "scenario.py").read_text())
+    assert [n.lineno for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for n in imports_of(fn)] == []
 
 
 def test_file_defaults_and_float_fields():
