@@ -29,7 +29,7 @@ class RadioParams:
             raise ValueError("pl0_db must be > 0")
         if not self.rx_threshold_dbm < self.tx_power_dbm:
             raise ValueError("rx_threshold_dbm must be below tx_power_dbm")
-        if self.shadowing_sigma_db < 0:
+        if not self.shadowing_sigma_db >= 0:
             raise ValueError("shadowing_sigma_db must be >= 0")
 
     def max_range_m(self) -> float:

@@ -6,7 +6,8 @@ background traffic warms the buffers up, then the designated new node
 listens, decides, attaches, and streams probe packets to the sink while
 per-node buffer occupancy is integrated. Identical (scenario, algo, seed)
 triples produce bit-identical results. A Scenario checks its inputs when
-it is built, so the engine checks none.
+it is built, so the engine checks none. Each NodeState carries its
+buffer's meter, its uplink's next slot and its arrival stream.
 
 Events are plain (time, kind, node, peer) tuples popped in that order,
 so ties break on kind, then node id, then peer. The heap holds only
@@ -287,22 +288,6 @@ def build_trial_network(scenario: Scenario, algo: str, links: Links | None = Non
     return net
 
 
-class _Meter:
-    """Piecewise-constant integral of one node's buffer occupancy."""
-
-    __slots__ = ("area", "last_ms", "drops")
-
-    def __init__(self):
-        self.area = 0.0
-        self.last_ms = 0.0
-        self.drops = 0
-
-    def avg_until(self, occupancy: int, now_ms: float) -> float:
-        if now_ms <= 0:
-            return 0.0
-        return (self.area + occupancy * (now_ms - self.last_ms)) / now_ms
-
-
 class TrialEngine:
     """Single-threaded event loop owning one trial's network and RNG streams."""
 
@@ -314,12 +299,9 @@ class TrialEngine:
         self.seed = seed
         self.links = Links({n.id: Position(*n.pos) for n in scenario.nodes},
                            scenario.radio, seed)
-        self.meters = {n.id: _Meter() for n in scenario.nodes}
         eng = scenario.engine
         self.horizon = eng.horizon_ms()
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
-        self._slot: dict[int, float] = {}  # link sender -> earliest slot not yet passed
-        self._sources: dict[int, Iterator[float]] = {}  # node -> its pending arrival times
         self.result = TrialResult(trial_seed=seed, algo=algo)
         self.t_listen = eng.warmup_ms
         self.t_join: float | None = None
@@ -327,10 +309,10 @@ class TrialEngine:
 
     # -- bookkeeping -------------------------------------------------
 
-    def _touch(self, nid: int, now_ms: float) -> None:
-        m = self.meters[nid]
-        m.area += len(self.net.nodes[nid].buffer) * (now_ms - m.last_ms)
-        m.last_ms = now_ms
+    @staticmethod
+    def _touch(node: NodeState, now_ms: float) -> None:
+        node.area += len(node.buffer) * (now_ms - node.last_ms)
+        node.last_ms = now_ms
 
     def _delivered(self, probe: ProbeRecord | None, now_ms: float) -> None:
         self.result.total_delivered += 1
@@ -340,31 +322,32 @@ class TrialEngine:
 
     def _dropped(self, probe: ProbeRecord | None, at_nid: int) -> None:
         self.result.total_dropped += 1
-        self.meters[at_nid].drops += 1
+        self.net.nodes[at_nid].drops += 1
         if probe is not None:
             probe.dropped = True
 
     # -- event handlers ----------------------------------------------
 
-    def _wake(self, nid: int, key: tuple) -> None:
-        """Push nid's link at its first slot sorting after key, the event
-        that gave nid's empty buffer a packet. Roots have no link."""
-        master = self.net.nodes[nid].master
+    def _wake(self, node: NodeState, key: tuple) -> None:
+        """Push node's link at its first slot sorting after key, the event
+        that gave node's empty buffer a packet. Roots have no link."""
+        master = node.master
         if master is None:
             return
-        s, ci = self._slot[nid], self.net.nodes[nid].ci_ms
+        s, ci = node.next_slot_ms, node.ci_ms
         while s < key[0]:
             s += ci
-        if (s, KIND_CONN, nid, master) <= key:
+        if (s, KIND_CONN, node.id, master) <= key:
             s += ci
-        self._slot[nid] = s
+        node.next_slot_ms = s
         if s <= self.horizon:
-            heapq.heappush(self.heap, (s, KIND_CONN, nid, master))
+            heapq.heappush(self.heap, (s, KIND_CONN, node.id, master))
 
     def _level_at(self, nid: int, now_ms: float) -> tuple[float, int, int]:
-        """Running (mean occupancy, drops, b_max) of nid up to now_ms."""
-        node, m = self.net.nodes[nid], self.meters[nid]
-        return m.avg_until(len(node.buffer), now_ms), m.drops, node.b_max
+        """Running (mean occupancy, drops, b_max) of nid up to now_ms > 0."""
+        node = self.net.nodes[nid]
+        return ((node.area + len(node.buffer) * (now_ms - node.last_ms)) / now_ms,
+                node.drops, node.b_max)
 
     def _on_join_round(self, now_ms: float) -> bool:
         """The joiner's own joinMe emission: hear, decide, request, attach.
@@ -403,15 +386,15 @@ class TrialEngine:
         r.join_time_ms = now_ms - self.t_listen
         r.hops_at_join = new.hops_to_sink
         self.t_join = now_ms
-        for nid in sorted(net.nodes):
-            self._touch(nid, now_ms)
-            self._join_snap[nid] = (self.meters[nid].area, self.meters[nid].drops)
+        for nid, node in sorted(net.nodes.items()):
+            self._touch(node, now_ms)
+            self._join_snap[nid] = (node.area, node.drops)
 
         interval = 1000.0 / eng.probe_rate
         n_probes = eng.n_probes()
-        self._sources[new_id] = (now_ms + i * interval for i in range(1, n_probes))
+        new.source = (now_ms + i * interval for i in range(1, n_probes))
         heapq.heappush(self.heap, (now_ms, KIND_GEN, new_id, 1))
-        self._slot[new_id] = now_ms + new.ci_ms
+        new.next_slot_ms = now_ms + new.ci_ms
         heapq.heappush(self.heap, (now_ms + eng.measure_ms, KIND_END, 0, 0))
         return False
 
@@ -419,9 +402,9 @@ class TrialEngine:
 
     def _flush_buffers(self, now_ms: float) -> int:
         in_flight = 0
-        for nid in sorted(self.net.nodes):
-            self._touch(nid, now_ms)
-            in_flight += len(self.net.nodes[nid].buffer)
+        for node in self.net.nodes.values():
+            self._touch(node, now_ms)
+            in_flight += len(node.buffer)
         return in_flight
 
     def _finalize(self, now_ms: float) -> None:
@@ -441,10 +424,10 @@ class TrialEngine:
         r.node_b_max = b_max = {nid: n.b_max for nid, n in sorted(self.net.nodes.items())}
         if r.joined:
             window = now_ms - self.t_join
-            for nid in sorted(self.net.nodes):
-                m, (area, drops) = self.meters[nid], self._join_snap[nid]
-                r.buffer_avg[nid] = (m.area - area) / window
-                r.overflow_drops[nid] = m.drops - drops
+            for nid, node in sorted(self.net.nodes.items()):
+                area, drops = self._join_snap[nid]
+                r.buffer_avg[nid] = (node.area - area) / window
+                r.overflow_drops[nid] = node.drops - drops
             r.sat_branch = branch_saturated(
                 r.path_to_sink, self.net.sink_id, self.scenario.thresholds.theta_sat,
                 lambda nid: (r.buffer_avg[nid], r.overflow_drops[nid], b_max[nid]))
@@ -456,17 +439,16 @@ class TrialEngine:
         new_id = self.scenario.new_node_id
         self.net = build_trial_network(self.scenario, self.algo, self.links)
 
-        heap, sources = self.heap, self._sources
-        for nid in sorted(self.net.nodes):
-            node = self.net.nodes[nid]
+        heap = self.heap
+        for nid, node in sorted(self.net.nodes.items()):
             if nid != new_id and node.traffic_rate_pps > 0:
                 rng = random.Random(f"scatterjoin-traffic:{self.seed}:{nid}")
-                sources[nid] = arrivals(node.traffic_rate_pps, self.horizon, rng)
-                t = next(sources[nid], None)
+                node.source = arrivals(node.traffic_rate_pps, self.horizon, rng)
+                t = next(node.source, None)
                 if t is not None:
                     heapq.heappush(heap, (t, KIND_GEN, nid, 0))
             if node.master is not None:
-                self._slot[nid] = node.ci_ms
+                node.next_slot_ms = node.ci_ms
         heapq.heappush(heap, (self.t_listen + eng.t_adv_ms, KIND_JOINME, new_id, 0))
 
         # Connection and arrival events are handled inline on these locals.
@@ -474,7 +456,7 @@ class TrialEngine:
         # stand-in installed on the module still sees every call.
         push, pop = heapq.heappush, heapq.heappop
         move = connection_event
-        net, nodes, meters, slot = self.net, self.net.nodes, self.meters, self._slot
+        net, nodes = self.net, self.net.nodes
         horizon, n_ce = self.horizon, eng.n_ce
         delivered, dropped, wake = self._delivered, self._dropped, self._wake
         r = self.result
@@ -483,20 +465,18 @@ class TrialEngine:
             now, kind, nid, peer = pop(heap)
             if kind == KIND_CONN:
                 sender, receiver = nodes[nid], nodes[peer]
-                m = meters[nid]
-                m.area += len(sender.buffer) * (now - m.last_ms)
-                m.last_ms = now
-                m = meters[peer]
-                m.area += len(receiver.buffer) * (now - m.last_ms)
-                m.last_ms = now
+                sender.area += len(sender.buffer) * (now - sender.last_ms)
+                sender.last_ms = now
+                receiver.area += len(receiver.buffer) * (now - receiver.last_ms)
+                receiver.last_ms = now
                 receiver_idle = not receiver.buffer
                 move(net, nid, peer, n_ce, delivered, dropped, now)
                 # the sender's next slot always sorts after this event
-                s = slot[nid] = now + sender.ci_ms
+                s = sender.next_slot_ms = now + sender.ci_ms
                 if sender.buffer and s <= horizon:
                     push(heap, (s, KIND_CONN, nid, peer))
                 if receiver_idle and receiver.buffer:
-                    wake(peer, (now, KIND_CONN, nid, peer))
+                    wake(receiver, (now, KIND_CONN, nid, peer))
             elif kind == KIND_GEN:
                 node = nodes[nid]
                 buf = node.buffer
@@ -505,19 +485,18 @@ class TrialEngine:
                 if peer:
                     packet = ProbeRecord(r.total_sent, now)
                     probes.append(packet)
-                m = meters[nid]
-                m.area += len(buf) * (now - m.last_ms)
-                m.last_ms = now
+                node.area += len(buf) * (now - node.last_ms)
+                node.last_ms = now
                 if len(buf) >= node.b_max:
                     r.total_dropped += 1
-                    m.drops += 1
+                    node.drops += 1
                     if peer:
                         packet.dropped = True
                 else:
                     buf.append(packet)
                     if len(buf) == 1:
-                        wake(nid, (now, KIND_GEN, nid, peer))
-                t = next(sources[nid], None)
+                        wake(node, (now, KIND_GEN, nid, peer))
+                t = next(node.source, None)
                 if t is not None:
                     push(heap, (t, KIND_GEN, nid, peer))
             elif kind == KIND_END or self._on_join_round(now):

@@ -53,12 +53,12 @@ class ScoreWeights:
 
     def __post_init__(self):
         weights = (self.w_m, self.w_h, self.w_b, self.w_ci, self.w_rl, self.w_rn)
-        if any(w < 0 for w in weights):
+        if any(not w >= 0 for w in weights):
             raise ValueError("weights must be >= 0")
         if not sum(weights) > 0:
             raise ValueError("weights must not all be zero")
         for bound in ("m_max", "b_max"):  # both divide in score_candidate
-            if getattr(self, bound) < 1:
+            if not getattr(self, bound) >= 1:
                 raise ValueError(f"{bound} must be >= 1")
         if not self.ci_min_ms < self.ci_max_ms:
             raise ValueError("ci_min_ms must be below ci_max_ms")

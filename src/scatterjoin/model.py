@@ -1,8 +1,16 @@
-"""Mesh state: nodes, clusters and the master/slave tree; buffers hold packets."""
+"""Mesh state: nodes, clusters and the master/slave tree; buffers hold packets.
+
+A NodeState also carries a trial's per-node state, none of it a
+constructor option: its buffer's occupancy meter (area, the integral of
+occupancy up to last_ms, and drops, the packets lost at this node to a
+full buffer), its uplink's next_slot_ms, the earliest connection slot
+not yet passed, and source, its pending arrival times.
+"""
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .channel import Position
@@ -18,7 +26,7 @@ class TopologyError(Exception):
     """An attach would violate the cluster-tree structure."""
 
 
-@dataclass
+@dataclass(slots=True)  # every field set in __init__, in one order: fast reads
 class NodeState:
     id: int
     pos: Position
@@ -32,6 +40,11 @@ class NodeState:
     slaves: list[int] = field(default_factory=list)
     hops_to_sink: int = 0
     buffer: deque = field(default_factory=deque)
+    area: float = field(default=0.0, init=False)
+    last_ms: float = field(default=0.0, init=False)
+    drops: int = field(default=0, init=False)
+    next_slot_ms: float = field(default=0.0, init=False)
+    source: Iterator[float] | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.id < 1:

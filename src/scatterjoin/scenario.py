@@ -69,7 +69,7 @@ class Thresholds:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    nodes: list[NodeSpec]
+    nodes: tuple[NodeSpec, ...]
     sink_id: int = 1
     new_node_id: int = 2
     radio: RadioParams = field(default_factory=RadioParams)
@@ -80,6 +80,7 @@ class Scenario:
 
     def __post_init__(self):
         """The O(N) checks on ids and ranges, then the worst-case event count."""
+        object.__setattr__(self, "nodes", tuple(self.nodes))  # a list would stay editable
         seen = set()
         for i, n in enumerate(self.nodes):
             if not n.id >= 1:
@@ -184,10 +185,10 @@ def _value(kind, value, where: str):
     if is_dataclass(kind):
         return _build(kind, value, where)
     origin, args = get_origin(kind), get_args(kind)
-    if origin is list:
+    if origin is tuple and args[-1] is Ellipsis:  # any length, from a JSON list
         if not isinstance(value, list):
             raise ScenarioError(f"{where}: expected a list, got {value!r}")
-        return [_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if origin is tuple:
         if not (isinstance(value, (list, tuple)) and len(value) == len(args)):
             raise ScenarioError(f"{where}: expected {len(args)} values, got {value!r}")
@@ -251,7 +252,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except ValueError as e:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as e:  # bad JSON, a too-long integer, deep nesting
         raise ScenarioError(f"parse error in {path}: {e}") from e
     return parse_scenario(doc)
 

@@ -99,9 +99,10 @@ def test_dist():
     {"pl0_db": -1.0},
     {"rx_threshold_dbm": 5.0},
     {"shadowing_sigma_db": -1.0},
+    {"shadowing_sigma_db": math.nan},  # used to silence every link
 ])
 def test_bad_radio_params_rejected(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         RadioParams(**kwargs)
 
 

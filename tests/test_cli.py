@@ -226,6 +226,15 @@ def test_scenario_that_would_hang_a_trial_fails_with_stage(tmp_path, capsys):
     assert err.startswith("error at scenario stage: scenario: a trial may take 7.54e+10 events")
 
 
+def test_deeply_nested_json_fails_with_stage(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)  # json.load used to die in RecursionError
+    assert main(["run", "--scenario", str(bad), "--algo", "scored", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error at scenario stage: parse error in {bad}")
+
+
 def test_far_apart_nodes_fail_with_stage(tmp_path, capsys):
     # their distance overflows to inf, which path_loss_rssi used to raise on
     bad = tmp_path / "bad.json"

@@ -13,8 +13,8 @@ import pytest
 import scatterjoin
 from scatterjoin import engine
 from scatterjoin.channel import Position, RadioParams, hears
-from scatterjoin.engine import (KIND_CONN, KIND_GEN, Links, TrialEngine,
-                                broadcast_status,
+from scatterjoin.engine import (KIND_CONN, KIND_END, KIND_GEN, KIND_JOINME, Links,
+                                TrialEngine, broadcast_status,
                                 build_network, build_trial_network,
                                 connection_event, generate_traffic,
                                 make_network, run_trial)
@@ -408,6 +408,20 @@ def test_arrivals_are_generate_traffic_up_to_trial_end(monkeypatch, scenario, al
         interval = 1000.0 / eng.probe_rate
         assert probes == [t_join + i * interval for i in range(len(probes))]
         assert len(probes) == round(eng.measure_ms * eng.probe_rate / 1000.0)
+
+
+@pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
+def test_every_node_meters_its_own_buffer(monkeypatch, scenario, algo, seed):
+    counting = CountingHeapq()
+    monkeypatch.setattr(engine, "heapq", counting)
+    eng = TrialEngine(scenario, algo, seed)
+    t = eng.run()
+    nodes = eng.net.nodes.values()
+    # every drop is charged to exactly one node
+    assert sum(n.drops for n in nodes) == t.total_dropped
+    last = counting.popped[-1]
+    end = last[0] if last[1] in (KIND_JOINME, KIND_END) else eng.horizon
+    assert all(n.last_ms == end and n.area >= 0 for n in nodes)
 
 
 @pytest.mark.parametrize("scenario,algo,seed", event_core_cases())

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -133,6 +134,16 @@ def test_weight_validation():
         ScoreWeights(m_max=0)    # divides in score_candidate
     with pytest.raises(ValueError, match="b_max"):
         ScoreWeights(b_max=0)
+
+
+@pytest.mark.parametrize("field,message", [
+    ("w_b", "weights must be >= 0"),  # used to read as "must not all be zero"
+    ("m_max", "m_max must be >= 1"),  # used to be accepted and to change the pick
+    ("b_max", "b_max must be >= 1"),
+])
+def test_nan_weights_rejected_by_name(field, message):
+    with pytest.raises(ValueError, match=message):
+        ScoreWeights(**{field: math.nan})
 
 
 # -- filtering ---------------------------------------------------------

@@ -178,7 +178,7 @@ def test_mistyped_fields_rejected_by_name(doc, where):
 def test_engine_checks_node_ids_of_a_scenario_built_in_code():
     s = training11()
     with pytest.raises(ScenarioError, match=r"nodes\[10\]\.id"):
-        replace(s, nodes=s.nodes[:-2] + [replace(s.nodes[-2], id=0), s.nodes[-1]])
+        replace(s, nodes=[*s.nodes[:-2], replace(s.nodes[-2], id=0), s.nodes[-1]])
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -242,6 +242,8 @@ def test_scenario_fields_cannot_be_reassigned():
                       (s.engine, "t_adv_ms"), (s.thresholds, "b_fair")):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, 0)
+    with pytest.raises(TypeError):  # no node is edited in place past the checks
+        s.nodes[3] = replace(s.nodes[3], ci_ms=1e-6)
 
 
 @pytest.mark.parametrize("check", [validate_scenario, _acceptable])
