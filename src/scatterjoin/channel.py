@@ -9,7 +9,7 @@ single-hop BLE.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,9 @@ class RadioParams:
             raise ValueError("rx_threshold_dbm must be below tx_power_dbm")
         if not self.shadowing_sigma_db >= 0:
             raise ValueError("shadowing_sigma_db must be >= 0")
+        for f in fields(self):  # an infinity passes the bounds above but breaks every link
+            if not -math.inf < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite")
 
     def max_range_m(self) -> float:
         """Largest distance still heard with shadowing off."""

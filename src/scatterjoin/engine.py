@@ -14,12 +14,14 @@ so ties break on kind, then node id, then peer. The heap holds only
 pending work: at most one connection event per link, one arrival per
 traffic source, one probe, and the joiner's next joinMe. One flat loop
 in TrialEngine.run handles connection and arrival events inline. A
-buffered packet is None (background traffic) or its ProbeRecord (a
-probe). Links are frozen for the trial; Links works each out once. Both
-the build phase and each joinMe hear through broadcast_status: the same
-nodes every time, with their state at that instant. A delivered probe's
-hop count is hops_at_join: no node attaches after the join, so the tree
-a probe crosses is the joiner's path at the join.
+buffer is counted, not held (see model): background packets have no
+identity, so a connection event moves or drops them by arithmetic on
+head and tail and walks only the probes among them. Links are frozen
+for the trial; Links works each out once. Both the build phase and
+each joinMe hear through broadcast_status: the same nodes every time,
+with their state at that instant. A delivered probe's hop count is
+hops_at_join: no node attaches after the join, so the tree a probe
+crosses is the joiner's path at the join.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -38,6 +40,7 @@ import heapq
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from math import log
 from typing import TYPE_CHECKING
 
 from .channel import Position, RadioParams, hears
@@ -140,7 +143,7 @@ def broadcast_status(node: NodeState, links: Links, receiver_id: int) -> Candida
     rn = None if node.master is None else links[node.id, node.master][1]
     return CandidateInfo(
         id=node.id, cluster_id=node.cluster_id, cluster_size=node.cluster_size,
-        m=len(node.slaves), h=node.hops_to_sink, b=len(node.buffer),
+        m=len(node.slaves), h=node.hops_to_sink, b=node.tail - node.head,
         ci_ms=node.ci_ms, rl_dbm=rl, rn_dbm=rn, free_out=node.free_out,
         children=tuple(node.slaves))
 
@@ -162,13 +165,18 @@ def branch_saturated(path, sink_id: int, theta_sat: float, level) -> bool:
 
 
 def arrivals(rate_pps: float, horizon_ms: float, rng: random.Random) -> Iterator[float]:
-    """generate_traffic's arrival times, drawn one at a time as the trial needs them."""
+    """generate_traffic's arrival times, drawn one at a time as the trial needs them.
+
+    -log(1.0 - random()) is the float rng.expovariate(1.0) returns, whose
+    division by 1.0 leaves it unchanged, without the call.
+    """
     if rate_pps <= 0:
         return
     t = 0.0
     scale = 1000.0 / rate_pps
+    rnd = rng.random
     while True:
-        t += rng.expovariate(1.0) * scale
+        t += -log(1.0 - rnd()) * scale
         if t >= horizon_ms:
             return
         yield t
@@ -192,28 +200,38 @@ def generate_traffic(rate_pps: float, horizon_ms: float, rng: random.Random) -> 
 
 
 def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
-                     on_delivered, on_dropped, now_ms: float) -> int:
+                     result: TrialResult, now_ms: float) -> int:
     """One connection event on a link: move up to n_ce packets.
 
-    Packets leave the sender's buffer head in FIFO order. At the sink,
-    every packet is consumed via on_delivered(packet, now_ms). Elsewhere
-    the first k = min(n, free) go to the receiver's tail and the rest are
-    lost via on_dropped(packet, receiver_id). Returns how many packets n
-    left the sender.
+    The n packets at the sender's head leave in FIFO order. The sink
+    consumes them all, and each probe among them is stamped delivered at
+    now_ms. Elsewhere the first k = min(n, free) join the receiver's tail
+    in the same order, and the other n - k are dropped at the receiver.
+    The counts go into result. Returns n.
     """
-    src = net.nodes[sender_id].buffer
-    n = min(n_ce, len(src))
+    sender = net.nodes[sender_id]
+    head, probes = sender.head, sender.probes
+    n = min(n_ce, sender.tail - head)
+    end = sender.head = head + n
     if receiver_id == net.sink_id:
-        for _ in range(n):
-            on_delivered(src.popleft(), now_ms)
+        result.total_delivered += n
+        while probes and probes[0][0] < end:
+            probe = probes.popleft()[1]
+            probe.delivered_at_ms = now_ms
+            probe.hops = result.hops_at_join
         return n
     receiver = net.nodes[receiver_id]
-    dst = receiver.buffer
-    k = max(0, min(n, receiver.b_max - len(dst)))
-    for _ in range(k):
-        dst.append(src.popleft())
-    for _ in range(n - k):
-        on_dropped(src.popleft(), receiver_id)
+    k = max(0, min(n, receiver.b_max - (receiver.tail - receiver.head)))
+    cut, shift = head + k, receiver.tail - head
+    while probes and probes[0][0] < end:
+        index, probe = probes.popleft()
+        if index < cut:
+            receiver.probes.append((index + shift, probe))
+        else:
+            probe.dropped = True
+    result.total_dropped += n - k
+    receiver.drops += n - k
+    receiver.tail += k
     return n
 
 
@@ -311,20 +329,8 @@ class TrialEngine:
 
     @staticmethod
     def _touch(node: NodeState, now_ms: float) -> None:
-        node.area += len(node.buffer) * (now_ms - node.last_ms)
+        node.area += (node.tail - node.head) * (now_ms - node.last_ms)
         node.last_ms = now_ms
-
-    def _delivered(self, probe: ProbeRecord | None, now_ms: float) -> None:
-        self.result.total_delivered += 1
-        if probe is not None:
-            probe.delivered_at_ms = now_ms
-            probe.hops = self.result.hops_at_join
-
-    def _dropped(self, probe: ProbeRecord | None, at_nid: int) -> None:
-        self.result.total_dropped += 1
-        self.net.nodes[at_nid].drops += 1
-        if probe is not None:
-            probe.dropped = True
 
     # -- event handlers ----------------------------------------------
 
@@ -346,7 +352,7 @@ class TrialEngine:
     def _level_at(self, nid: int, now_ms: float) -> tuple[float, int, int]:
         """Running (mean occupancy, drops, b_max) of nid up to now_ms > 0."""
         node = self.net.nodes[nid]
-        return ((node.area + len(node.buffer) * (now_ms - node.last_ms)) / now_ms,
+        return ((node.area + (node.tail - node.head) * (now_ms - node.last_ms)) / now_ms,
                 node.drops, node.b_max)
 
     def _on_join_round(self, now_ms: float) -> bool:
@@ -404,7 +410,7 @@ class TrialEngine:
         in_flight = 0
         for node in self.net.nodes.values():
             self._touch(node, now_ms)
-            in_flight += len(node.buffer)
+            in_flight += node.tail - node.head
         return in_flight
 
     def _finalize(self, now_ms: float) -> None:
@@ -458,43 +464,45 @@ class TrialEngine:
         move = connection_event
         net, nodes = self.net, self.net.nodes
         horizon, n_ce = self.horizon, eng.n_ce
-        delivered, dropped, wake = self._delivered, self._dropped, self._wake
+        wake = self._wake
         r = self.result
         probes = r.probes
         while heap:
             now, kind, nid, peer = pop(heap)
             if kind == KIND_CONN:
                 sender, receiver = nodes[nid], nodes[peer]
-                sender.area += len(sender.buffer) * (now - sender.last_ms)
+                sender.area += (sender.tail - sender.head) * (now - sender.last_ms)
                 sender.last_ms = now
-                receiver.area += len(receiver.buffer) * (now - receiver.last_ms)
+                held = receiver.tail - receiver.head
+                receiver.area += held * (now - receiver.last_ms)
                 receiver.last_ms = now
-                receiver_idle = not receiver.buffer
-                move(net, nid, peer, n_ce, delivered, dropped, now)
+                move(net, nid, peer, n_ce, r, now)
                 # the sender's next slot always sorts after this event
                 s = sender.next_slot_ms = now + sender.ci_ms
-                if sender.buffer and s <= horizon:
+                if sender.tail != sender.head and s <= horizon:
                     push(heap, (s, KIND_CONN, nid, peer))
-                if receiver_idle and receiver.buffer:
+                if not held and receiver.tail != receiver.head:
                     wake(receiver, (now, KIND_CONN, nid, peer))
             elif kind == KIND_GEN:
                 node = nodes[nid]
-                buf = node.buffer
+                tail = node.tail
+                q = tail - node.head
                 r.total_sent += 1
-                packet = None
                 if peer:
-                    packet = ProbeRecord(r.total_sent, now)
-                    probes.append(packet)
-                node.area += len(buf) * (now - node.last_ms)
+                    probe = ProbeRecord(r.total_sent, now)
+                    probes.append(probe)
+                node.area += q * (now - node.last_ms)
                 node.last_ms = now
-                if len(buf) >= node.b_max:
+                if q >= node.b_max:
                     r.total_dropped += 1
                     node.drops += 1
                     if peer:
-                        packet.dropped = True
+                        probe.dropped = True
                 else:
-                    buf.append(packet)
-                    if len(buf) == 1:
+                    if peer:
+                        node.probes.append((tail, probe))
+                    node.tail = tail + 1
+                    if not q:
                         wake(node, (now, KIND_GEN, nid, peer))
                 t = next(node.source, None)
                 if t is not None:

@@ -8,7 +8,8 @@ the biggest cluster through the joinMe ack field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,9 @@ class ScoreWeights:
             raise ValueError("ci_min_ms must be below ci_max_ms")
         if not self.rssi_lo < self.rssi_hi:
             raise ValueError("rssi_lo must be below rssi_hi")
+        for f in fields(self):  # an infinity passes the bounds above but swamps or zeroes a term
+            if not -math.inf < getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite")
 
     def scaled(self, factor: float) -> "ScoreWeights":
         return ScoreWeights(

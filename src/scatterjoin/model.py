@@ -1,10 +1,15 @@
-"""Mesh state: nodes, clusters and the master/slave tree; buffers hold packets.
+"""Mesh state: nodes, clusters and the master/slave tree; buffers count packets.
 
 A NodeState also carries a trial's per-node state, none of it a
-constructor option: its buffer's occupancy meter (area, the integral of
-occupancy up to last_ms, and drops, the packets lost at this node to a
-full buffer), its uplink's next_slot_ms, the earliest connection slot
-not yet passed, and source, its pending arrival times.
+constructor option. Its buffer is a FIFO of packets counted, not held:
+head packets have left it and tail have entered, so it holds tail - head.
+Background packets carry no identity; a probe is kept in probes as
+(index, ProbeRecord), its index being the tail value when it entered,
+so it sits index - head places from the front. Then come the buffer's
+occupancy meter (area, the integral of occupancy up to last_ms, and
+drops, the packets lost at this node to a full buffer), its uplink's
+next_slot_ms, the earliest connection slot not yet passed, and source,
+its pending arrival times.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ class NodeState:
     master: int | None = None
     slaves: list[int] = field(default_factory=list)
     hops_to_sink: int = 0
-    buffer: deque = field(default_factory=deque)
+    head: int = field(default=0, init=False)
+    tail: int = field(default=0, init=False)
+    probes: deque = field(default_factory=deque, init=False)
     area: float = field(default=0.0, init=False)
     last_ms: float = field(default=0.0, init=False)
     drops: int = field(default=0, init=False)
@@ -142,7 +149,14 @@ class Network:
                 check(n.cluster_size == size,
                       f"node {n.id} believes cluster size {n.cluster_size}, actual {size}")
                 check(n.free_out >= 0, f"node {n.id} over-subscribed slots")
-                check(len(n.buffer) <= n.b_max, f"node {n.id} buffer overflow")
+                check(0 <= n.tail - n.head <= n.b_max,
+                      f"node {n.id} holds {n.tail - n.head} packets, b_max {n.b_max}")
+                last = n.head - 1
+                for index, _ in n.probes:
+                    check(last < index < n.tail,
+                          f"node {n.id}: probe index {index} out of order or outside "
+                          f"[{n.head}, {n.tail})")
+                    last = index
                 for sid in n.slaves:
                     s = self.nodes[sid]
                     check(s.master == n.id, f"slave {sid} does not point back to {n.id}")

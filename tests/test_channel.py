@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -100,7 +101,8 @@ def test_dist():
     {"rx_threshold_dbm": 5.0},
     {"shadowing_sigma_db": -1.0},
     {"shadowing_sigma_db": math.nan},  # used to silence every link
-])
+    # shadowing_sigma_db=inf used to attach training11's joiner straight to the sink
+] + [{f.name: v} for f in fields(RadioParams) for v in (math.inf, -math.inf)])
 def test_bad_radio_params_rejected(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         RadioParams(**kwargs)

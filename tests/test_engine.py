@@ -9,12 +9,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scatterjoin
 from scatterjoin import engine
 from scatterjoin.channel import Position, RadioParams, hears
 from scatterjoin.engine import (KIND_CONN, KIND_END, KIND_GEN, KIND_JOINME, Links,
-                                TrialEngine, broadcast_status,
+                                ProbeRecord, TrialEngine, TrialResult, broadcast_status,
                                 build_network, build_trial_network,
                                 connection_event, generate_traffic,
                                 make_network, run_trial)
@@ -165,53 +166,140 @@ def _net_pair(b_max=30):
     return net
 
 
+def enqueue(node, seqs):
+    """One probe per seq into node's tail, as an accepted arrival enters."""
+    for seq in seqs:
+        node.probes.append((node.tail, ProbeRecord(seq, 0.0)))
+        node.tail += 1
+
+
+def held(node):
+    """The seqs node holds in FIFO order, when every packet it holds is a probe."""
+    assert [i for i, _ in node.probes] == list(range(node.head, node.tail))
+    return [p.seq for _, p in node.probes]
+
+
 def recorded_event(net, sender_id, receiver_id, n_ce, now_ms=0.0):
-    """connection_event with recording callbacks: (moved, delivered, dropped)."""
-    delivered, dropped = [], []
-    moved = connection_event(net, sender_id, receiver_id, n_ce,
-                             lambda pkt, t: delivered.append((pkt, t)),
-                             lambda pkt, nid: dropped.append((pkt, nid)), now_ms)
+    """connection_event on a net of probes: (moved, delivered, dropped), with
+    delivered as (seq, time) and dropped as (seq, node charged with drops)."""
+    packets = [p for n in net.nodes.values() for _, p in n.probes]
+    result = TrialResult(trial_seed=0, algo="scored", hops_at_join=2)
+    moved = connection_event(net, sender_id, receiver_id, n_ce, result, now_ms)
+    delivered = [(p.seq, p.delivered_at_ms) for p in packets if p.delivered_at_ms is not None]
+    assert all(p.hops == 2 for p in packets if p.delivered_at_ms is not None)
+    charged = [nid for nid, n in net.nodes.items() for _ in range(n.drops)]
+    dropped = list(zip([p.seq for p in packets if p.dropped], charged, strict=True))
+    assert (result.total_delivered, result.total_dropped) == (len(delivered), len(dropped))
     return moved, delivered, dropped
 
 
 def test_connection_event_moves_at_most_n_ce():
     net = _net_pair()
-    net.nodes[3].buffer.extend(range(6))
+    enqueue(net.nodes[3], range(6))
     moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
     assert moved == 4
     assert delivered == [] and dropped == []
-    assert list(net.nodes[3].buffer) == [4, 5]
-    assert list(net.nodes[2].buffer) == [0, 1, 2, 3]  # moved packets arrive in FIFO order
+    assert held(net.nodes[3]) == [4, 5]
+    assert held(net.nodes[2]) == [0, 1, 2, 3]  # moved packets arrive in FIFO order
 
 
 def test_connection_event_drops_on_full_receiver():
     net = _net_pair(b_max=2)
-    net.nodes[3].buffer.extend(range(4))
+    enqueue(net.nodes[3], range(4))
     moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
     assert moved == 4 and delivered == []
-    assert list(net.nodes[2].buffer) == [0, 1]
+    assert held(net.nodes[2]) == [0, 1]
     assert dropped == [(2, 2), (3, 2)]
 
 
 def test_connection_event_fills_partly_full_receiver():
     net = _net_pair(b_max=5)
-    net.nodes[2].buffer.extend([100, 101])
-    net.nodes[3].buffer.extend(range(4))
+    enqueue(net.nodes[2], [100, 101])
+    enqueue(net.nodes[3], range(4))
     moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
     assert moved == 4 and delivered == []
-    assert list(net.nodes[3].buffer) == []
-    assert list(net.nodes[2].buffer) == [100, 101, 0, 1, 2]
+    assert held(net.nodes[3]) == []
+    assert held(net.nodes[2]) == [100, 101, 0, 1, 2]
     assert dropped == [(3, 2)]
 
 
 def test_sink_consumes_destined_packets():
     net = _net_pair()
-    net.nodes[2].buffer.extend(range(6))
+    enqueue(net.nodes[2], range(6))
     moved, delivered, dropped = recorded_event(net, 2, 1, n_ce=4, now_ms=250.0)
     assert moved == 4 and dropped == []
     assert delivered == [(0, 250.0), (1, 250.0), (2, 250.0), (3, 250.0)]
-    assert list(net.nodes[2].buffer) == [4, 5]
-    assert len(net.nodes[1].buffer) == 0
+    assert held(net.nodes[2]) == [4, 5]
+    assert net.nodes[1].tail == net.nodes[1].head == 0
+
+
+# One step of the count-buffer property: an arrival at node 2 or 3 (a
+# probe or not), or a connection event 3 -> 2 or 2 -> 1 moving up to n_ce.
+BUFFER_STEPS = st.one_of(
+    st.tuples(st.just("arrive"), st.sampled_from([2, 3]), st.booleans()),
+    st.tuples(st.just("send"), st.sampled_from([2, 3]), st.integers(1, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(b_max=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       steps=st.lists(BUFFER_STEPS, max_size=60))
+def test_count_buffer_matches_a_deque_of_packets(b_max, steps):
+    # the chain 3 -> 2 -> sink 1; the reference holds every packet in a
+    # deque, None for background and the probe's seq for a probe
+    net = _net_pair()
+    net.nodes[2].b_max, net.nodes[3].b_max = b_max
+    ref = {nid: collections.deque() for nid in net.nodes}
+    ref_drops = dict.fromkeys(net.nodes, 0)
+    ref_fate = {}  # seq -> (delivered_at_ms, dropped) once the probe has left the chain
+    result = TrialResult(trial_seed=0, algo="scored", hops_at_join=2)
+    probes = []
+    for now, (op, nid, arg) in enumerate(steps):
+        node = net.nodes[nid]
+        if op == "arrive":  # the engine's arrival: drop at a full buffer, else enter
+            result.total_sent += 1
+            probe = ProbeRecord(result.total_sent, float(now)) if arg else None
+            if probe is not None:
+                probes.append(probe)
+            if node.tail - node.head >= node.b_max:
+                result.total_dropped += 1
+                node.drops += 1
+                ref_drops[nid] += 1
+                if probe is not None:
+                    probe.dropped = True
+                    ref_fate[probe.seq] = (None, True)
+            else:
+                if probe is not None:
+                    node.probes.append((node.tail, probe))
+                node.tail += 1
+                ref[nid].append(None if probe is None else probe.seq)
+        else:
+            peer = node.master
+            moved = connection_event(net, nid, peer, arg, result, float(now))
+            n = min(arg, len(ref[nid]))
+            assert moved == n
+            for _ in range(n):
+                packet = ref[nid].popleft()
+                if peer == net.sink_id:
+                    if packet is not None:
+                        ref_fate[packet] = (float(now), False)
+                elif len(ref[peer]) < net.nodes[peer].b_max:
+                    ref[peer].append(packet)
+                else:
+                    ref_drops[peer] += 1
+                    if packet is not None:
+                        ref_fate[packet] = (None, True)
+        net.check_invariants()
+        for k, n in net.nodes.items():
+            assert n.tail - n.head == len(ref[k])
+            assert n.drops == ref_drops[k]
+            assert [(i - n.head, p.seq) for i, p in n.probes] == \
+                [(pos, seq) for pos, seq in enumerate(ref[k]) if seq is not None]
+        for p in probes:
+            assert (p.delivered_at_ms, p.dropped) == ref_fate.get(p.seq, (None, False))
+            assert p.hops == (2 if p.delivered_at_ms is not None else 0)
+        in_flight = sum(len(q) for q in ref.values())
+        assert result.total_sent == result.total_delivered + result.total_dropped + in_flight
+        assert result.total_dropped == sum(ref_drops.values())
 
 
 # -- generate_traffic --------------------------------------------------
@@ -267,10 +355,10 @@ def test_broadcast_reaches_exactly_the_hearers():
 
 def test_advert_snapshots_buffer_at_emission():
     net = _net_pair()
-    net.nodes[2].buffer.append(0)
+    net.nodes[2].tail += 1
     links = links_of(net)
     out = [broadcast_status(net.nodes[2], links, rid) for rid in (1, 3)]
-    net.nodes[2].buffer.append(1)
+    net.nodes[2].tail += 1
     assert all(adv.b == 1 for adv in out)
 
 

@@ -8,8 +8,13 @@ with repr. A change to any simulated number changes the digest.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import scatterjoin
 from scatterjoin.channel import Position, RadioParams
 from scatterjoin.engine import Links, build_network, run_trial
 from scatterjoin.model import Network, NodeState
@@ -109,6 +114,15 @@ def layouts_digest() -> str:
 
 def test_trial_results_match_golden_digest():
     assert golden_digest() == GOLDEN
+
+
+def test_golden_digest_holds_under_optimized_python():
+    # python -O strips every assert, so no result may depend on one
+    src, here = Path(scatterjoin.__file__).resolve().parents[1], Path(__file__).resolve().parent
+    code = "import sys, test_golden; print(sys.flags.optimize, test_golden.golden_digest())"
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{here}"})
+    assert proc.stdout.split() == ["1", GOLDEN], proc.stderr
 
 
 def test_grid_results_match_golden_digest():

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -144,6 +144,14 @@ def test_weight_validation():
 def test_nan_weights_rejected_by_name(field, message):
     with pytest.raises(ValueError, match=message):
         ScoreWeights(**{field: math.nan})
+
+
+@pytest.mark.parametrize("field,value", [(f.name, math.inf) for f in fields(ScoreWeights)]
+                         + [("ci_min_ms", -math.inf), ("rssi_lo", -math.inf)])
+def test_infinite_weights_rejected_by_name(field, value):
+    # w_b=inf used to make scored seed 0 on training11 pick the saturated parent 4
+    with pytest.raises(ValueError, match=field):
+        ScoreWeights(**{field: value})
 
 
 # -- filtering ---------------------------------------------------------

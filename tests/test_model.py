@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import scatterjoin
 
 from scatterjoin.channel import Position, RadioParams, hears
-from scatterjoin.engine import Links, broadcast_status
+from scatterjoin.engine import Links, ProbeRecord, broadcast_status
 from scatterjoin.model import Network, NodeState, SlotExhausted, TopologyError
 
 
@@ -101,8 +101,7 @@ def test_status_advert_copies_live_fields():
     net.attach(2, 1)
     net.attach(3, 1)
     root = net.nodes[1]
-    for i in range(4):
-        root.buffer.append(i)
+    root.head, root.tail = 3, 7  # three packets have left, four are held
     links = links_of(net)
     adv = broadcast_status(root, links, 2)
     assert adv.m == 2
@@ -196,6 +195,23 @@ def test_any_attach_sequence_is_refused_or_keeps_invariants(caps, data):
             net.attach(child, parent)
         except (SlotExhausted, TopologyError):
             pass
+        net.check_invariants()
+
+
+@pytest.mark.parametrize("head,tail,indices,message", [
+    (0, 4, [], "holds 4 packets, b_max 3"),
+    (5, 4, [], "holds -1 packets"),
+    (0, 3, [1, 0], "probe index 0 out of order"),
+    (0, 3, [1, 1], "probe index 1 out of order"),
+    (1, 3, [0], r"probe index 0 out of order or outside \[1, 3\)"),
+    (1, 3, [3], r"probe index 3 out of order or outside \[1, 3\)"),
+])
+def test_invariants_cover_the_counted_buffer(head, tail, indices, message):
+    net = Network([node(1, b_max=3)])
+    root = net.nodes[1]
+    root.head, root.tail = head, tail
+    root.probes.extend((i, ProbeRecord(seq, 0.0)) for seq, i in enumerate(indices))
+    with pytest.raises(TopologyError, match=message):
         net.check_invariants()
 
 
