@@ -9,7 +9,7 @@ import sys
 from dataclasses import asdict, replace
 
 from .engine import run_trial
-from .join_scored import ScoreWeights
+from .join_scored import WEIGHT_NAMES, ScoreWeights
 from .metrics import (AggregateError, AggregateReport, Improvement, aggregate,
                       compare, delay_stats, pdr)
 from .scenario import (GenerationError, Scenario, ScenarioError, _build,
@@ -20,7 +20,9 @@ CSV_COLUMNS = ("trial", "algo", "seed", "joined", "parent_id", "hops",
                "mu_d_ms", "sigma_d_ms", "pdr", "sat_branch", "eligible_sat",
                "avoided_sat")
 
-WEIGHT_NAMES = ("w_m", "w_h", "w_b", "w_ci", "w_rl", "w_rn")
+SWEEP_COLUMNS = WEIGHT_NAMES + ("mu_d_ms", "mu_pdr", "pct_sat")
+
+WEIGHTS_HELP = ",".join(WEIGHT_NAMES) + " override"
 
 
 def _load(ref: str) -> Scenario:
@@ -37,11 +39,16 @@ def _with_weights(s: Scenario, overrides: dict | None) -> Scenario:
     return replace(s, weights=_build(ScoreWeights, block, "weights"))
 
 
+def _opt(x: float | None, spec: str) -> str:
+    """x in the format spec, or "-" when the figure is undefined."""
+    return "-" if x is None else format(x, spec)
+
+
 def parse_weight_vector(text: str) -> dict:
     parts = text.split(",")
-    if len(parts) != 6:
-        raise ScenarioError(
-            "weights: expected 6 comma-separated values (w_m,w_h,w_b,w_ci,w_rl,w_rn)")
+    if len(parts) != len(WEIGHT_NAMES):
+        raise ScenarioError(f"weights: expected {len(WEIGHT_NAMES)} comma-separated "
+                            f"values ({','.join(WEIGHT_NAMES)})")
     try:
         values = [float(p) for p in parts]
     except ValueError as e:
@@ -84,10 +91,10 @@ def trial_row(index: int, trial) -> dict:
     }
 
 
-def write_rows(rows: list[dict], path: str) -> None:
-    rows = sorted(rows, key=lambda r: (r["trial"], r["algo"]))
+def write_rows(rows: list[dict], path: str, columns=CSV_COLUMNS) -> None:
+    """rows, in the order given, as a CSV file with a header line."""
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -125,24 +132,18 @@ def cmd_compare(scenario: Scenario | None = None, random_nodes: int | None = Non
 def format_summary(base: AggregateReport, prop: AggregateReport,
                    imp: Improvement) -> str:
     def fmt(r: AggregateReport) -> str:
-        mu_d = "-" if r.mu_d_ms is None else f"{r.mu_d_ms:.1f}"
-        sd = "-" if r.sigma_d_ms is None else f"{r.sigma_d_ms:.1f}"
-        avoid = "-" if r.avoid_sat is None else f"{100 * r.avoid_sat:.0f}%"
-        return (f"{r.algo:<10}{mu_d:>9}{sd:>10}"
+        return (f"{r.algo:<10}{_opt(r.mu_d_ms, '.1f'):>9}{_opt(r.sigma_d_ms, '.1f'):>10}"
                 f"{r.mu_pdr:>8.2f}{r.sigma_pdr:>11.3f}"
-                f"{100 * r.pct_sat:>6.0f}%{avoid:>11}{r.mean_hops:>8.1f}"
+                f"{100 * r.pct_sat:>6.0f}%{_opt(r.avoid_sat, '.0%'):>11}{r.mean_hops:>8.1f}"
                 f"{r.n_joined:>8}/{r.n_trials}")
-
-    def pct(gain: float | None) -> str:
-        return "-" if gain is None else f"{100 * gain:.1f}%"
 
     lines = [
         f"{'':<10}{'mu_d':>9}{'sigma_d':>10}{'mu_PDR':>8}{'sigma_PDR':>11}"
         f"{'%Sat':>7}{'avoid_Sat':>11}{'N_hops':>8}{'joined':>10}",
         fmt(prop),
         fmt(base),
-        (f"delay_gain {pct(imp.delay_gain)}   "
-         f"pdr_gain {pct(imp.pdr_gain)}   "
+        (f"delay_gain {_opt(imp.delay_gain, '.1%')}   "
+         f"pdr_gain {_opt(imp.pdr_gain, '.1%')}   "
          f"sat_reduction {imp.sat_reduction_pp:.1f} pp"),
     ]
     return "\n".join(lines)
@@ -152,18 +153,16 @@ def _cmd_run(args) -> int:
     weights = parse_weight_vector(args.weights) if args.weights else None
     s = _with_weights(_load(args.scenario), weights)
     t = run_trial(s, args.algo, args.seed)
-    row = trial_row(0, t)
     if t.joined:
         print(f"joined parent={t.chosen_parent} hops={t.hops_at_join} "
               f"join_time={t.join_time_ms:.0f}ms")
-        mu_d, sd = ("-", "-") if row["mu_d_ms"] == "" else (
-            f"{row['mu_d_ms']:.1f}", f"{row['sigma_d_ms']:.1f}")
-        print(f"mu_d={mu_d}ms sigma_d={sd}ms pdr={row['pdr']:.3f} "
-              f"sat_branch={row['sat_branch']}")
+        mu_d, sd = delay_stats(t) or (None, None)
+        print(f"mu_d={_opt(mu_d, '.1f')}ms sigma_d={_opt(sd, '.1f')}ms pdr={pdr(t):.3f} "
+              f"sat_branch={int(t.sat_branch)}")
     else:
         print("join failed: no usable neighbor before the wait budget expired")
     if args.out:
-        write_rows([row], args.out)
+        write_rows([trial_row(0, t)], args.out)
     return 0
 
 
@@ -194,26 +193,29 @@ def _cmd_sweep(args) -> int:
     seeds = range(args.seed_base, args.seed_base + args.trials)
     layouts = [gen_random_scenario(n_nodes=args.nodes, seed=seed, area_m=args.area)
                for seed in seeds]
-    results = []
+    defaults = ScoreWeights()
+    rows = []
+    # Vector-major, so memory holds one vector's trials, not the whole grid's.
     for vector in grid:
-        prop_trials = [run_trial(_with_weights(s, vector), "scored", seed)
-                       for s, seed in zip(layouts, seeds)]
-        report = aggregate(prop_trials)
-        results.append((vector, report))
+        report = aggregate([run_trial(_with_weights(s, vector), "scored", seed)
+                            for s, seed in zip(layouts, seeds)])
         label = ",".join(f"{k}={v:g}" for k, v in vector.items())
-        mu_d = "-" if report.mu_d_ms is None else f"{report.mu_d_ms:.1f}"
-        print(f"{label:<48} mu_d={mu_d}ms mu_pdr={report.mu_pdr:.3f} "
-              f"pct_sat={100 * report.pct_sat:.0f}%")
+        print(f"{label:<48} mu_d={_opt(report.mu_d_ms, '.1f')}ms "
+              f"mu_pdr={report.mu_pdr:.3f} pct_sat={100 * report.pct_sat:.0f}%")
+        rows.append({**{n: getattr(defaults, n) for n in WEIGHT_NAMES}, **vector,
+                     "mu_d_ms": report.mu_d_ms, "mu_pdr": report.mu_pdr,
+                     "pct_sat": report.pct_sat})
     if args.out:
-        with open(args.out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(list(WEIGHT_NAMES) + ["mu_d_ms", "mu_pdr", "pct_sat"])
-            defaults = ScoreWeights()
-            for vector, report in results:
-                full = {**{n: getattr(defaults, n) for n in WEIGHT_NAMES}, **vector}
-                writer.writerow([full[n] for n in WEIGHT_NAMES]
-                                + [report.mu_d_ms, report.mu_pdr, report.pct_sat])
+        write_rows(rows, args.out, SWEEP_COLUMNS)
     return 0
+
+
+def _add_trial_args(p: argparse.ArgumentParser) -> None:
+    """The layout size and trial seeds, shared by compare and sweep."""
+    p.add_argument("--nodes", type=int, default=16)
+    p.add_argument("--area", type=float, default=30.0)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed-base", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=("baseline", "scored"))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the per-trial CSV row here")
-    p.add_argument("--weights", help="w_m,w_h,w_b,w_ci,w_rl,w_rn override")
+    p.add_argument("--weights", help=WEIGHTS_HELP)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="paired baseline-vs-scored comparison")
@@ -236,12 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--scenario", help="scenario JSON path or 'training11'")
     g.add_argument("--random", action="store_true",
                    help="fresh random layout per trial")
-    p.add_argument("--nodes", type=int, default=16)
-    p.add_argument("--area", type=float, default=30.0)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed-base", type=int, default=0)
+    _add_trial_args(p)
     p.add_argument("--out", help="write per-trial CSV rows here")
-    p.add_argument("--weights", help="w_m,w_h,w_b,w_ci,w_rl,w_rn override")
+    p.add_argument("--weights", help=WEIGHTS_HELP)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("gen", help="generate a random scenario file")
@@ -253,10 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep over scoring weights")
     p.add_argument("--random", action="store_true", required=True)
-    p.add_argument("--nodes", type=int, default=16)
-    p.add_argument("--area", type=float, default=30.0)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed-base", type=int, default=0)
+    _add_trial_args(p)
     p.add_argument("--weights-grid", required=True,
                    help="e.g. 'w_b=0.1,0.25,0.4;w_ci=0.1,0.2'")
     p.add_argument("--out", help="write one CSV row per weight vector")

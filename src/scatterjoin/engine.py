@@ -321,7 +321,6 @@ class TrialEngine:
         self.horizon = eng.horizon_ms()
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
         self.result = TrialResult(trial_seed=seed, algo=algo)
-        self.t_listen = eng.warmup_ms
         self.t_join: float | None = None
         self._join_snap: dict[int, tuple[float, int]] = {}  # node -> (area, drops) at the join
 
@@ -349,12 +348,6 @@ class TrialEngine:
         if s <= self.horizon:
             heapq.heappush(self.heap, (s, KIND_CONN, node.id, master))
 
-    def _level_at(self, nid: int, now_ms: float) -> tuple[float, int, int]:
-        """Running (mean occupancy, drops, b_max) of nid up to now_ms > 0."""
-        node = self.net.nodes[nid]
-        return ((node.area + (node.tail - node.head) * (now_ms - node.last_ms)) / now_ms,
-                node.drops, node.b_max)
-
     def _on_join_round(self, now_ms: float) -> bool:
         """The joiner's own joinMe emission: hear, decide, request, attach.
 
@@ -373,14 +366,19 @@ class TrialEngine:
             parent = scored_select(cands, s.thresholds, s.weights)
 
         if parent is None:
-            if now_ms - self.t_listen >= eng.max_wait_ms:
+            if now_ms - eng.warmup_ms >= eng.max_wait_ms:
                 return True
             heapq.heappush(self.heap, (now_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
             return False
 
+        level = {}  # node -> (running mean occupancy, drops, b_max) at the decision
+        for nid, node in sorted(net.nodes.items()):
+            self._touch(node, now_ms)
+            self._join_snap[nid] = (node.area, node.drops)
+            level[nid] = (node.area / now_ms, node.drops, node.b_max)
         theta = s.thresholds.theta_sat
         labels = {c.id: branch_saturated(net.path_to_root(c.id), net.sink_id,
-                                         theta, lambda nid: self._level_at(nid, now_ms))
+                                         theta, level.__getitem__)
                   for c in cands}
         r.eligible_sat = any(labels.values()) and not all(labels.values())
         r.avoided_sat = r.eligible_sat and not labels[parent]
@@ -389,12 +387,9 @@ class TrialEngine:
         r.joined = True
         r.chosen_parent = parent
         r.path_to_sink = net.path_to_root(new_id)
-        r.join_time_ms = now_ms - self.t_listen
+        r.join_time_ms = now_ms - eng.warmup_ms
         r.hops_at_join = new.hops_to_sink
         self.t_join = now_ms
-        for nid, node in sorted(net.nodes.items()):
-            self._touch(node, now_ms)
-            self._join_snap[nid] = (node.area, node.drops)
 
         interval = 1000.0 / eng.probe_rate
         n_probes = eng.n_probes()
@@ -455,7 +450,7 @@ class TrialEngine:
                     heapq.heappush(heap, (t, KIND_GEN, nid, 0))
             if node.master is not None:
                 node.next_slot_ms = node.ci_ms
-        heapq.heappush(heap, (self.t_listen + eng.t_adv_ms, KIND_JOINME, new_id, 0))
+        heapq.heappush(heap, (eng.warmup_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
 
         # Connection and arrival events are handled inline on these locals.
         # heapq and connection_event are looked up here, per trial, so a

@@ -9,7 +9,9 @@ the biggest cluster through the joinMe ack field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+
+WEIGHT_NAMES = ("w_m", "w_h", "w_b", "w_ci", "w_rl", "w_rn")
 
 
 @dataclass(frozen=True)
@@ -34,9 +36,8 @@ class CandidateInfo:
 class ScoreWeights:
     """Term weights plus the bounds used to normalize raw inputs to [0,1].
 
-    Defaults emphasize empty buffers and short connection intervals, the
-    two inputs that dominate queueing delay; all of it is configurable
-    per scenario.
+    The default weights are hand-picked, not fitted to any measurement;
+    all of it is configurable per scenario.
     """
 
     w_m: float = 0.10
@@ -53,7 +54,7 @@ class ScoreWeights:
     rssi_hi: float = -50.0
 
     def __post_init__(self):
-        weights = (self.w_m, self.w_h, self.w_b, self.w_ci, self.w_rl, self.w_rn)
+        weights = [getattr(self, n) for n in WEIGHT_NAMES]
         if any(not w >= 0 for w in weights):
             raise ValueError("weights must be >= 0")
         if not sum(weights) > 0:
@@ -70,12 +71,7 @@ class ScoreWeights:
                 raise ValueError(f"{f.name} must be finite")
 
     def scaled(self, factor: float) -> "ScoreWeights":
-        return ScoreWeights(
-            w_m=self.w_m * factor, w_h=self.w_h * factor, w_b=self.w_b * factor,
-            w_ci=self.w_ci * factor, w_rl=self.w_rl * factor, w_rn=self.w_rn * factor,
-            m_max=self.m_max, b_max=self.b_max,
-            ci_min_ms=self.ci_min_ms, ci_max_ms=self.ci_max_ms,
-            rssi_lo=self.rssi_lo, rssi_hi=self.rssi_hi)
+        return replace(self, **{n: getattr(self, n) * factor for n in WEIGHT_NAMES})
 
 
 def _clamp01(x: float) -> float:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -365,3 +366,59 @@ def test_console_entry_point_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "joined" in proc.stdout
+
+
+# sha256 of (the --out file, stdout) for each command: what the CLI writes
+# and prints must not change when its code is reorganized.
+CLI_GOLDEN = [
+    (["compare", "--random", "--nodes", "16", "--trials", "6", "--seed-base", "40"],
+     "7dca25b1b36cfcf639e3bd66456276bcc65a81e19f591b7a5bcfa64d6d5b08db",
+     "174c36e59f59e0c9a15cdd6c89f9ff9068fd3024f5db0ece85e186e7b3abf79b"),
+    (["compare", "--scenario", "training11", "--trials", "3",
+      "--weights", "0.1,0.3,0.1,0.2,0.2,0.1"],
+     "ca9b07344c291be36e24d43f18dd1d56d34e8214f4d53b396efe4c7077fff1b9",
+     "9516cc36e0e89f47e0c36a52f4b33e8083873c09598c5d9f240c567939721b54"),
+    (["sweep", "--random", "--nodes", "10", "--area", "24", "--trials", "4",
+      "--seed-base", "2", "--weights-grid", "w_b=0.0,0.25;w_ci=0.1,0.3"],
+     "4b03417bd01ff091629594313b00073d96ce597f572724944706b191644c2025",
+     "dc4b11a4343a24bccefbeb17f57267acfb5ac472dbe142bf6d5e444147c2d67e"),
+    (["run", "--scenario", "training11", "--algo", "baseline", "--seed", "3"],
+     "57153e3f7385bf83915c1e26f27d7ca7caf864fc6a1f6851dcde3a2c4733a3ad",
+     "8da568975d243aae4b130bfe127eb6cca217638d26c5bd5e1b2f5bdfaacd4a21"),
+]
+
+
+def test_cli_outputs_match_golden_digest(tmp_path, capsys):
+    for argv, csv_sha, stdout_sha in CLI_GOLDEN:
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha, argv
+
+
+def test_sweep_aggregates_each_vector_before_the_next(monkeypatch, capsys):
+    # sweep holds one weight vector's trials at a time, never the whole grid's
+    trials, pending, batches = 3, [], []
+
+    def counting_run_trial(s, algo, seed):
+        t = run_trial(s, algo, seed)
+        pending.append((algo, s.weights))
+        return t
+
+    def counting_aggregate(results):
+        batches.append(list(pending))
+        pending.clear()
+        return aggregate(results)
+
+    monkeypatch.setattr(cli, "run_trial", counting_run_trial)
+    monkeypatch.setattr(cli, "aggregate", counting_aggregate)
+    assert main(["sweep", "--random", "--nodes", "10", "--area", "24",
+                 "--trials", str(trials), "--seed-base", "5",
+                 "--weights-grid", "w_b=0.0,0.25;w_ci=0.1"]) == 0
+    capsys.readouterr()
+    assert len(batches) == 2 and not pending
+    for batch in batches:
+        assert len(batch) == trials
+        assert {algo for algo, _ in batch} == {"scored"}
+        assert len({w for _, w in batch}) == 1
+    assert batches[0][0][1] != batches[1][0][1]
