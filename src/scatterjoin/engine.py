@@ -11,17 +11,25 @@ buffer's meter, its uplink's next slot and its arrival stream.
 
 Events are plain (time, kind, node, peer) tuples popped in that order,
 so ties break on kind, then node id, then peer. The heap holds only
-pending work: at most one connection event per link, one arrival per
-traffic source, one probe, and the joiner's next joinMe. One flat loop
-in TrialEngine.run handles connection and arrival events inline. A
-buffer is counted, not held (see model): background packets have no
-identity, so a connection event moves or drops them by arithmetic on
-head and tail and walks only the probes among them. Links are frozen
-for the trial; Links works each out once. Both the build phase and
-each joinMe hear through broadcast_status: the same nodes every time,
-with their state at that instant. A delivered probe's hop count is
-hops_at_join: no node attaches after the join, so the tree a probe
-crosses is the joiner's path at the join.
+pending work: at most one connection event per link, one probe, the
+joiner's next joinMe, and a node's next arrival only if it was drawn
+while the node's buffer was empty. Every other arrival is held on its
+node (NodeState.due) and applied, in time order, by _catch_up just
+before an event reads that node: a connection event catches up its two
+ends, and a probe, the joinMe round and the trial's end catch up every
+node, each up to the arrivals whose keys sort before its own. A held
+arrival finds a packet in the buffer, so it wakes no link, and a buffer
+empties only at its own link's events, which hand the held arrival to
+the heap when they do. One flat loop in TrialEngine.run handles
+connection and arrival events inline. A buffer is counted, not held
+(see model): background packets have no identity, so a connection event
+moves or drops them by arithmetic on head and tail and walks only the
+probes among them. Links are frozen for the trial; Links works each out
+once. Both the build phase and each joinMe hear through
+broadcast_status: the same nodes every time, with their state at that
+instant. A delivered probe's hop count is hops_at_join: no node attaches
+after the join, so the tree a probe crosses is the joiner's path at the
+join.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -38,9 +46,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass, field
-from math import log
+from math import inf, log
 from typing import TYPE_CHECKING
 
 from .channel import Position, RadioParams, hears
@@ -164,28 +171,13 @@ def branch_saturated(path, sink_id: int, theta_sat: float, level) -> bool:
     return False
 
 
-def arrivals(rate_pps: float, horizon_ms: float, rng: random.Random) -> Iterator[float]:
-    """generate_traffic's arrival times, drawn one at a time as the trial needs them.
-
-    -log(1.0 - random()) is the float rng.expovariate(1.0) returns, whose
-    division by 1.0 leaves it unchanged, without the call.
-    """
-    if rate_pps <= 0:
-        return
-    t = 0.0
-    scale = 1000.0 / rate_pps
-    rnd = rng.random
-    while True:
-        t += -log(1.0 - rnd()) * scale
-        if t >= horizon_ms:
-            return
-        yield t
-
-
 def generate_traffic(rate_pps: float, horizon_ms: float, rng: random.Random) -> list[float]:
     """Poisson arrival times in ms over [0, horizon_ms) from the given stream.
 
-    The whole list at once: the reference that arrivals() must reproduce.
+    The whole list at once: the reference for the engine, which draws the
+    same floats one at a time as t + -log(1.0 - rng.random()) * scale.
+    That is the float rng.expovariate(1.0) returns, whose division by 1.0
+    leaves it unchanged, without the call.
     """
     if rate_pps <= 0:
         return []
@@ -331,6 +323,28 @@ class TrialEngine:
         node.area += (node.tail - node.head) * (now_ms - node.last_ms)
         node.last_ms = now_ms
 
+    def _catch_up(self, node: NodeState, until: float, at_until: bool = False) -> None:
+        """Apply node's held arrivals before until, and one at until if at_until.
+
+        Each does what a popped arrival does, and then draws the next. It
+        finds a packet in the buffer, so it wakes no link.
+        """
+        r, t, horizon = self.result, node.due, self.horizon
+        while t < until or (at_until and t == until):
+            q = node.tail - node.head
+            r.total_sent += 1
+            node.area += q * (t - node.last_ms)
+            node.last_ms = t
+            if q >= node.b_max:
+                r.total_dropped += 1
+                node.drops += 1
+            else:
+                node.tail += 1
+            t += -log(1.0 - node.rnd()) * node.scale
+            if t >= horizon:
+                t = inf
+        node.due = t
+
     # -- event handlers ----------------------------------------------
 
     def _wake(self, node: NodeState, key: tuple) -> None:
@@ -357,6 +371,8 @@ class TrialEngine:
         eng = s.engine
         new_id = s.new_node_id
         new = net.nodes[new_id]
+        for node in net.nodes.values():
+            self._catch_up(node, now_ms)
         cands = [c for nid in sorted(net.nodes) if nid != new_id
                  if (c := broadcast_status(net.nodes[nid], self.links, new_id)) is not None]
         if self.algo == "baseline":
@@ -391,9 +407,6 @@ class TrialEngine:
         r.hops_at_join = new.hops_to_sink
         self.t_join = now_ms
 
-        interval = 1000.0 / eng.probe_rate
-        n_probes = eng.n_probes()
-        new.source = (now_ms + i * interval for i in range(1, n_probes))
         heapq.heappush(self.heap, (now_ms, KIND_GEN, new_id, 1))
         new.next_slot_ms = now_ms + new.ci_ms
         heapq.heappush(self.heap, (now_ms + eng.measure_ms, KIND_END, 0, 0))
@@ -408,10 +421,16 @@ class TrialEngine:
             in_flight += node.tail - node.head
         return in_flight
 
-    def _finalize(self, now_ms: float) -> None:
+    def _finalize(self, now_ms: float, at_end: bool) -> None:
         """Close the trial: in-flight counts, probe tallies, and the window
-        figures and verdict if joined."""
+        figures and verdict if joined.
+
+        at_end says whether arrivals at now_ms come first, as they do
+        before a KIND_END event and not before a failed joinMe round.
+        """
         r = self.result
+        for node in self.net.nodes.values():
+            self._catch_up(node, now_ms, at_end)
         r.total_in_flight = self._flush_buffers(now_ms)
         if r.total_sent - r.total_delivered - r.total_dropped != r.total_in_flight:
             raise ConservationError(
@@ -443,10 +462,10 @@ class TrialEngine:
         heap = self.heap
         for nid, node in sorted(self.net.nodes.items()):
             if nid != new_id and node.traffic_rate_pps > 0:
-                rng = random.Random(f"scatterjoin-traffic:{self.seed}:{nid}")
-                node.source = arrivals(node.traffic_rate_pps, self.horizon, rng)
-                t = next(node.source, None)
-                if t is not None:
+                node.rnd = random.Random(f"scatterjoin-traffic:{self.seed}:{nid}").random
+                node.scale = 1000.0 / node.traffic_rate_pps
+                t = 0.0 + -log(1.0 - node.rnd()) * node.scale  # 0.0 + turns -0.0 into 0.0
+                if t < self.horizon:
                     heapq.heappush(heap, (t, KIND_GEN, nid, 0))
             if node.master is not None:
                 node.next_slot_ms = node.ci_ms
@@ -459,13 +478,18 @@ class TrialEngine:
         move = connection_event
         net, nodes = self.net, self.net.nodes
         horizon, n_ce = self.horizon, eng.n_ce
-        wake = self._wake
+        wake, catch_up = self._wake, self._catch_up
+        interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
         r = self.result
         probes = r.probes
         while heap:
             now, kind, nid, peer = pop(heap)
             if kind == KIND_CONN:
                 sender, receiver = nodes[nid], nodes[peer]
+                if sender.due < now:
+                    catch_up(sender, now)
+                if receiver.due < now:
+                    catch_up(receiver, now)
                 sender.area += (sender.tail - sender.head) * (now - sender.last_ms)
                 sender.last_ms = now
                 held = receiver.tail - receiver.head
@@ -474,12 +498,20 @@ class TrialEngine:
                 move(net, nid, peer, n_ce, r, now)
                 # the sender's next slot always sorts after this event
                 s = sender.next_slot_ms = now + sender.ci_ms
-                if sender.tail != sender.head and s <= horizon:
-                    push(heap, (s, KIND_CONN, nid, peer))
+                if sender.tail != sender.head:
+                    if s <= horizon:
+                        push(heap, (s, KIND_CONN, nid, peer))
+                elif sender.due < inf:  # emptied: its held arrival goes on the heap
+                    push(heap, (sender.due, KIND_GEN, nid, 0))
+                    sender.due = inf
                 if not held and receiver.tail != receiver.head:
                     wake(receiver, (now, KIND_CONN, nid, peer))
             elif kind == KIND_GEN:
                 node = nodes[nid]
+                if peer:  # probe number peer; a tied arrival sorts first if its id is lower
+                    for other in nodes.values():
+                        if other.due <= now:
+                            catch_up(other, now, other.id < nid)
                 tail = node.tail
                 q = tail - node.head
                 r.total_sent += 1
@@ -499,14 +531,17 @@ class TrialEngine:
                     node.tail = tail + 1
                     if not q:
                         wake(node, (now, KIND_GEN, nid, peer))
-                t = next(node.source, None)
-                if t is not None:
-                    push(heap, (t, KIND_GEN, nid, peer))
+                if not peer:  # the buffer holds a packet now, so the next arrival is held
+                    t = now + -log(1.0 - node.rnd()) * node.scale
+                    if t < horizon:
+                        node.due = t
+                elif peer < n_probes:
+                    push(heap, (self.t_join + peer * interval, KIND_GEN, nid, peer + 1))
             elif kind == KIND_END or self._on_join_round(now):
                 break
-        else:  # the heap ran dry before any terminal event
-            now = horizon
-        self._finalize(now)
+        else:  # the heap ran dry before any terminal event; no arrival is left
+            now, kind = horizon, KIND_END
+        self._finalize(now, kind == KIND_END)
         return self.result
 
 

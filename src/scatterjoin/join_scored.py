@@ -9,7 +9,7 @@ the biggest cluster through the joinMe ack field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 WEIGHT_NAMES = ("w_m", "w_h", "w_b", "w_ci", "w_rl", "w_rn")
 
@@ -69,9 +69,6 @@ class ScoreWeights:
         for f in fields(self):  # an infinity passes the bounds above but swamps or zeroes a term
             if not -math.inf < getattr(self, f.name) < math.inf:
                 raise ValueError(f"{f.name} must be finite")
-
-    def scaled(self, factor: float) -> "ScoreWeights":
-        return replace(self, **{n: getattr(self, n) * factor for n in WEIGHT_NAMES})
 
 
 def _clamp01(x: float) -> float:

@@ -8,15 +8,20 @@ Background packets carry no identity; a probe is kept in probes as
 so it sits index - head places from the front. Then come the buffer's
 occupancy meter (area, the integral of occupancy up to last_ms, and
 drops, the packets lost at this node to a full buffer), its uplink's
-next_slot_ms, the earliest connection slot not yet passed, and source,
-its pending arrival times.
+next_slot_ms, the earliest connection slot not yet passed, and its
+arrival stream: rnd, the stream's random(), and scale, the mean gap in
+ms. due is the next arrival's time while it is held on the node, and
+inf while it is on the event heap or the stream has ended. An arrival
+is held only while the buffer holds a packet; the engine applies held
+arrivals just before any event that reads the node.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from math import inf
 
 from .channel import Position
 
@@ -51,7 +56,9 @@ class NodeState:
     last_ms: float = field(default=0.0, init=False)
     drops: int = field(default=0, init=False)
     next_slot_ms: float = field(default=0.0, init=False)
-    source: Iterator[float] | None = field(default=None, init=False)
+    rnd: Callable[[], float] | None = field(default=None, init=False)
+    scale: float = field(default=0.0, init=False)
+    due: float = field(default=inf, init=False)
 
     def __post_init__(self):
         if self.id < 1:

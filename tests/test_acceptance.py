@@ -17,7 +17,7 @@ from scatterjoin.engine import build_trial_network, run_trial
 from scatterjoin.join_scored import ScoreWeights, score_candidate, select_parent
 from scatterjoin.scenario import EngineParams, gen_random_scenario, training11
 
-from test_join_scored import brute_force_select, random_candidate
+from test_join_scored import brute_force_select, random_candidate, scaled
 
 W = ScoreWeights()
 
@@ -105,7 +105,7 @@ def test_criterion_5_score_properties():
         ids = rng.sample(range(1, 50), rng.randint(1, 10))
         cands = [random_candidate(rng, i) for i in ids]
         factor = rng.uniform(0.1, 50.0)
-        if select_parent(cands, W) != select_parent(cands, W.scaled(factor)):
+        if select_parent(cands, W) != select_parent(cands, scaled(W, factor)):
             scaling_violations += 1
     ok = violations == 0 and scaling_violations == 0
     report("criterion 5 (score monotonicity and scale invariance)", ok,

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -95,6 +96,52 @@ def grid_cases():
     return [(s, algo, seed) for s, seed in cases for algo in ("baseline", "scored")]
 
 
+# Busy buffers: short and fractional intervals, tiny buffers and fast
+# sources, so most arrivals land on a buffer that already holds a packet,
+# plus roots that never drain and joins that never happen. These pin the
+# order in which such arrivals meet connection events, probes, the joinMe
+# round and the trial's end.
+GOLDEN_BUSY = "251d6f44ad7f417ec33d61a2ab716c1a39272f67e9dd50eb4ed5561a4a30e02f"
+BUSY_CI = (7.7, 12.9, 33.3, 50.0, 100.0)
+BUSY_RATES = (0.0, 2.0, 9.1, 20.0, 55.5)
+BUSY_ENGINE = EngineParams(warmup_ms=1500.0, measure_ms=3000.0, max_wait_ms=1000.0)
+
+
+def busy_layout(i: int, rng: random.Random) -> Scenario:
+    """Random layout i with drawn intervals, buffers, rates and engine; every
+    third one swaps the joiner's id with a relay's, so ids sort both ways
+    around the joiner's."""
+    base = gen_random_scenario(n_nodes=(6, 10, 16)[i % 3], seed=i, area_m=24.0)
+    new_id = base.new_node_id
+    nodes = [replace(n, ci_ms=rng.choice(BUSY_CI), b_max=rng.choice((1, 2, 3, 30)),
+                     traffic_rate_pps=0.0 if n.id in (1, new_id) else rng.choice(BUSY_RATES))
+             for n in base.nodes]
+    if i % 3 == 2:
+        other = rng.randrange(2, new_id)
+        swap = {other: new_id, new_id: other}
+        nodes = [replace(n, id=swap.get(n.id, n.id)) for n in nodes]
+        new_id = other
+    return replace(base, name=f"busy{i}", nodes=nodes, new_node_id=new_id,
+                   radio=RadioParams(shadowing_sigma_db=rng.choice((0.0, 4.0))),
+                   engine=replace(BUSY_ENGINE, n_ce=rng.choice((1, 2, 4)),
+                                  probe_rate=rng.choice((10.0, 33.0))))
+
+
+def busy_cases():
+    rng = random.Random("scatterjoin-golden-busy")
+    t11 = training11()
+    # a 20 pps root nobody hears: its buffer fills and never drains
+    stranded = replace(t11, name="training11-stranded", engine=BUSY_ENGINE,
+                       nodes=t11.nodes + (NodeSpec(13, (500.0, 500.0), ci_ms=12.9, b_max=3,
+                                                   traffic_rate_pps=20.0),))
+    # the joiner hears nobody, so the trial ends at the last joinMe round
+    lost = replace(t11, name="training11-lost", engine=BUSY_ENGINE, declared_unjoinable=True,
+                   nodes=t11.nodes[:-1] + (replace(t11.nodes[-1], pos=(300.0, 300.0)),))
+    cases = [(busy_layout(i, rng), i) for i in range(40)]
+    cases += [(stranded, 0), (stranded, 1), (lost, 0)]
+    return [(s, algo, seed) for s, seed in cases for algo in ("baseline", "scored")]
+
+
 def golden_digest(cases=None) -> str:
     h = hashlib.sha256()
     for s, algo, seed in golden_cases() if cases is None else cases:
@@ -127,6 +174,10 @@ def test_golden_digest_holds_under_optimized_python():
 
 def test_grid_results_match_golden_digest():
     assert golden_digest(grid_cases()) == GOLDEN_GRID
+
+
+def test_busy_results_match_golden_digest():
+    assert golden_digest(busy_cases()) == GOLDEN_BUSY
 
 
 def test_generated_layouts_match_golden_digest():

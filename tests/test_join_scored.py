@@ -6,12 +6,17 @@ import pytest
 
 from scatterjoin import engine
 from scatterjoin.engine import TrialEngine
-from scatterjoin.join_scored import (CandidateInfo, ScoreWeights,
+from scatterjoin.join_scored import (WEIGHT_NAMES, CandidateInfo, ScoreWeights,
                                      filter_candidates, score_candidate,
                                      select_parent)
 from scatterjoin.scenario import training11
 
 W = ScoreWeights()
+
+
+def scaled(w: ScoreWeights, factor: float) -> ScoreWeights:
+    """w with every weight times factor; the argmax must not move."""
+    return replace(w, **{n: getattr(w, n) * factor for n in WEIGHT_NAMES})
 
 
 def cand(cid, cluster_size=5, m=0, h=0, b=0, ci=7.5, rl=-50.0, rn=-50.0,
@@ -248,7 +253,7 @@ def test_argmax_invariant_under_weight_scaling():
         ids = rng.sample(range(1, 40), rng.randint(1, 8))
         cands = [random_candidate(rng, i) for i in ids]
         factor = rng.choice([0.25, 0.5, 2.0, 7.0, 100.0])
-        assert select_parent(cands, W) == select_parent(cands, W.scaled(factor))
+        assert select_parent(cands, W) == select_parent(cands, scaled(W, factor))
 
 
 def test_selection_deterministic():
