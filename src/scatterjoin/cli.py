@@ -73,8 +73,7 @@ def parse_weights_grid(spec: str) -> list[dict]:
 
 
 def trial_row(index: int, trial) -> dict:
-    ds = delay_stats(trial) if trial.joined else None
-    p = pdr(trial) if trial.joined else None
+    ds, p = delay_stats(trial), pdr(trial)  # both None for a failed join: no probes
     return {
         "trial": index,
         "algo": trial.algo,

@@ -14,10 +14,9 @@ so ties break on kind, then node id, then peer. The heap holds only
 pending work: at most one connection event per link, one probe, the
 joiner's next joinMe, and a node's next arrival only if it was drawn
 while the node's buffer was empty. Every other arrival is held on its
-node (NodeState.due) and applied, in time order, by _catch_up just
-before an event reads that node: a connection event catches up its two
-ends, and a probe, the joinMe round and the trial's end catch up every
-node, each up to the arrivals whose keys sort before its own. A held
+node (NodeState.due) and follows the same order: _catch_up applies a
+node's held arrivals whose keys (t, KIND_GEN, node, 0) sort before the
+key of the event about to read that node, whichever event it is. A held
 arrival finds a packet in the buffer, so it wakes no link, and a buffer
 empties only at its own link's events, which hand the held arrival to
 the heap when they do. One flat loop in TrialEngine.run handles
@@ -323,14 +322,15 @@ class TrialEngine:
         node.area += (node.tail - node.head) * (now_ms - node.last_ms)
         node.last_ms = now_ms
 
-    def _catch_up(self, node: NodeState, until: float, at_until: bool = False) -> None:
-        """Apply node's held arrivals before until, and one at until if at_until.
-
-        Each does what a popped arrival does, and then draws the next. It
-        finds a packet in the buffer, so it wakes no link.
-        """
+    def _catch_up(self, node: NodeState, key: tuple) -> None:
+        """Apply node's held arrivals whose keys (t, KIND_GEN, node.id, 0)
+        sort before key, the key of the event about to read node. Each does
+        what a popped arrival does and draws the next; it wakes no link. A
+        tie never reaches key's peer: only probes carry one, and the joiner
+        holds no arrivals."""
+        until, kind, nid = key[0], key[1], key[2]
         r, t, horizon = self.result, node.due, self.horizon
-        while t < until or (at_until and t == until):
+        while t < until or t == until and (kind > KIND_GEN or kind == KIND_GEN and nid > node.id):
             q = node.tail - node.head
             r.total_sent += 1
             node.area += q * (t - node.last_ms)
@@ -344,6 +344,12 @@ class TrialEngine:
             if t >= horizon:
                 t = inf
         node.due = t
+
+    def _catch_up_all(self, key: tuple) -> None:
+        """_catch_up every node that may hold an arrival sorting before key."""
+        for node in self.net.nodes.values():
+            if node.due <= key[0]:
+                self._catch_up(node, key)
 
     # -- event handlers ----------------------------------------------
 
@@ -362,17 +368,16 @@ class TrialEngine:
         if s <= self.horizon:
             heapq.heappush(self.heap, (s, KIND_CONN, node.id, master))
 
-    def _on_join_round(self, now_ms: float) -> bool:
-        """The joiner's own joinMe emission: hear, decide, request, attach.
+    def _on_join_round(self, key: tuple) -> bool:
+        """The joiner's joinMe emission at key: hear, decide, request, attach.
 
         Returns True when the wait budget ran out with no parent picked.
         """
         s, net, r = self.scenario, self.net, self.result
         eng = s.engine
         new_id = s.new_node_id
-        new = net.nodes[new_id]
-        for node in net.nodes.values():
-            self._catch_up(node, now_ms)
+        new, now_ms = net.nodes[new_id], key[0]
+        self._catch_up_all(key)
         cands = [c for nid in sorted(net.nodes) if nid != new_id
                  if (c := broadcast_status(net.nodes[nid], self.links, new_id)) is not None]
         if self.algo == "baseline":
@@ -421,16 +426,12 @@ class TrialEngine:
             in_flight += node.tail - node.head
         return in_flight
 
-    def _finalize(self, now_ms: float, at_end: bool) -> None:
-        """Close the trial: in-flight counts, probe tallies, and the window
-        figures and verdict if joined.
-
-        at_end says whether arrivals at now_ms come first, as they do
-        before a KIND_END event and not before a failed joinMe round.
-        """
-        r = self.result
-        for node in self.net.nodes.values():
-            self._catch_up(node, now_ms, at_end)
+    def _finalize(self, key: tuple) -> None:
+        """Close the trial at key, the KIND_END event or the joinMe round
+        that gave up: in-flight counts, probe tallies, and the window
+        figures and verdict if joined."""
+        r, now_ms = self.result, key[0]
+        self._catch_up_all(key)
         r.total_in_flight = self._flush_buffers(now_ms)
         if r.total_sent - r.total_delivered - r.total_dropped != r.total_in_flight:
             raise ConservationError(
@@ -478,18 +479,18 @@ class TrialEngine:
         move = connection_event
         net, nodes = self.net, self.net.nodes
         horizon, n_ce = self.horizon, eng.n_ce
-        wake, catch_up = self._wake, self._catch_up
+        wake, catch_up, catch_up_all = self._wake, self._catch_up, self._catch_up_all
         interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
         r = self.result
         probes = r.probes
-        while heap:
-            now, kind, nid, peer = pop(heap)
+        while True:  # the joiner's next joinMe or the END is always pending
+            now, kind, nid, peer = event = pop(heap)
             if kind == KIND_CONN:
                 sender, receiver = nodes[nid], nodes[peer]
                 if sender.due < now:
-                    catch_up(sender, now)
+                    catch_up(sender, event)
                 if receiver.due < now:
-                    catch_up(receiver, now)
+                    catch_up(receiver, event)
                 sender.area += (sender.tail - sender.head) * (now - sender.last_ms)
                 sender.last_ms = now
                 held = receiver.tail - receiver.head
@@ -505,13 +506,11 @@ class TrialEngine:
                     push(heap, (sender.due, KIND_GEN, nid, 0))
                     sender.due = inf
                 if not held and receiver.tail != receiver.head:
-                    wake(receiver, (now, KIND_CONN, nid, peer))
+                    wake(receiver, event)
             elif kind == KIND_GEN:
                 node = nodes[nid]
-                if peer:  # probe number peer; a tied arrival sorts first if its id is lower
-                    for other in nodes.values():
-                        if other.due <= now:
-                            catch_up(other, now, other.id < nid)
+                if peer:  # probe number peer
+                    catch_up_all(event)
                 tail = node.tail
                 q = tail - node.head
                 r.total_sent += 1
@@ -530,18 +529,16 @@ class TrialEngine:
                         node.probes.append((tail, probe))
                     node.tail = tail + 1
                     if not q:
-                        wake(node, (now, KIND_GEN, nid, peer))
+                        wake(node, event)
                 if not peer:  # the buffer holds a packet now, so the next arrival is held
                     t = now + -log(1.0 - node.rnd()) * node.scale
                     if t < horizon:
                         node.due = t
                 elif peer < n_probes:
                     push(heap, (self.t_join + peer * interval, KIND_GEN, nid, peer + 1))
-            elif kind == KIND_END or self._on_join_round(now):
+            elif kind == KIND_END or self._on_join_round(event):
                 break
-        else:  # the heap ran dry before any terminal event; no arrival is left
-            now, kind = horizon, KIND_END
-        self._finalize(now, kind == KIND_END)
+        self._finalize(event)
         return self.result
 
 

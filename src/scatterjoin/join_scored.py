@@ -69,6 +69,8 @@ class ScoreWeights:
         for f in fields(self):  # an infinity passes the bounds above but swamps or zeroes a term
             if not -math.inf < getattr(self, f.name) < math.inf:
                 raise ValueError(f"{f.name} must be finite")
+        if not sum(weights) < math.inf:  # sums are monotone, so every score is then finite
+            raise ValueError("weights must have a finite sum")
 
 
 def _clamp01(x: float) -> float:

@@ -2,12 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import scatterjoin
 from scatterjoin import cli
 from scatterjoin.cli import (CSV_COLUMNS, cmd_compare, main,
                              parse_weight_vector, parse_weights_grid)
@@ -261,6 +264,9 @@ def test_far_apart_nodes_fail_with_stage(tmp_path, capsys):
      "--weights=inf,0,0,0,0,0"],
     ["sweep", "--random", "--nodes", "10", "--area", "24", "--trials", "1",
      "--weights-grid", "w_b=-1"],
+    # each weight is finite but their sum is not; it used to exit 0 with other picks
+    ["compare", "--random", "--nodes", "16", "--trials", "20",
+     "--weights", "1e308,1e308,1e308,1e308,1e308,1e308"],
 ])
 def test_bad_weight_overrides_fail_with_stage(capsys, argv):
     assert main(argv) == 1
@@ -360,10 +366,12 @@ def test_sweep_draws_each_layout_once(monkeypatch, capsys):
 
 
 def test_console_entry_point_smoke():
+    src = Path(scatterjoin.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "scatterjoin.cli", "run", "--scenario",
          "training11", "--algo", "scored", "--seed", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert "joined" in proc.stdout
 

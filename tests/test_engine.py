@@ -540,10 +540,10 @@ def test_no_arrival_is_held_on_an_empty_buffer(monkeypatch, scenario, algo, seed
     assert checking.held_pops > 0
 
 
-def held_node(due):
-    """A node with b_max 2 and one packet, holding an arrival at due; every
-    gap it draws is -log(0.5) * 10 ms."""
-    node = NodeState(id=2, pos=Position(0.0, 0.0), b_max=2)
+def held_node(due, nid=2):
+    """Node nid with b_max 2 and one packet, holding an arrival at due;
+    every gap it draws is -log(0.5) * 10 ms."""
+    node = NodeState(id=nid, pos=Position(0.0, 0.0), b_max=2)
     node.tail, node.rnd, node.scale, node.due = 1, lambda: 0.5, 10.0, due
     return node
 
@@ -551,9 +551,9 @@ def held_node(due):
 def test_catch_up_applies_an_arrival_at_until_only_when_asked():
     eng = TrialEngine(training11(), "scored", 0)
     node = held_node(100.0)
-    eng._catch_up(node, 100.0)
+    eng._catch_up(node, (100.0, KIND_CONN, 1, 2))
     assert (node.tail, node.due, node.last_ms, eng.result.total_sent) == (1, 100.0, 0.0, 0)
-    eng._catch_up(node, 100.0, at_until=True)
+    eng._catch_up(node, (100.0, KIND_END, 0, 0))
     gap = -math.log(0.5) * 10.0
     assert (node.tail, node.due, node.last_ms, node.area) == (2, 100.0 + gap, 100.0, 100.0)
     assert eng.result.total_sent == 1
@@ -566,15 +566,35 @@ def test_catch_up_applies_in_time_order_and_ends_with_the_stream():
     t1, t2 = t0 + gap, t0 + gap + gap
     node = held_node(t0)
     node.last_ms = t0
-    eng._catch_up(node, t2 + 1.0)
+    eng._catch_up(node, (t2 + 1.0, KIND_CONN, 1, 2))
     # three arrivals: the first fills b_max = 2, the other two are dropped
     assert (node.tail, node.drops, eng.result.total_sent, eng.result.total_dropped) == \
         (2, 2, 3, 2)
     assert node.last_ms == t2
     assert node.area == 2 * (t1 - t0) + 2 * (t2 - t1)
     assert node.due == math.inf  # the fourth draw is past the horizon
-    eng._catch_up(node, eng.horizon, at_until=True)
+    eng._catch_up(node, (eng.horizon, KIND_END, 0, 0))
     assert eng.result.total_sent == 3
+
+
+@pytest.mark.parametrize("key,applied", [
+    ((100.0, KIND_GEN, 6, 1), True),
+    ((100.0, KIND_END, 0, 0), True),
+    ((101.0, KIND_CONN, 1, 2), True),
+    ((100.0, KIND_JOINME, 9, 0), False),
+    ((100.0, KIND_CONN, 1, 2), False),
+    ((100.0, KIND_GEN, 4, 1), False),
+    ((100.0, KIND_GEN, 5, 0), False),  # the arrival's own key does not sort before itself
+    ((99.0, KIND_END, 0, 0), False),
+])
+def test_catch_up_applies_an_arrival_whose_key_sorts_before_the_event(key, applied):
+    # the arrival held at 100 ms on node 5 has the heap key (100.0, KIND_GEN, 5, 0)
+    eng = TrialEngine(training11(), "scored", 0)
+    node = held_node(100.0, nid=5)
+    eng._catch_up(node, key)
+    assert ((100.0, KIND_GEN, 5, 0) < key) == applied
+    assert (eng.result.total_sent, node.tail, node.due > 100.0) == \
+        ((1, 2, True) if applied else (0, 1, False))
 
 
 def stranded(joiner_id=12, joinable=True):

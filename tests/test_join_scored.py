@@ -159,6 +159,14 @@ def test_infinite_weights_rejected_by_name(field, value):
         ScoreWeights(**{field: value})
 
 
+def test_weights_whose_sum_overflows_rejected():
+    # six 1e308s scored every candidate inf, so ties fell to RSSI and picks changed
+    with pytest.raises(ValueError, match="weights must have a finite sum"):
+        ScoreWeights(**dict.fromkeys(WEIGHT_NAMES, 1e308))
+    big = ScoreWeights(**dict.fromkeys(WEIGHT_NAMES, 1e307))
+    assert math.isfinite(score_candidate(cand(3), big))
+
+
 # -- filtering ---------------------------------------------------------
 
 

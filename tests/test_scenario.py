@@ -406,3 +406,15 @@ def test_too_few_nodes_rejected():
 def test_scenario_to_dict_is_json_safe():
     s = training11()
     json.dumps(scenario_to_dict(s))
+
+
+def test_readme_example_scenario_parses_and_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b.split("\n", 1)[1] for b in readme.split("```")[1::2] if b.startswith("json\n")]
+    doc = json.loads(block)
+    s = parse_scenario(doc)
+    assert (s.sink_id, s.new_node_id) == (1, 5)
+    for name, cls in [("radio", RadioParams), ("engine", EngineParams),
+                      ("weights", ScoreWeights), ("thresholds", Thresholds)]:
+        defaults = {f.name: f.default for f in fields(cls)}
+        assert doc[name] == defaults, name
