@@ -35,10 +35,12 @@ Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 and a connection event is due at a slot only while the sender's buffer
 holds a packet. Packets leave a buffer only at its own link's events, so
 an empty buffer stays empty until something enqueues into it. The
-enqueuing event wakes the link: it pushes the first slot whose key
-(slot, KIND_CONN, node, master) sorts after the enqueuing event's key.
-Every slot skipped that way would have found an empty buffer and done
-nothing, so the trial is the same as one that visits every slot.
+handler of the enqueuing event (a connection event into the receiver,
+or an arrival) pushes the link itself, at the one wake site that ends
+the loop body: the first slot whose key (slot, KIND_CONN, node, master)
+sorts after the enqueuing event's key. Every slot skipped that way would
+have found an empty buffer and done nothing, so the trial is the same as
+one that visits every slot.
 """
 
 from __future__ import annotations
@@ -202,7 +204,9 @@ def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
     """
     sender = net.nodes[sender_id]
     head, probes = sender.head, sender.probes
-    n = min(n_ce, sender.tail - head)
+    n = sender.tail - head
+    if n > n_ce:
+        n = n_ce
     end = sender.head = head + n
     if receiver_id == net.sink_id:
         result.total_delivered += n
@@ -212,17 +216,24 @@ def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
             probe.hops = result.hops_at_join
         return n
     receiver = net.nodes[receiver_id]
-    k = max(0, min(n, receiver.b_max - (receiver.tail - receiver.head)))
-    cut, shift = head + k, receiver.tail - head
-    while probes and probes[0][0] < end:
-        index, probe = probes.popleft()
-        if index < cut:
-            receiver.probes.append((index + shift, probe))
-        else:
-            probe.dropped = True
-    result.total_dropped += n - k
-    receiver.drops += n - k
-    receiver.tail += k
+    tail = receiver.tail
+    k = receiver.b_max - (tail - receiver.head)  # free room, clamped into [0, n]
+    if k > n:
+        k = n
+    elif k < 0:
+        k = 0
+    if probes:
+        cut, shift = head + k, tail - head
+        while probes and probes[0][0] < end:
+            index, probe = probes.popleft()
+            if index < cut:
+                receiver.probes.append((index + shift, probe))
+            else:
+                probe.dropped = True
+    if n != k:
+        result.total_dropped += n - k
+        receiver.drops += n - k
+    receiver.tail = tail + k
     return n
 
 
@@ -353,21 +364,6 @@ class TrialEngine:
 
     # -- event handlers ----------------------------------------------
 
-    def _wake(self, node: NodeState, key: tuple) -> None:
-        """Push node's link at its first slot sorting after key, the event
-        that gave node's empty buffer a packet. Roots have no link."""
-        master = node.master
-        if master is None:
-            return
-        s, ci = node.next_slot_ms, node.ci_ms
-        while s < key[0]:
-            s += ci
-        if (s, KIND_CONN, node.id, master) <= key:
-            s += ci
-        node.next_slot_ms = s
-        if s <= self.horizon:
-            heapq.heappush(self.heap, (s, KIND_CONN, node.id, master))
-
     def _on_join_round(self, key: tuple) -> bool:
         """The joiner's joinMe emission at key: hear, decide, request, attach.
 
@@ -479,7 +475,7 @@ class TrialEngine:
         move = connection_event
         net, nodes = self.net, self.net.nodes
         horizon, n_ce = self.horizon, eng.n_ce
-        wake, catch_up, catch_up_all = self._wake, self._catch_up, self._catch_up_all
+        catch_up, catch_up_all = self._catch_up, self._catch_up_all
         interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
         r = self.result
         probes = r.probes
@@ -505,8 +501,9 @@ class TrialEngine:
                 elif sender.due < inf:  # emptied: its held arrival goes on the heap
                     push(heap, (sender.due, KIND_GEN, nid, 0))
                     sender.due = inf
-                if not held and receiver.tail != receiver.head:
-                    wake(receiver, event)
+                if held or receiver.tail == receiver.head:
+                    continue
+                node = receiver
             elif kind == KIND_GEN:
                 node = nodes[nid]
                 if peer:  # probe number peer
@@ -517,6 +514,12 @@ class TrialEngine:
                 if peer:
                     probe = ProbeRecord(r.total_sent, now)
                     probes.append(probe)
+                    if peer < n_probes:
+                        push(heap, (self.t_join + peer * interval, KIND_GEN, nid, peer + 1))
+                else:  # the buffer holds a packet after this, so the next arrival is held
+                    t = now + -log(1.0 - node.rnd()) * node.scale
+                    if t < horizon:
+                        node.due = t
                 node.area += q * (now - node.last_ms)
                 node.last_ms = now
                 if q >= node.b_max:
@@ -524,20 +527,28 @@ class TrialEngine:
                     node.drops += 1
                     if peer:
                         probe.dropped = True
-                else:
-                    if peer:
-                        node.probes.append((tail, probe))
-                    node.tail = tail + 1
-                    if not q:
-                        wake(node, event)
-                if not peer:  # the buffer holds a packet now, so the next arrival is held
-                    t = now + -log(1.0 - node.rnd()) * node.scale
-                    if t < horizon:
-                        node.due = t
-                elif peer < n_probes:
-                    push(heap, (self.t_join + peer * interval, KIND_GEN, nid, peer + 1))
+                    continue
+                if peer:
+                    node.probes.append((tail, probe))
+                node.tail = tail + 1
+                if q:
+                    continue
             elif kind == KIND_END or self._on_join_round(event):
                 break
+            else:
+                continue
+            # The event gave node's empty buffer a packet: push node's link
+            # at its first slot sorting after the event. Roots have no link.
+            master = node.master
+            if master is not None:
+                s, ci = node.next_slot_ms, node.ci_ms
+                while s < now:
+                    s += ci
+                if (s, KIND_CONN, node.id, master) <= event:
+                    s += ci
+                node.next_slot_ms = s
+                if s <= horizon:
+                    push(heap, (s, KIND_CONN, node.id, master))
         self._finalize(event)
         return self.result
 

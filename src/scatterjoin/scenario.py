@@ -96,6 +96,9 @@ class Scenario:
                 raise ScenarioError(f"nodes[{i}].slave_capacity: must be >= 0")
             if not n.traffic_rate_pps >= 0:
                 raise ScenarioError(f"nodes[{i}].traffic_rate_pps: must be >= 0")
+            if n.id == self.sink_id and n.traffic_rate_pps:
+                raise ScenarioError(f"nodes[{i}].traffic_rate_pps: must be 0 on the sink, "
+                                    "which has no uplink")
         if self.sink_id not in seen:
             raise ScenarioError(f"sink_id: node {self.sink_id} missing from nodes")
         if self.sink_id != 1:

@@ -204,6 +204,18 @@ def test_node_id_below_one_fails_with_stage(tmp_path, capsys):
     assert "error at scenario stage: nodes[3].id: must be >= 1" in capsys.readouterr().err
 
 
+def test_sink_with_traffic_fails_with_stage(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    doc = scenario_to_dict(training11())
+    doc["nodes"][0]["traffic_rate_pps"] = 5.0  # used to fill the sink, which never drains
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(bad), "--algo", "scored", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error at scenario stage: nodes[0].traffic_rate_pps: "
+                          "must be 0 on the sink")
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--algo", "scored", "--seed", "0"],  # died formatting a missing delay
     ["compare", "--trials", "1"],                # died sorting a missing PDR

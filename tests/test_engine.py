@@ -1,3 +1,4 @@
+import bisect
 import collections
 import heapq
 import math
@@ -236,6 +237,61 @@ def test_sink_consumes_destined_packets():
     assert net.nodes[1].tail == net.nodes[1].head == 0
 
 
+def test_connection_event_moves_background_without_touching_probes_or_drops():
+    net = _net_pair()
+    enqueue(net.nodes[2], [100])
+    net.nodes[3].tail += 5  # background packets only
+    sender_probes, receiver_probes = net.nodes[3].probes, list(net.nodes[2].probes)
+    result = TrialResult(trial_seed=0, algo="scored")
+    assert connection_event(net, 3, 2, 4, result, 0.0) == 4
+    assert net.nodes[3].probes is sender_probes and not sender_probes
+    assert list(net.nodes[2].probes) == receiver_probes
+    assert (net.nodes[3].head, net.nodes[2].tail) == (4, 5)
+    assert (result.total_dropped, result.total_delivered) == (0, 0)
+    assert all(n.drops == 0 for n in net.nodes.values())
+
+
+def test_connection_event_drops_all_at_an_exactly_full_receiver():
+    net = _net_pair(b_max=2)
+    enqueue(net.nodes[2], [100, 101])
+    enqueue(net.nodes[3], range(3))
+    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    assert moved == 3 and delivered == []
+    assert dropped == [(0, 2), (1, 2), (2, 2)]  # every one charged to the receiver
+    assert held(net.nodes[2]) == [100, 101] and held(net.nodes[3]) == []
+
+
+def test_connection_event_drops_nothing_when_free_room_equals_n():
+    net = _net_pair(b_max=5)
+    enqueue(net.nodes[2], [100, 101])
+    enqueue(net.nodes[3], range(3))
+    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=3)
+    assert moved == 3 and delivered == [] and dropped == []
+    assert held(net.nodes[2]) == [100, 101, 0, 1, 2]
+    assert net.nodes[2].tail - net.nodes[2].head == net.nodes[2].b_max
+
+
+def test_connection_event_takes_nothing_back_from_an_overfull_receiver():
+    # no free room clamps the packets taken at 0, never below
+    net = _net_pair(b_max=5)
+    enqueue(net.nodes[2], [100, 101, 102])
+    net.nodes[2].b_max = 1
+    enqueue(net.nodes[3], range(2))
+    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    assert moved == 2 and delivered == []
+    assert dropped == [(0, 2), (1, 2)]
+    assert held(net.nodes[2]) == [100, 101, 102]
+
+
+def test_connection_event_moves_only_what_the_sender_holds():
+    net = _net_pair()
+    enqueue(net.nodes[3], range(2))
+    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    assert moved == 2 and delivered == [] and dropped == []
+    assert held(net.nodes[3]) == [] and net.nodes[3].head == net.nodes[3].tail == 2
+    assert held(net.nodes[2]) == [0, 1]
+
+
 # One step of the count-buffer property: an arrival at node 2 or 3 (a
 # probe or not), or a connection event 3 -> 2 or 2 -> 1 moving up to n_ce.
 BUFFER_STEPS = st.one_of(
@@ -406,16 +462,21 @@ def test_joinme_hears_exactly_the_nodes_in_range(monkeypatch, algo, sigma):
 
 class CountingHeapq:
     """Stands in for engine's heapq: keeps every popped event, the largest
-    heap, and pushes that found their link or source already pending."""
+    heap, pushes that found their link or source already pending, and each
+    connection event pushed with the popped event whose handling pushed it
+    (None before the first pop)."""
 
     def __init__(self):
         self.popped = []
         self.max_len = 0
         self.doubled = 0
+        self.conn_pushes = []
 
     def heappush(self, heap, item):
         if item[1] in (KIND_CONN, KIND_GEN):
             self.doubled += any(e[1:3] == item[1:3] for e in heap)
+        if item[1] == KIND_CONN:
+            self.conn_pushes.append((self.popped[-1] if self.popped else None, item))
         heapq.heappush(heap, item)
         self.max_len = max(self.max_len, len(heap))
 
@@ -476,6 +537,37 @@ def test_heap_bound_on_random64(monkeypatch):
     _, counting, _ = traced_trial(monkeypatch, s, "scored", 1)
     assert counting.doubled == 0
     assert counting.max_len <= 2 * len(s.nodes) + 4
+
+
+def slot_keys(nid, master, first, ci, horizon):
+    """The keys of link nid -> master at the accumulated sums first,
+    first + ci, ..., through the first slot past horizon."""
+    slots = [first]
+    while slots[-1] <= horizon:
+        slots.append(slots[-1] + ci)
+    return [(s, KIND_CONN, nid, master) for s in slots]
+
+
+@pytest.mark.parametrize("scenario,algo,seed", event_core_cases() + busy_cases()[:6])
+def test_a_link_is_pushed_at_its_first_slot_after_the_event(monkeypatch, scenario, algo, seed):
+    # the event that gives a buffer a packet, or the link's own last event,
+    # pushes the link; every slot it skips sorts before that event
+    eng = TrialEngine(scenario, algo, seed)
+    counting = CountingHeapq()
+    monkeypatch.setattr(engine, "heapq", counting)
+    eng.run()
+    grids = {}
+    for event, push in counting.conn_pushes:
+        assert event is not None and push > event
+        nid, master = push[2:]
+        node = eng.net.nodes[nid]
+        assert master == node.master
+        if nid not in grids:
+            first = (eng.t_join if nid == scenario.new_node_id else 0.0) + node.ci_ms
+            grids[nid] = slot_keys(nid, master, first, node.ci_ms, eng.horizon)
+        keys = grids[nid]
+        assert push == keys[bisect.bisect_right(keys, event)]
+    assert counting.conn_pushes or not eng.result.total_sent
 
 
 @pytest.mark.parametrize("scenario,algo,seed", event_core_cases())

@@ -210,6 +210,9 @@ def test_engine_checks_node_ids_of_a_scenario_built_in_code():
     (_training11_node4(traffic_rate_pps=1e9), HANGS),
     # training11 takes at most 15,768 events; over a 1e8 ms window, 1.7e7 slots
     ({**scenario_to_dict(training11()), "engine": {"measure_ms": 1e8}}, HANGS),
+    # the sink has no uplink, so packets it generated could never leave
+    (_node_override(0, traffic_rate_pps=5.0),
+     r"nodes\[0\]\.traffic_rate_pps: must be 0 on the sink"),
 ])
 def test_malformed_documents_rejected_by_name(doc, message):
     with pytest.raises(ScenarioError, match=message):
