@@ -8,7 +8,7 @@ import itertools
 import sys
 from dataclasses import asdict, replace
 
-from .engine import run_trial
+from .engine import ALGOS, run_trial
 from .join_scored import WEIGHT_NAMES, ScoreWeights
 from .metrics import (AggregateError, AggregateReport, Improvement, aggregate,
                       compare, delay_stats, pdr)
@@ -23,6 +23,10 @@ CSV_COLUMNS = ("trial", "algo", "seed", "joined", "parent_id", "hops",
 SWEEP_COLUMNS = WEIGHT_NAMES + ("mu_d_ms", "mu_pdr", "pct_sat")
 
 WEIGHTS_HELP = ",".join(WEIGHT_NAMES) + " override"
+
+# the stage a failure is reported at, by the type of its error
+STAGES = {ScenarioError: "scenario", GenerationError: "generation",
+          AggregateError: "aggregate", OSError: "io"}
 
 
 def _load(ref: str) -> Scenario:
@@ -73,18 +77,19 @@ def parse_weights_grid(spec: str) -> list[dict]:
 
 
 def trial_row(index: int, trial) -> dict:
-    ds, p = delay_stats(trial), pdr(trial)  # both None for a failed join: no probes
+    """trial's CSV row; a figure the trial leaves undefined is None."""
+    mu_d, sd = delay_stats(trial) or (None, None)  # a failed join has no probes
     return {
         "trial": index,
         "algo": trial.algo,
         "seed": trial.trial_seed,
         "joined": int(trial.joined),
-        "parent_id": "" if trial.chosen_parent is None else trial.chosen_parent,
-        "hops": "" if trial.hops_at_join is None else trial.hops_at_join,
-        "mu_d_ms": "" if ds is None else ds[0],
-        "sigma_d_ms": "" if ds is None else ds[1],
-        "pdr": "" if p is None else p,
-        "sat_branch": "" if trial.sat_branch is None else int(trial.sat_branch),
+        "parent_id": trial.chosen_parent,
+        "hops": trial.hops_at_join,
+        "mu_d_ms": mu_d,
+        "sigma_d_ms": sd,
+        "pdr": pdr(trial),
+        "sat_branch": None if trial.sat_branch is None else int(trial.sat_branch),
         "eligible_sat": int(trial.eligible_sat),
         "avoided_sat": int(trial.avoided_sat),
     }
@@ -98,23 +103,31 @@ def write_rows(rows: list[dict], path: str, columns=CSV_COLUMNS) -> None:
         writer.writerows(rows)
 
 
+def trial_scenarios(trials: int, seed_base: int, scenario: Scenario | None = None,
+                    n_nodes: int | None = None, area_m: float | None = None):
+    """(seed, scenario) for trials seeds from seed_base, checked at the call:
+    the given scenario, or else a random layout drawn when its seed is reached."""
+    if trials < 1:
+        raise ScenarioError("trials must be >= 1")
+    layout = {k: v for k, v in (("n_nodes", n_nodes), ("area_m", area_m)) if v is not None}
+    seeds = range(seed_base, seed_base + trials)
+    if scenario is None:
+        return ((seed, gen_random_scenario(seed=seed, **layout)) for seed in seeds)
+    if layout:
+        raise ScenarioError("nodes, area: apply only to random layouts, not to a scenario")
+    return ((seed, scenario) for seed in seeds)
+
+
 def cmd_compare(scenario: Scenario | None = None, random_nodes: int | None = None,
-                trials: int = 1, seed_base: int = 0, area_m: float = 30.0,
+                trials: int = 1, seed_base: int = 0, area_m: float | None = None,
                 weights: dict | None = None, out: str | None = None,
                 ) -> tuple[AggregateReport, AggregateReport, Improvement, list[dict]]:
     """Paired comparison: trial i runs both algorithms on the same scenario
-    and seed (seed_base + i); random mode draws a fresh layout per trial."""
-    if trials < 1:
-        raise ScenarioError("trials must be >= 1")
-    if (scenario is None) == (random_nodes is None):
-        raise ScenarioError("exactly one of scenario / random_nodes is required")
+    and seed (seed_base + i). Without a scenario, trial i draws a fresh
+    random layout of random_nodes nodes over area_m (see trial_scenarios)."""
     base_trials, prop_trials, rows = [], [], []
-    for i in range(trials):
-        seed = seed_base + i
-        if random_nodes is not None:
-            s = gen_random_scenario(n_nodes=random_nodes, seed=seed, area_m=area_m)
-        else:
-            s = scenario
+    for i, (seed, s) in enumerate(trial_scenarios(trials, seed_base, scenario,
+                                                  random_nodes, area_m)):
         s = _with_weights(s, weights)
         for algo, bucket in (("baseline", base_trials), ("scored", prop_trials)):
             t = run_trial(s, algo, seed)
@@ -152,16 +165,16 @@ def _cmd_run(args) -> int:
     weights = parse_weight_vector(args.weights) if args.weights else None
     s = _with_weights(_load(args.scenario), weights)
     t = run_trial(s, args.algo, args.seed)
+    row = trial_row(0, t)
     if t.joined:
-        print(f"joined parent={t.chosen_parent} hops={t.hops_at_join} "
+        print(f"joined parent={row['parent_id']} hops={row['hops']} "
               f"join_time={t.join_time_ms:.0f}ms")
-        mu_d, sd = delay_stats(t) or (None, None)
-        print(f"mu_d={_opt(mu_d, '.1f')}ms sigma_d={_opt(sd, '.1f')}ms pdr={pdr(t):.3f} "
-              f"sat_branch={int(t.sat_branch)}")
+        print(f"mu_d={_opt(row['mu_d_ms'], '.1f')}ms sigma_d={_opt(row['sigma_d_ms'], '.1f')}ms "
+              f"pdr={row['pdr']:.3f} sat_branch={row['sat_branch']}")
     else:
         print("join failed: no usable neighbor before the wait budget expired")
     if args.out:
-        write_rows([trial_row(0, t)], args.out)
+        write_rows([row], args.out)
     return 0
 
 
@@ -169,8 +182,7 @@ def _cmd_compare(args) -> int:
     scenario = _load(args.scenario) if args.scenario else None
     weights = parse_weight_vector(args.weights) if args.weights else None
     base, prop, imp, _ = cmd_compare(
-        scenario=scenario,
-        random_nodes=args.nodes if args.random else None,
+        scenario=scenario, random_nodes=args.nodes,
         trials=args.trials, seed_base=args.seed_base, area_m=args.area,
         weights=weights, out=args.out)
     print(format_summary(base, prop, imp))
@@ -178,7 +190,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    s = gen_random_scenario(n_nodes=args.nodes, seed=args.seed, area_m=args.area)
+    _, s = next(trial_scenarios(1, args.seed, n_nodes=args.nodes, area_m=args.area))
     write_scenario(s, args.out)
     print(f"wrote {args.out}: {len(s.nodes)} nodes, sink {s.sink_id}, "
           f"new node {s.new_node_id}")
@@ -186,18 +198,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.trials < 1:
-        raise ScenarioError("trials must be >= 1")
+    source = trial_scenarios(args.trials, args.seed_base, n_nodes=args.nodes,
+                             area_m=args.area)
     grid = parse_weights_grid(args.weights_grid)
-    seeds = range(args.seed_base, args.seed_base + args.trials)
-    layouts = [gen_random_scenario(n_nodes=args.nodes, seed=seed, area_m=args.area)
-               for seed in seeds]
+    layouts = list(source)
     defaults = ScoreWeights()
     rows = []
     # Vector-major, so memory holds one vector's trials, not the whole grid's.
     for vector in grid:
         report = aggregate([run_trial(_with_weights(s, vector), "scored", seed)
-                            for s, seed in zip(layouts, seeds)])
+                            for seed, s in layouts])
         label = ",".join(f"{k}={v:g}" for k, v in vector.items())
         print(f"{label:<48} mu_d={_opt(report.mu_d_ms, '.1f')}ms "
               f"mu_pdr={report.mu_pdr:.3f} pct_sat={100 * report.pct_sat:.0f}%")
@@ -209,49 +219,45 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _add_trial_args(p: argparse.ArgumentParser) -> None:
-    """The layout size and trial seeds, shared by compare and sweep."""
-    p.add_argument("--nodes", type=int, default=16)
-    p.add_argument("--area", type=float, default=30.0)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed-base", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scatterjoin",
         description="Deterministic BLE-mesh scatternet joining simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a random layout's size and area, gen_random_scenario's defaults when unset
+    layout = argparse.ArgumentParser(add_help=False)
+    layout.add_argument("--nodes", type=int, help="random layouts only")
+    layout.add_argument("--area", type=float, help="random layouts only")
+    trials = argparse.ArgumentParser(add_help=False, parents=[layout])
+    trials.add_argument("--trials", type=int, required=True)
+    trials.add_argument("--seed-base", type=int, default=0)
 
     p = sub.add_parser("run", help="run one trial on a scenario")
     p.add_argument("--scenario", required=True,
                    help="scenario JSON path, or the built-in 'training11'")
-    p.add_argument("--algo", required=True, choices=("baseline", "scored"))
+    p.add_argument("--algo", required=True, choices=ALGOS)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", help="write the per-trial CSV row here")
     p.add_argument("--weights", help=WEIGHTS_HELP)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("compare", help="paired baseline-vs-scored comparison")
+    p = sub.add_parser("compare", parents=[trials],
+                       help="paired baseline-vs-scored comparison")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--scenario", help="scenario JSON path or 'training11'")
     g.add_argument("--random", action="store_true",
                    help="fresh random layout per trial")
-    _add_trial_args(p)
     p.add_argument("--out", help="write per-trial CSV rows here")
     p.add_argument("--weights", help=WEIGHTS_HELP)
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("gen", help="generate a random scenario file")
-    p.add_argument("--nodes", type=int, default=16)
+    p = sub.add_parser("gen", parents=[layout], help="generate a random scenario file")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--area", type=float, default=30.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("sweep", help="grid sweep over scoring weights")
+    p = sub.add_parser("sweep", parents=[trials], help="grid sweep over scoring weights")
     p.add_argument("--random", action="store_true", required=True)
-    _add_trial_args(p)
     p.add_argument("--weights-grid", required=True,
                    help="e.g. 'w_b=0.1,0.25,0.4;w_ci=0.1,0.2'")
     p.add_argument("--out", help="write one CSV row per weight vector")
@@ -263,17 +269,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as e:
-        print(f"error at scenario stage: {e}", file=sys.stderr)
-        return 1
-    except GenerationError as e:
-        print(f"error at generation stage: {e}", file=sys.stderr)
-        return 1
-    except AggregateError as e:
-        print(f"error at aggregate stage: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error at io stage: {e}", file=sys.stderr)
+    except tuple(STAGES) as e:
+        stage = next(name for cls, name in STAGES.items() if isinstance(e, cls))
+        print(f"error at {stage} stage: {e}", file=sys.stderr)
         return 1
 
 

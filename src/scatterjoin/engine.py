@@ -312,8 +312,6 @@ class TrialEngine:
     """Single-threaded event loop owning one trial's network and RNG streams."""
 
     def __init__(self, scenario: Scenario, algo: str, seed: int):
-        if algo not in ALGOS:
-            raise ValueError(f"unknown algorithm {algo!r}")
         self.scenario = scenario
         self.algo = algo
         self.seed = seed

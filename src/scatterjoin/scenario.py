@@ -15,7 +15,7 @@ from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
 from .channel import Position, RadioParams, hears  # noqa: F401 -- bench/spans.py patches it
-from .engine import Links, build_trial_network
+from .engine import ALGOS, Links, build_trial_network
 from .join_scored import ScoreWeights
 
 CI_TIERS_MS = (50.0, 100.0, 200.0, 400.0)
@@ -88,8 +88,10 @@ class Scenario:
             if n.id in seen:
                 raise ScenarioError(f"nodes: duplicate id {n.id}")
             seen.add(n.id)
-            if not n.ci_ms > 0:
-                raise ScenarioError(f"nodes[{i}].ci_ms: must be > 0")
+            if not all(map(math.isfinite, n.pos)):
+                raise ScenarioError(f"nodes[{i}].pos: must be finite")
+            if not 0 < n.ci_ms < math.inf:
+                raise ScenarioError(f"nodes[{i}].ci_ms: must be > 0 and finite")
             if not n.b_max >= 1:
                 raise ScenarioError(f"nodes[{i}].b_max: must be >= 1")
             if not n.slave_capacity >= 0:
@@ -232,17 +234,8 @@ def _connected(ids, links: Links, threshold: float) -> bool:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "name": s.name,
-        "sink_id": s.sink_id,
-        "new_node_id": s.new_node_id,
-        "nodes": [{**asdict(n), "pos": list(n.pos)} for n in s.nodes],
-        "radio": asdict(s.radio),
-        "engine": asdict(s.engine),
-        "weights": asdict(s.weights),
-        "thresholds": asdict(s.thresholds),
-        "declared_unjoinable": s.declared_unjoinable,
-    }
+    """s as a JSON document: its dataclass fields in order, tuples as lists."""
+    return json.loads(json.dumps(asdict(s)))
 
 
 def write_scenario(s: Scenario, path) -> None:
@@ -332,7 +325,7 @@ def _acceptable(s: Scenario) -> bool:
     usable = [nid for nid in existing if links[s.new_node_id, nid][1] >= floor]
     if len(usable) < 2:
         return False
-    for algo in ("baseline", "scored"):
+    for algo in ALGOS:
         net = build_trial_network(s, algo, links)
         attached = sum(1 for nid in existing if net.nodes[nid].master is not None)
         if attached != len(existing) - 1:  # everyone but the sink

@@ -43,3 +43,24 @@ def test_compare_calls_run_trial_in_baseline_scored_pairs(monkeypatch):
     monkeypatch.setattr(m.cli, "run_trial", recorded)
     m.cli.cmd_compare(scenario=training11(), trials=2, seed_base=7)
     assert calls == [("baseline", 7), ("scored", 7), ("baseline", 8), ("scored", 8)]
+
+
+def test_random_compare_draws_each_layout_before_its_pair(monkeypatch):
+    # spans.py attributes a layout's span to the seed it was drawn for
+    m = bench_modules()
+    calls = []
+    real_gen, real_run = m.cli.gen_random_scenario, m.cli.run_trial
+
+    def recorded_gen(*args, **kwargs):
+        calls.append(("gen", spans._trial_of_gen(args, kwargs)))
+        return real_gen(*args, **kwargs)
+
+    def recorded_run(*args, **kwargs):
+        calls.append(args[1:])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(m.cli, "gen_random_scenario", recorded_gen)
+    monkeypatch.setattr(m.cli, "run_trial", recorded_run)
+    m.cli.cmd_compare(random_nodes=10, area_m=24.0, trials=2, seed_base=7)
+    assert calls == [("gen", 7), ("baseline", 7), ("scored", 7),
+                     ("gen", 8), ("baseline", 8), ("scored", 8)]

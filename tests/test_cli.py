@@ -144,6 +144,22 @@ def test_zero_joined_trials_fail_with_stage(tmp_path, capsys):
     assert "error at aggregate stage: zero joined trials" in capsys.readouterr().err
 
 
+def test_failed_join_row_leaves_undefined_figures_empty(tmp_path, capsys):
+    s = Scenario(name="isolated", nodes=[NodeSpec(1, (0.0, 0.0)), NodeSpec(2, (9.0, 0.0)),
+                                         NodeSpec(3, (100.0, 100.0))],
+                 sink_id=1, new_node_id=3, declared_unjoinable=True)
+    path, out = tmp_path / "isolated.json", tmp_path / "row.csv"
+    write_scenario(s, str(path))
+    assert main(["run", "--scenario", str(path), "--algo", "scored",
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("join failed")
+    with open(out) as f:
+        row = next(csv.DictReader(f))
+    assert row["joined"] == "0"
+    for column in ("parent_id", "hops", "mu_d_ms", "sigma_d_ms", "pdr", "sat_branch"):
+        assert row[column] == "", column
+
+
 def test_missing_scenario_file_fails_with_stage(tmp_path, capsys):
     rc = main(["run", "--scenario", str(tmp_path / "nope.json"),
                "--algo", "scored", "--seed", "1"])
@@ -337,6 +353,11 @@ def test_weights_grid_parsing():
      "trials must be >= 1"),
     (["sweep", "--random", "--trials", "1", "--weights-grid", "w_b=0.1;w_b=0.4"],
      "weights-grid: repeated axis 'w_b'"),
+    # a layout size or area would be silently ignored on a given scenario
+    (["compare", "--scenario", "training11", "--nodes", "64", "--trials", "5"],
+     "nodes, area: apply only to random layouts, not to a scenario"),
+    (["compare", "--scenario", "training11", "--area", "50", "--trials", "5"],
+     "nodes, area: apply only to random layouts, not to a scenario"),
 ])
 def test_bad_counts_and_grids_fail_at_scenario_stage(argv, message, capsys):
     assert main(argv) == 1

@@ -119,7 +119,7 @@ def test_saturation_undefined_for_failed_join():
     t = run_trial(s, "scored", 0)
     assert not t.joined
     assert t.sat_branch is None
-    assert trial_row(0, t)["sat_branch"] == ""
+    assert trial_row(0, t)["sat_branch"] is None
 
 
 def test_aggregate_single_trial_reproduces_trial_stats():

@@ -228,6 +228,13 @@ def test_malformed_documents_rejected_by_name(doc, message):
     (r"engine\.probe_rate", lambda s: {"engine": EngineParams(probe_rate=math.nan)}),
     (r"thresholds\.rl_min_dbm", lambda s: {"thresholds": Thresholds(rl_min_dbm=math.nan)}),
     (r"thresholds\.theta_sat", lambda s: {"thresholds": Thresholds(theta_sat=math.nan)}),
+    # a file's pos and ci_ms must be finite numbers; code-built ones too
+    (r"nodes\[3\]\.pos: must be finite",
+     lambda s: {"nodes": _with_node(s, 3, pos=(math.nan, 0.0))}),
+    (r"nodes\[0\]\.pos: must be finite",
+     lambda s: {"nodes": _with_node(s, 0, pos=(0.0, -math.inf))}),
+    (r"nodes\[3\]\.ci_ms: must be > 0 and finite",
+     lambda s: {"nodes": _with_node(s, 3, ci_ms=math.inf)}),
 ])
 def test_code_built_nan_rejected_by_name(where, build):
     s = training11()
