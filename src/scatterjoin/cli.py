@@ -10,15 +10,12 @@ from dataclasses import asdict, replace
 
 from .engine import ALGOS, run_trial
 from .join_scored import WEIGHT_NAMES, ScoreWeights
-from .metrics import (AggregateError, AggregateReport, Improvement, aggregate,
-                      compare, delay_stats, pdr)
+from .metrics import (CSV_COLUMNS, AggregateError, AggregateReport, Improvement,
+                      aggregate, compare, trial_row)
+from .metrics import delay_stats  # noqa: F401 -- bench/spans.py patches it
 from .scenario import (GenerationError, Scenario, ScenarioError, _build,
                        gen_random_scenario, load_scenario, training11,
                        write_scenario)
-
-CSV_COLUMNS = ("trial", "algo", "seed", "joined", "parent_id", "hops",
-               "mu_d_ms", "sigma_d_ms", "pdr", "sat_branch", "eligible_sat",
-               "avoided_sat")
 
 SWEEP_COLUMNS = WEIGHT_NAMES + ("mu_d_ms", "mu_pdr", "pct_sat")
 
@@ -76,25 +73,6 @@ def parse_weights_grid(spec: str) -> list[dict]:
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
-def trial_row(index: int, trial) -> dict:
-    """trial's CSV row; a figure the trial leaves undefined is None."""
-    mu_d, sd = delay_stats(trial) or (None, None)  # a failed join has no probes
-    return {
-        "trial": index,
-        "algo": trial.algo,
-        "seed": trial.trial_seed,
-        "joined": int(trial.joined),
-        "parent_id": trial.chosen_parent,
-        "hops": trial.hops_at_join,
-        "mu_d_ms": mu_d,
-        "sigma_d_ms": sd,
-        "pdr": pdr(trial),
-        "sat_branch": None if trial.sat_branch is None else int(trial.sat_branch),
-        "eligible_sat": int(trial.eligible_sat),
-        "avoided_sat": int(trial.avoided_sat),
-    }
-
-
 def write_rows(rows: list[dict], path: str, columns=CSV_COLUMNS) -> None:
     """rows, in the order given, as a CSV file with a header line."""
     with open(path, "w", newline="") as f:
@@ -118,23 +96,27 @@ def trial_scenarios(trials: int, seed_base: int, scenario: Scenario | None = Non
     return ((seed, scenario) for seed in seeds)
 
 
+def trial_rows(layouts, algos, weights: dict | None):
+    """trial_row of each algo's trial on each (seed, scenario) of layouts, in
+    order; lazy, so a random layout is drawn just before its trials run."""
+    for i, (seed, s) in enumerate(layouts):
+        s = _with_weights(s, weights)
+        for algo in algos:
+            yield trial_row(i, run_trial(s, algo, seed))
+
+
 def cmd_compare(scenario: Scenario | None = None, random_nodes: int | None = None,
                 trials: int = 1, seed_base: int = 0, area_m: float | None = None,
                 weights: dict | None = None, out: str | None = None,
                 ) -> tuple[AggregateReport, AggregateReport, Improvement, list[dict]]:
     """Paired comparison: trial i runs both algorithms on the same scenario
     and seed (seed_base + i). Without a scenario, trial i draws a fresh
-    random layout of random_nodes nodes over area_m (see trial_scenarios)."""
-    base_trials, prop_trials, rows = [], [], []
-    for i, (seed, s) in enumerate(trial_scenarios(trials, seed_base, scenario,
-                                                  random_nodes, area_m)):
-        s = _with_weights(s, weights)
-        for algo, bucket in (("baseline", base_trials), ("scored", prop_trials)):
-            t = run_trial(s, algo, seed)
-            bucket.append(t)
-            rows.append(trial_row(i, t))
-    base_report = aggregate(base_trials)
-    prop_report = aggregate(prop_trials)
+    random layout of random_nodes nodes over area_m (see trial_scenarios).
+    The reports aggregate the same rows that are returned and written."""
+    rows = list(trial_rows(trial_scenarios(trials, seed_base, scenario,
+                                           random_nodes, area_m), ALGOS, weights))
+    base_report, prop_report = (aggregate([r for r in rows if r["algo"] == algo])
+                                for algo in ALGOS)
     improvement = compare(base_report, prop_report)
     if out:
         write_rows(rows, out)
@@ -201,13 +183,13 @@ def _cmd_sweep(args) -> int:
     source = trial_scenarios(args.trials, args.seed_base, n_nodes=args.nodes,
                              area_m=args.area)
     grid = parse_weights_grid(args.weights_grid)
-    layouts = list(source)
     defaults = ScoreWeights()
+    for vector in grid:  # every vector is checked before a layout is drawn
+        _build(ScoreWeights, {**asdict(defaults), **vector}, "weights")
+    layouts = list(source)
     rows = []
-    # Vector-major, so memory holds one vector's trials, not the whole grid's.
     for vector in grid:
-        report = aggregate([run_trial(_with_weights(s, vector), "scored", seed)
-                            for seed, s in layouts])
+        report = aggregate(list(trial_rows(layouts, ("scored",), vector)))
         label = ",".join(f"{k}={v:g}" for k, v in vector.items())
         print(f"{label:<48} mu_d={_opt(report.mu_d_ms, '.1f')}ms "
               f"mu_pdr={report.mu_pdr:.3f} pct_sat={100 * report.pct_sat:.0f}%")

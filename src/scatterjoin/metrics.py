@@ -1,4 +1,4 @@
-"""Figures of merit per trial and their aggregation across paired trials."""
+"""Figures of merit per trial, one row each, and their aggregation over rows."""
 
 from __future__ import annotations
 
@@ -58,8 +58,33 @@ def pdr(trial: TrialResult) -> float | None:
     return trial.probe_delivered / trial.probe_sent
 
 
-def aggregate(trials: list[TrialResult]) -> AggregateReport:
-    """Collapse one algorithm's trials into a report row.
+# trial_row's keys, in the order the CSV writes them
+CSV_COLUMNS = ("trial", "algo", "seed", "joined", "parent_id", "hops",
+               "mu_d_ms", "sigma_d_ms", "pdr", "sat_branch", "eligible_sat",
+               "avoided_sat")
+
+
+def trial_row(index: int, trial: TrialResult) -> dict:
+    """trial's figures of merit as one row; a figure it leaves undefined is None."""
+    mu_d, sd = delay_stats(trial) or (None, None)  # a failed join has no probes
+    return {
+        "trial": index,
+        "algo": trial.algo,
+        "seed": trial.trial_seed,
+        "joined": int(trial.joined),
+        "parent_id": trial.chosen_parent,
+        "hops": trial.hops_at_join,
+        "mu_d_ms": mu_d,
+        "sigma_d_ms": sd,
+        "pdr": pdr(trial),
+        "sat_branch": None if trial.sat_branch is None else int(trial.sat_branch),
+        "eligible_sat": int(trial.eligible_sat),
+        "avoided_sat": int(trial.avoided_sat),
+    }
+
+
+def aggregate(rows: list[dict]) -> AggregateReport:
+    """Collapse one algorithm's trial rows (trial_row) into a report row.
 
     Delay and PDR are aggregated as mean/deviation of per-trial means.
     Trials that never joined are excluded and counted. pct_sat counts the
@@ -67,43 +92,34 @@ def aggregate(trials: list[TrialResult]) -> AggregateReport:
     a saturated and an unsaturated candidate were heard. Value lists are
     sorted before reduction so the result does not depend on input order.
     """
-    if not trials:
+    if not rows:
         raise AggregateError("no trials to aggregate")
-    algos = {t.algo for t in trials}
+    algos = {r["algo"] for r in rows}
     if len(algos) != 1:
         raise AggregateError(f"mixed algorithms in one aggregate: {sorted(algos)}")
-    joined = [t for t in trials if t.joined]
+    joined = [r for r in rows if r["joined"]]
     if not joined:
         raise AggregateError("zero joined trials")
 
-    delay_means = []
-    n_undefined = 0
-    for t in joined:
-        ds = delay_stats(t)
-        if ds is None:
-            n_undefined += 1
-        else:
-            delay_means.append(ds[0])
-    delay_means.sort()
-    pdrs = sorted(pdr(t) for t in joined)
-
-    eligible = [t for t in joined if t.eligible_sat]
-    avoided = sum(1 for t in eligible if t.avoided_sat)
+    delay_means = sorted(r["mu_d_ms"] for r in joined if r["mu_d_ms"] is not None)
+    pdrs = sorted(r["pdr"] for r in joined)
+    eligible = [r for r in joined if r["eligible_sat"]]
 
     return AggregateReport(
-        algo=trials[0].algo,
-        n_trials=len(trials),
+        algo=rows[0]["algo"],
+        n_trials=len(rows),
         n_joined=len(joined),
         mu_d_ms=statistics.fmean(delay_means) if delay_means else None,
         sigma_d_ms=(statistics.stdev(delay_means) if len(delay_means) > 1
                     else (0.0 if delay_means else None)),
         mu_pdr=statistics.fmean(pdrs),
         sigma_pdr=statistics.stdev(pdrs) if len(pdrs) > 1 else 0.0,
-        pct_sat=sum(t.sat_branch for t in joined) / len(joined),
-        avoid_sat=(avoided / len(eligible)) if eligible else None,
-        mean_hops=statistics.fmean(sorted(t.hops_at_join for t in joined)),
+        pct_sat=sum(r["sat_branch"] for r in joined) / len(joined),
+        avoid_sat=(sum(r["avoided_sat"] for r in eligible) / len(eligible)
+                   if eligible else None),
+        mean_hops=statistics.fmean(sorted(r["hops"] for r in joined)),
         n_eligible_sat_trials=len(eligible),
-        n_delay_undefined=n_undefined,
+        n_delay_undefined=len(joined) - len(delay_means),
     )
 
 

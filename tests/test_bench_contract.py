@@ -64,3 +64,29 @@ def test_random_compare_draws_each_layout_before_its_pair(monkeypatch):
     m.cli.cmd_compare(random_nodes=10, area_m=24.0, trials=2, seed_base=7)
     assert calls == [("gen", 7), ("baseline", 7), ("scored", 7),
                      ("gen", 8), ("baseline", 8), ("scored", 8)]
+
+
+def test_compare_reduces_each_trial_once_to_a_row(monkeypatch):
+    # a trial is reduced once, to its row; the reports read those rows
+    m = bench_modules()
+    counts, aggregated = {"trial_row": 0, "delay_stats": 0}, []
+    real_row, real_agg, real_stats = m.cli.trial_row, m.cli.aggregate, m.metrics.delay_stats
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def recorded_aggregate(rows):
+        aggregated.append(rows)
+        return real_agg(rows)
+
+    monkeypatch.setattr(m.cli, "trial_row", counted("trial_row", real_row))
+    for owner in (m.cli, m.metrics):  # spans.py traces delay_stats under both names
+        monkeypatch.setattr(owner, "delay_stats", counted("delay_stats", real_stats))
+    monkeypatch.setattr(m.cli, "aggregate", recorded_aggregate)
+    m.cli.cmd_compare(scenario=training11(), trials=2)
+    assert counts == {"trial_row": 4, "delay_stats": 4}
+    assert len(aggregated) == 2
+    assert all(type(row) is dict for rows in aggregated for row in rows)

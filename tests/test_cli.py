@@ -12,10 +12,10 @@ import pytest
 
 import scatterjoin
 from scatterjoin import cli
-from scatterjoin.cli import (CSV_COLUMNS, cmd_compare, main,
+from scatterjoin.cli import (CSV_COLUMNS, cmd_compare, format_summary, main,
                              parse_weight_vector, parse_weights_grid)
-from scatterjoin.engine import run_trial
-from scatterjoin.metrics import aggregate, compare
+from scatterjoin.engine import ALGOS, run_trial
+from scatterjoin.metrics import aggregate, compare, trial_row
 from scatterjoin.scenario import (NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, scenario_to_dict,
                                   training11, write_scenario)
@@ -95,10 +95,36 @@ def test_compare_rerun_is_bit_exact():
 def test_compare_single_trial_matches_run_trial():
     s = training11()
     base, prop, imp, rows = cmd_compare(scenario=s, trials=1, seed_base=9)
-    assert base == aggregate([run_trial(s, "baseline", 9)])
-    assert prop == aggregate([run_trial(s, "scored", 9)])
+    assert base == aggregate([trial_row(0, run_trial(s, "baseline", 9))])
+    assert prop == aggregate([trial_row(0, run_trial(s, "scored", 9))])
     assert imp == compare(base, prop)
     assert len(rows) == 2
+
+
+# the type each CSV column reads back as; an empty field is None
+CSV_TYPES = {"algo": str, "mu_d_ms": float, "sigma_d_ms": float, "pdr": float}
+
+
+def read_rows(path) -> list[dict]:
+    with open(path, newline="") as f:
+        return [{k: None if v == "" else CSV_TYPES.get(k, int)(v) for k, v in row.items()}
+                for row in csv.DictReader(f)]
+
+
+@pytest.mark.parametrize("source", [["--scenario", "training11"],
+                                    ["--random", "--nodes", "16"]])
+def test_compare_prints_and_returns_what_it_writes(tmp_path, capsys, source):
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", *source, "--trials", "3", "--out", str(out)]) == 0
+    rows = read_rows(out)
+    base, prop = (aggregate([r for r in rows if r["algo"] == algo]) for algo in ALGOS)
+    assert capsys.readouterr().out == format_summary(base, prop, compare(base, prop)) + "\n"
+    kwargs = ({"scenario": training11()} if source[0] == "--scenario"
+              else {"random_nodes": 16})
+    returned = cmd_compare(trials=3, out=str(tmp_path / "again.csv"), **kwargs)
+    assert returned[:2] == (base, prop)
+    assert repr(returned[:2]) == repr((base, prop))  # floats round-trip through repr
+    assert returned[3] == rows
 
 
 def test_outputs_carry_the_engine_saturation_verdict(tmp_path, capsys):
@@ -382,6 +408,18 @@ def test_sweep_smoke(tmp_path, capsys):
     with open(out) as f:
         rows = list(csv.reader(f))
     assert len(rows) == 3  # header + 2 vectors
+
+
+def test_sweep_checks_every_weight_vector_before_any_trial(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "gen_random_scenario", lambda **kw: calls.append("gen"))
+    monkeypatch.setattr(cli, "run_trial", lambda *a: calls.append("run"))
+    assert main(["sweep", "--random", "--trials", "2", "--nodes", "10", "--area", "24",
+                 "--weights-grid", "w_b=0.25,-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error at scenario stage: weights: weights must be >= 0\n"
+    assert captured.out == ""  # not the w_b=0.25 line
+    assert calls == []
 
 
 def test_sweep_draws_each_layout_once(monkeypatch, capsys):
