@@ -1,17 +1,25 @@
 """Paired benchmark runs of two checkouts, summarised per end-to-end metric.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload compare-r16 --pairs 10 --seconds 40
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload compare-t11 compare-r64 \
+        --seed 7 --json BENCH.json
 
-PARENT and CHANGE are two checkouts of this repository. Each pair runs
-`bench/run.py --trace 0` once in each checkout, one run at a time; the
-parent goes first in even pairs and the change in odd ones, so a drift in
-the machine's speed falls on both sides alike. Each run's last stdout line
-is its JSON summary. For every end-to-end metric in BENCHMARK.json the
-script prints the parent's median [quartiles], the change's median, the
-relative move and the number of pairs in which the change was on the
-metric's better side (a tie wins nothing). It exits 1 if any run failed
-or printed "correct": false. Nothing is written but what bench/run.py
-writes in each checkout.
+PARENT and CHANGE are two checkouts of this repository. For each workload
+in turn, each pair runs `bench/run.py --trace 0 --seed N` once in each
+checkout, one run at a time; the parent goes first in even pairs and the
+change in odd ones, so a drift in the machine's speed falls on both sides
+alike. Each run's last stdout line is its JSON summary, and its full
+record (bench/out/) names the machine, the Python version and the src/
+sha256. For every end-to-end metric in BENCHMARK.json the script prints
+the parent's median [quartiles], the change's median, the relative move
+and the number of pairs in which the change was on the metric's better
+side (a tie wins nothing). With --json PATH it also writes those figures,
+per workload and metric, with the machine, the Python version, both
+checkouts' src/ sha256, the seed, the pairs and the seconds; a PATH that
+already holds a record of the same two sources gains the new workloads
+(a workload run again at the same seed replaces its entry). It exits 1
+if any run failed or printed "correct": false. Nothing else is written
+but what bench/run.py writes in each checkout.
 """
 
 from __future__ import annotations
@@ -57,47 +65,102 @@ def format_row(name: str, unit: str, s: dict) -> str:
             f"{s['change_median']:.6g}{move}, {s['won']} of {s['pairs']} pairs won")
 
 
-def bench_once(checkout: Path, workload: str, seconds: float) -> dict:
-    """One bench/run.py run in checkout; its last stdout line as JSON."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+def bench_command(workload: str, seconds: float, seed: int) -> list[str]:
+    return [sys.executable, "bench/run.py", "--workload", workload,
+            "--seconds", str(seconds), "--seed", str(seed), "--trace", "0"]
+
+
+def bench_once(checkout: Path, workload: str, seconds: float, seed: int) -> tuple[dict, dict]:
+    """One bench/run.py run in checkout: its last stdout line as JSON, and
+    the environment of the full record it wrote."""
+    proc = subprocess.run(bench_command(workload, seconds, seed),
+                          cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise RuntimeError(f"{checkout}: bench/run.py exited {proc.returncode}\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    record = checkout / "bench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(lines[-1]), json.loads(record.read_text())["environment"]
+
+
+def bench_record(runs: dict, envs: dict, metrics: list[dict], workload: str,
+                 seed: int, seconds: float) -> dict:
+    """The --json document for one workload's pairs; runs and envs map each
+    side to its summaries and environments, in pair order."""
+    if any(e["src_sha256"] != envs[side][0]["src_sha256"]
+           for side in envs for e in envs[side]):
+        raise ValueError("a checkout's src/ changed between runs")
+    parent, change = envs["parent"][0], envs["change"][0]
+    summaries = {}
+    for m in metrics:
+        values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
+                  for side, rs in runs.items()}
+        s = summarize(values["parent"], values["change"], m["better"])
+        summaries[m["name"]] = {"unit": m["unit"], "better": m["better"], **s,
+                                "parent_iqr": list(s["parent_iqr"])}
+    return {
+        "machine": {k: parent[k] for k in ("cpu_model", "nproc", "cpus_usable")},
+        "python": parent["python"],
+        "src_sha256": {"parent": parent["src_sha256"], "change": change["src_sha256"]},
+        "results": [{
+            "workload": workload, "seed": seed, "pairs": len(runs["parent"]),
+            "seconds": seconds,
+            "correct": all(r["correct"] is True and r["failed"] == 0
+                           for rs in runs.values() for r in rs),
+            "metrics": summaries}],
+    }
+
+
+def merge_record(old: dict | None, new: dict) -> dict:
+    """new's results added to old's, which must name the same machine,
+    Python and sources; a result for the same workload and seed is replaced."""
+    if old is None:
+        return new
+    for key in ("machine", "python", "src_sha256"):
+        if old[key] != new[key]:
+            raise ValueError(f"{key} differs from the record's: {old[key]} != {new[key]}")
+    fresh = {(r["workload"], r["seed"]) for r in new["results"]}
+    kept = [r for r in old["results"] if (r["workload"], r["seed"]) not in fresh]
+    return {**old, "results": kept + new["results"]}
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("change", type=Path, help="checkout of the change")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, nargs="+", action="extend",
+                   help="one or more workloads, run one after another")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--seed", type=int, default=0, help="bench/run.py's --seed")
+    p.add_argument("--json", type=Path, help="write (or extend) this record of the summaries")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
+    if args.seed < 0:
+        p.error("--seed must be >= 0")
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
-    runs = {"parent": [], "change": []}
     ok = True
-    for i in range(args.pairs):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            out = bench_once(getattr(args, side), args.workload, args.seconds)
-            ok = ok and out["correct"] is True and out["failed"] == 0
-            runs[side].append(out)
-            tps = out["metrics"].get("trials_per_s", {}).get("value")
-            print(f"# pair {i + 1} {side}: correct={out['correct']} failed={out['failed']} "
-                  f"trials_per_s={tps}", file=sys.stderr, flush=True)
-    print(f"# {args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
-          "parent median [IQR] -> change median")
-    for m in metrics:
-        values = {side: [r["metrics"][m["name"]]["value"] for r in rs]
-                  for side, rs in runs.items()}
-        s = summarize(values["parent"], values["change"], m["better"])
-        print(format_row(m["name"], m["unit"], s))
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        envs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                out, env = bench_once(getattr(args, side), workload, args.seconds, args.seed)
+                ok = ok and out["correct"] is True and out["failed"] == 0
+                runs[side].append(out)
+                envs[side].append(env)
+                tps = out["metrics"].get("trials_per_s", {}).get("value")
+                print(f"# {workload} pair {i + 1} {side}: correct={out['correct']} "
+                      f"failed={out['failed']} trials_per_s={tps}", file=sys.stderr, flush=True)
+        print(f"# {workload} at seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s "
+              "runs, parent median [IQR] -> change median")
+        record = bench_record(runs, envs, metrics, workload, args.seed, args.seconds)
+        for name, s in record["results"][0]["metrics"].items():
+            print(format_row(name, s["unit"], s))
+        if args.json is not None:
+            old = json.loads(args.json.read_text()) if args.json.exists() else None
+            args.json.write_text(json.dumps(merge_record(old, record), indent=2) + "\n")
     print(f"# every run correct with 0 failed: {ok}")
     return 0 if ok else 1
 

@@ -23,12 +23,15 @@ the heap when they do. One flat loop in TrialEngine.run handles
 connection and arrival events inline. A buffer is counted, not held
 (see model): background packets have no identity, so a connection event
 moves or drops them by arithmetic on head and tail and walks only the
-probes among them. Links are frozen for the trial; Links works each out
-once. Both the build phase and each joinMe hear through
-broadcast_status: the same nodes every time, with their state at that
-instant. A delivered probe's hop count is hops_at_join: no node attaches
-after the join, so the tree a probe crosses is the joiner's path at the
-join.
+probes among them. Links are frozen, and Links works each out once: a
+shadowed table belongs to one trial seed. Without shadowing, the links
+and the build-up depend only on the scenario, so they are worked out once
+per Scenario (Layout), and every trial on it shares the table and
+replays the recorded attaches on a fresh Network. Both the build phase
+and each joinMe hear through broadcast_status: the same nodes every
+time, with their state at that instant. A delivered probe's hop count is
+hops_at_join: no node attaches after the join, so the tree a probe
+crosses is the joiner's path at the join.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -110,13 +113,17 @@ class TrialResult:
 
 
 class Links:
-    """Every directed link of one layout, frozen for the trial.
+    """Every directed link of one layout, frozen once worked out.
 
     links[at_id, from_id] is (heard, rssi) for from_id's signal received
     at at_id, worked out by hears on first use and kept. With a seed and
     shadowing on, one standard-normal draw per ordered pair is taken up
     front in id order, so paired runs of both algorithms on the same seed
-    see identical links. seed=None is the unshadowed layout.
+    see identical links; such a table belongs to one trial seed. Without
+    draws a link is the same both ways (hypot takes absolute values), so
+    its result is kept under both orders, and the table is shared by every
+    check and trial on the scenario (Layout). seed=None is the unshadowed
+    layout.
     """
 
     def __init__(self, positions: dict[int, Position], radio: RadioParams,
@@ -133,8 +140,11 @@ class Links:
         known = self._known.get(link)
         if known is None:
             at_id, from_id = link
+            draws = self._draws
             known = self._known[link] = hears(self.positions[at_id], self.positions[from_id],
-                                              self.radio, self._draws.get(link, 0.0))
+                                              self.radio, draws.get(link, 0.0))
+            if not draws:
+                self._known[from_id, at_id] = known
         return known
 
 
@@ -308,6 +318,37 @@ def build_trial_network(scenario: Scenario, algo: str, links: Links | None = Non
     return net
 
 
+class Layout:
+    """What a scenario fixes before any traffic, worked out once per Scenario.
+
+    links is the unshadowed table. attaches[algo] is algo's build-up over
+    it as (child, parent) pairs in attach order, recorded by the first
+    build. The build reads only the links and the scenario, so replaying
+    the pairs on a fresh network gives the tree the build gives.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.links = Links({n.id: Position(*n.pos) for n in scenario.nodes}, scenario.radio)
+        self.attaches: dict[str, list[tuple[int, int]]] = {}
+
+
+def layout_network(scenario: Scenario, algo: str) -> Network:
+    """scenario's network after algo's build-up over its unshadowed links:
+    the recorded attaches replayed, or else a build that records them."""
+    layout = scenario.layout
+    order = layout.attaches.get(algo)
+    if order is None:
+        order = []
+        net = build_trial_network(scenario, algo, layout.links,
+                                  on_attach=lambda _, child, parent: order.append((child, parent)))
+        layout.attaches[algo] = order
+        return net
+    net = make_network(scenario)
+    for child, parent in order:
+        net.attach(child, parent)
+    return net
+
+
 class TrialEngine:
     """Single-threaded event loop owning one trial's network and RNG streams."""
 
@@ -315,8 +356,12 @@ class TrialEngine:
         self.scenario = scenario
         self.algo = algo
         self.seed = seed
-        self.links = Links({n.id: Position(*n.pos) for n in scenario.nodes},
-                           scenario.radio, seed)
+        self.shadowed = scenario.radio.shadowing_sigma_db > 0
+        if self.shadowed:  # this seed's own draws
+            self.links = Links({n.id: Position(*n.pos) for n in scenario.nodes},
+                               scenario.radio, seed)
+        else:
+            self.links = scenario.layout.links
         eng = scenario.engine
         self.horizon = eng.horizon_ms()
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
@@ -452,7 +497,10 @@ class TrialEngine:
     def run(self) -> TrialResult:
         eng = self.scenario.engine
         new_id = self.scenario.new_node_id
-        self.net = build_trial_network(self.scenario, self.algo, self.links)
+        if self.shadowed:
+            self.net = build_trial_network(self.scenario, self.algo, self.links)
+        else:
+            self.net = layout_network(self.scenario, self.algo)
 
         heap = self.heap
         for nid, node in sorted(self.net.nodes.items()):

@@ -1,7 +1,8 @@
 """Scenario definition, validation, JSON round-tripping, and random generation.
 
-A Scenario checks its ids and ranges when it is built; the hearing-graph
-checks hear through one engine.Links table each.
+A Scenario checks its ids and ranges when it is built. The hearing-graph
+checks, the generator's build-ups and every unshadowed trial share the
+scenario's one engine.Layout.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ import math
 import random
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import get_args, get_origin, get_type_hints
 
-from .channel import Position, RadioParams, hears  # noqa: F401 -- bench/spans.py patches it
-from .engine import ALGOS, Links, build_trial_network
+from .channel import RadioParams, hears  # noqa: F401 -- bench/spans.py patches it
+from .engine import ALGOS, Layout, Links, layout_network
 from .join_scored import ScoreWeights
 
 CI_TIERS_MS = (50.0, 100.0, 200.0, 400.0)
@@ -140,6 +141,13 @@ class Scenario:
             raise ScenarioError(f"scenario: a trial may take {events:.3g} events, over the "
                                 f"{MAX_EVENTS:.0e} limit")
 
+    @cached_property
+    def layout(self) -> Layout:
+        """The unshadowed links and each algorithm's attach order, worked out
+        on first use. Not a field: equality, hashing, repr and files never
+        see it, and dataclasses.replace starts a new one."""
+        return Layout(self)
+
 
 # The file defaults that differ from the dataclass's: a file without
 # new_node_id gets 0, which Scenario's own checks then reject by name.
@@ -213,7 +221,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
 def validate_scenario(s: Scenario) -> None:
     """The hearing-graph checks a scenario's own ranges cannot make."""
-    links = Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio)
+    links = s.layout.links
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
     if not _connected(existing, links, s.radio.rx_threshold_dbm):
         raise ScenarioError("nodes: hearing graph without the new node is disconnected")
@@ -316,8 +324,9 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
 
 def _acceptable(s: Scenario) -> bool:
     """gen_random_scenario's test; it implies every validate_scenario check,
-    since a link the scored filter can use is heard and at or above rl_min_dbm."""
-    links = Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio)
+    since a link the scored filter can use is heard and at or above rl_min_dbm.
+    Its links and build-ups fill s.layout, which the trials on s reuse."""
+    links = s.layout.links
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
     floor = max(s.thresholds.rl_min_dbm, s.radio.rx_threshold_dbm)
     if not _connected(existing, links, floor):
@@ -326,7 +335,7 @@ def _acceptable(s: Scenario) -> bool:
     if len(usable) < 2:
         return False
     for algo in ALGOS:
-        net = build_trial_network(s, algo, links)
+        net = layout_network(s, algo)
         attached = sum(1 for nid in existing if net.nodes[nid].master is not None)
         if attached != len(existing) - 1:  # everyone but the sink
             return False

@@ -1,6 +1,7 @@
-"""The summary arithmetic of scripts/bench_pairs.py; no benchmark is run."""
+"""The summary arithmetic and options of scripts/bench_pairs.py; no benchmark is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,74 @@ def test_move_is_relative_to_the_parent_median():
 def test_bad_summaries_rejected(parent, change, better):
     with pytest.raises(ValueError):
         bench_pairs.summarize(parent, change, better)
+
+
+def fake_bench(calls, tps, sha):
+    """A bench_once stand-in: trials_per_s from tps[side] in call order."""
+    def bench_once(checkout, workload, seconds, seed):
+        side = checkout.name
+        calls.append((side, workload, seconds, seed))
+        value = tps[side].pop(0)
+        metrics = {name: {"value": value, "unit": "-"} for name in METRIC_NAMES}
+        env = {"cpu_model": "cpu", "nproc": 2, "cpus_usable": 2, "python": "3.x",
+               "src_sha256": sha[side], "seed": seed}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}, env
+    return bench_once
+
+
+METRIC_NAMES = [m["name"] for m in json.loads(bench_pairs.BENCHMARK.read_text())["end_to_end"]]
+
+
+def test_seed_reaches_bench_run(monkeypatch, tmp_path):
+    assert bench_pairs.bench_command("compare-r16", 5.0, 7)[-6:] == \
+        ["--seconds", "5.0", "--seed", "7", "--trace", "0"]
+    calls = []
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench(
+        calls, {"parent": [1.0, 1.0], "change": [2.0, 2.0]}, {"parent": "a", "change": "b"}))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "compare-t11",
+            "--pairs", "2", "--seconds", "5", "--seed", "7"]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [("parent", "compare-t11", 5.0, 7), ("change", "compare-t11", 5.0, 7),
+                     ("change", "compare-t11", 5.0, 7), ("parent", "compare-t11", 5.0, 7)]
+
+
+def test_json_records_each_workload_and_extends_a_record(monkeypatch, tmp_path):
+    out = tmp_path / "BENCH.json"
+    sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    sha = {"parent": "a", "change": "b"}
+    tps = {"parent": [4.0, 5.0, 6.0, 9.0, 9.0], "change": [5.0, 6.0, 7.0, 8.0, 8.0]}
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench([], tps, sha))
+    assert bench_pairs.main(sides + ["--workload", "compare-t11", "--pairs", "3",
+                                     "--seconds", "5", "--json", str(out)]) == 0
+    assert bench_pairs.main(sides + ["--workload", "compare-r64", "--pairs", "2",
+                                     "--seed", "3", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["machine"] == {"cpu_model": "cpu", "nproc": 2, "cpus_usable": 2}
+    assert doc["python"] == "3.x" and doc["src_sha256"] == sha
+    t11, r64 = doc["results"]
+    assert (t11["workload"], t11["seed"], t11["pairs"], t11["seconds"], t11["correct"]) == \
+        ("compare-t11", 0, 3, 5.0, True)
+    assert set(t11["metrics"]) == set(METRIC_NAMES)
+    tps_row = t11["metrics"]["trials_per_s"]
+    assert tps_row == {"unit": "1/s", "better": "higher", "parent_median": 5.0,
+                       "parent_iqr": [4.5, 5.5], "change_median": 6.0, "move": 0.2,
+                       "won": 3, "pairs": 3}
+    assert (r64["workload"], r64["seed"], r64["pairs"]) == ("compare-r64", 3, 2)
+    assert r64["metrics"]["trials_per_s"]["won"] == 0
+    assert r64["metrics"]["trial_ms_p50"]["won"] == 2  # lower is better
+
+
+def test_json_refuses_a_record_of_other_sources(monkeypatch, tmp_path):
+    out = tmp_path / "BENCH.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "compare-t11",
+            "--pairs", "1", "--json", str(out)]
+
+    def change_src(sha):
+        monkeypatch.setattr(bench_pairs, "bench_once", fake_bench(
+            [], {"parent": [1.0], "change": [1.0]}, {"parent": "a", "change": sha}))
+
+    change_src("b")
+    assert bench_pairs.main(argv) == 0
+    change_src("c")
+    with pytest.raises(ValueError, match="src_sha256"):
+        bench_pairs.main(argv)

@@ -16,16 +16,16 @@ from hypothesis import given, settings, strategies as st
 import scatterjoin
 from scatterjoin import engine
 from scatterjoin.channel import Position, RadioParams, hears
-from scatterjoin.engine import (KIND_CONN, KIND_END, KIND_GEN, KIND_JOINME, Links,
+from scatterjoin.engine import (ALGOS, KIND_CONN, KIND_END, KIND_GEN, KIND_JOINME, Links,
                                 ProbeRecord, TrialEngine, TrialResult, broadcast_status,
                                 build_network, build_trial_network,
-                                connection_event, generate_traffic,
+                                connection_event, generate_traffic, layout_network,
                                 make_network, run_trial)
 from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
 
-from test_golden import busy_cases
+from test_golden import busy_cases, golden_cases
 
 FAST = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
 
@@ -846,18 +846,61 @@ def test_unshadowed_links_ignore_sigma():
 @pytest.mark.parametrize("sigma", [0.0, 4.0])
 @pytest.mark.parametrize("algo", ["baseline", "scored"])
 def test_each_link_reaches_hears_at_most_once(monkeypatch, algo, sigma):
+    """Unshadowed, a pair of nodes reaches hears once in either order across
+    generation and both arms of a pair; shadowed, each ordered pair once per
+    trial."""
     calls = collections.Counter()
 
     def counting(a, b, radio, noise=0.0):
-        calls[a, b] += 1
+        calls[(a, b) if sigma else frozenset((a, b))] += 1
         return hears(a, b, radio, noise)
 
     monkeypatch.setattr(engine, "hears", counting)
-    for s in (replace(training11(), radio=RadioParams(shadowing_sigma_db=sigma)),
-              gen_random_scenario(n_nodes=16, seed=3)):
+    if sigma:
+        s = replace(training11(), radio=RadioParams(shadowing_sigma_db=sigma))
+        for seed in (5, 6):
+            calls.clear()
+            assert run_trial(s, algo, seed).joined
+            assert calls and max(calls.values()) == 1
+        return
+    other = next(a for a in ALGOS if a != algo)
+    for layout in (training11, lambda: gen_random_scenario(n_nodes=16, seed=3)):
         calls.clear()
-        assert run_trial(s, algo, 5).joined
+        s = layout()
+        assert run_trial(s, algo, 5).joined and run_trial(s, other, 5).joined
         assert calls and max(calls.values()) == 1
+
+
+def _tree(net):
+    return {nid: (n.master, list(n.slaves), n.cluster_id, n.cluster_size, n.hops_to_sink)
+            for nid, n in net.nodes.items()}
+
+
+@pytest.mark.parametrize("algo", ["baseline", "scored"])
+def test_replayed_build_up_equals_a_fresh_build(algo):
+    scenarios = {id(s): s for s, _, _ in golden_cases() + busy_cases()}
+    scenarios.update((n, gen_random_scenario(n_nodes=n, seed=seed))
+                     for n, seed in ((16, 0), (16, 1), (64, 0)))
+    for s in scenarios.values():
+        fresh = build_trial_network(s, algo)
+        first = layout_network(s, algo)  # a replay if generation recorded the order
+        assert algo in s.layout.attaches
+        replayed = layout_network(s, algo)
+        for net in (first, replayed):
+            net.check_invariants()
+            assert _tree(net) == _tree(fresh)
+
+
+def test_trials_on_a_shared_layout_equal_trials_on_a_cold_copy():
+    t11 = training11()
+    for algo in ALGOS:  # the first trials record the orders later seeds replay
+        run_trial(t11, algo, 0)
+    cases = [(t11, 1), (t11, 2)] + [(gen_random_scenario(n_nodes=n, seed=seed), seed)
+                                    for n, seed in ((16, 0), (16, 4), (64, 1))]
+    for s, seed in cases:
+        for algo in ALGOS:
+            assert algo in s.layout.attaches
+            assert run_trial(s, algo, seed) == run_trial(replace(s), algo, seed)
 
 
 def test_both_phases_hear_through_broadcast_status(monkeypatch):

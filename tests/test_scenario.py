@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from scatterjoin import engine, scenario
 from scatterjoin.channel import RadioParams
-from scatterjoin.engine import TrialEngine
+from scatterjoin.engine import ALGOS, TrialEngine, run_trial
 from scatterjoin.join_scored import ScoreWeights
 from scatterjoin.scenario import (EngineParams, GenerationError, NodeSpec,
                                   Scenario, ScenarioError, Thresholds,
@@ -18,6 +18,8 @@ from scatterjoin.scenario import (EngineParams, GenerationError, NodeSpec,
                                   parse_scenario, scenario_to_dict,
                                   training11, validate_scenario,
                                   write_scenario)
+
+SHORT = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
 
 
 def minimal_doc(**overrides):
@@ -270,8 +272,22 @@ def test_hearing_checks_reach_hears_once_per_ordered_pair(monkeypatch, check):
     for s in [training11()] + [gen_random_scenario(n_nodes=n, seed=seed)
                                for n, seed in ((16, 0), (16, 1), (64, 0))]:
         calls.clear()
+        s = replace(s, engine=SHORT)  # a copy starts a new layout, so check hears through it
         check(s)
         assert calls and max(calls.values()) == 1
+        for algo in ALGOS:  # trials reuse the layout, which keeps each link both ways
+            run_trial(s, algo, 0)
+        assert max(collections.Counter(frozenset(p) for p in calls.elements()).values()) == 1
+
+
+def test_layout_is_not_part_of_the_scenario():
+    s = gen_random_scenario(n_nodes=16, seed=0)
+    assert set(s.layout.attaches) == set(ALGOS)  # generation recorded both build-ups
+    copy = replace(s)
+    assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+    assert scenario_to_dict(copy) == scenario_to_dict(s)
+    assert copy.layout is not s.layout and copy.layout.attaches == {}
+    assert training11().layout is not training11().layout
 
 
 def test_engine_and_scenario_import_without_a_cycle():
