@@ -98,11 +98,15 @@ def trial_scenarios(trials: int, seed_base: int, scenario: Scenario | None = Non
 
 def trial_rows(layouts, algos, weights: dict | None):
     """trial_row of each algo's trial on each (seed, scenario) of layouts, in
-    order; lazy, so a random layout is drawn just before its trials run."""
+    order; lazy, so a random layout is drawn just before its trials run. The
+    weights go onto each scenario object once, so the seeds that repeat one
+    scenario share its copy and that copy's Layout."""
+    given = weighted = None
     for i, (seed, s) in enumerate(layouts):
-        s = _with_weights(s, weights)
+        if s is not given:
+            given, weighted = s, _with_weights(s, weights)
         for algo in algos:
-            yield trial_row(i, run_trial(s, algo, seed))
+            yield trial_row(i, run_trial(weighted, algo, seed))
 
 
 def cmd_compare(scenario: Scenario | None = None, random_nodes: int | None = None,

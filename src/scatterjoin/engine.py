@@ -23,15 +23,16 @@ the heap when they do. One flat loop in TrialEngine.run handles
 connection and arrival events inline. A buffer is counted, not held
 (see model): background packets have no identity, so a connection event
 moves or drops them by arithmetic on head and tail and walks only the
-probes among them. Links are frozen, and Links works each out once: a
-shadowed table belongs to one trial seed. Without shadowing, the links
-and the build-up depend only on the scenario, so they are worked out once
-per Scenario (Layout), and every trial on it shares the table and
-replays the recorded attaches on a fresh Network. Both the build phase
-and each joinMe hear through broadcast_status: the same nodes every
-time, with their state at that instant. A delivered probe's hop count is
-hops_at_join: no node attaches after the join, so the tree a probe
-crosses is the joiner's path at the join.
+probes among them. Links are frozen, and Links works each out once.
+Every trial gets its network from a Layout: a link table and each
+algorithm's build-up, recorded by its first build and replayed on a
+fresh Network after that. Without shadowing both depend only on the
+scenario, so every trial shares the Scenario's Layout; a shadowed trial
+draws and builds its own. Both the build phase and each joinMe hear
+through broadcast_status: the same nodes every time, with their state at
+that instant. A delivered probe's hop count is hops_at_join: no node
+attaches after the join, so the tree a probe crosses is the joiner's
+path at the join.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -119,11 +120,11 @@ class Links:
     at at_id, worked out by hears on first use and kept. With a seed and
     shadowing on, one standard-normal draw per ordered pair is taken up
     front in id order, so paired runs of both algorithms on the same seed
-    see identical links; such a table belongs to one trial seed. Without
-    draws a link is the same both ways (hypot takes absolute values), so
-    its result is kept under both orders, and the table is shared by every
-    check and trial on the scenario (Layout). seed=None is the unshadowed
-    layout.
+    see identical links; such a table belongs to one trial's Layout.
+    Without draws a link is the same both ways (hypot takes absolute
+    values), so its result is kept under both orders, and the scenario's
+    Layout shares the table with every check and unshadowed trial on it.
+    seed=None is the unshadowed layout.
     """
 
     def __init__(self, positions: dict[int, Position], radio: RadioParams,
@@ -262,17 +263,19 @@ def scored_select(cands: list[CandidateInfo], thresholds, weights) -> int | None
 
 
 def build_network(net: Network, algo: str, links: Links, weights, thresholds,
-                  on_attach=None, exclude=()) -> None:
+                  exclude=()) -> list[tuple[int, int]]:
     """Sink-anchored build-up: unattached roots join the sink's cluster.
 
     Ascending-id passes, one attach at a time, repeated until a full pass
     makes no progress. Baseline takes the strongest heard member with a
     free slot, even a lone sink that baseline_select would refuse;
     scored runs the filter/score pipeline over the same candidates.
-    Nodes out of reach of the growing cluster stay roots.
+    Nodes out of reach of the growing cluster stay roots. Returns the
+    attaches as (child, parent) pairs in the order they were made.
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
+    attaches = []
     while True:
         progress = False
         for nid in sorted(net.nodes):
@@ -291,11 +294,10 @@ def build_network(net: Network, algo: str, links: Links, weights, thresholds,
             if parent is None:
                 continue
             net.attach(nid, parent)
-            if on_attach is not None:
-                on_attach(net, nid, parent)
+            attaches.append((nid, parent))
             progress = True
         if not progress:
-            return
+            return attaches
 
 
 def make_network(scenario: Scenario) -> Network:
@@ -306,47 +308,42 @@ def make_network(scenario: Scenario) -> Network:
     return Network(nodes, sink_id=scenario.sink_id)
 
 
-def build_trial_network(scenario: Scenario, algo: str, links: Links | None = None,
-                        on_attach=None) -> Network:
-    """Network after the phase-1 build-up, before any traffic; unshadowed
-    links unless given."""
-    net = make_network(scenario)
-    if links is None:
-        links = Links({nid: n.pos for nid, n in net.nodes.items()}, scenario.radio)
-    build_network(net, algo, links, scenario.weights, scenario.thresholds,
-                  on_attach=on_attach, exclude={scenario.new_node_id})
-    return net
-
-
 class Layout:
-    """What a scenario fixes before any traffic, worked out once per Scenario.
+    """What a scenario fixes before any traffic: links and build-ups.
 
-    links is the unshadowed table. attaches[algo] is algo's build-up over
-    it as (child, parent) pairs in attach order, recorded by the first
-    build. The build reads only the links and the scenario, so replaying
-    the pairs on a fresh network gives the tree the build gives.
+    links is the scenario's table, shadowed under seed when one is given.
+    attaches[algo] is algo's build-up over it as (child, parent) pairs in
+    attach order, recorded by the first build. The build reads only the
+    links and the scenario, so replaying the pairs on a fresh network
+    gives the tree the build gives. A Layout holds no reference to its
+    scenario, which is handed to each call, so Scenario.layout makes no
+    reference cycle.
     """
 
-    def __init__(self, scenario: Scenario):
-        self.links = Links({n.id: Position(*n.pos) for n in scenario.nodes}, scenario.radio)
+    def __init__(self, scenario: Scenario, seed: int | None = None):
+        self.links = Links({n.id: Position(*n.pos) for n in scenario.nodes},
+                           scenario.radio, seed)
         self.attaches: dict[str, list[tuple[int, int]]] = {}
 
-
-def layout_network(scenario: Scenario, algo: str) -> Network:
-    """scenario's network after algo's build-up over its unshadowed links:
-    the recorded attaches replayed, or else a build that records them."""
-    layout = scenario.layout
-    order = layout.attaches.get(algo)
-    if order is None:
-        order = []
-        net = build_trial_network(scenario, algo, layout.links,
-                                  on_attach=lambda _, child, parent: order.append((child, parent)))
-        layout.attaches[algo] = order
+    def network(self, scenario: Scenario, algo: str) -> Network:
+        """scenario's network after algo's build-up over these links, before
+        any traffic: the recorded attaches replayed, or else a build that
+        records them."""
+        net = make_network(scenario)
+        order = self.attaches.get(algo)
+        if order is None:
+            self.attaches[algo] = build_network(net, algo, self.links, scenario.weights,
+                                                scenario.thresholds, exclude={scenario.new_node_id})
+        else:
+            for child, parent in order:
+                net.attach(child, parent)
         return net
-    net = make_network(scenario)
-    for child, parent in order:
-        net.attach(child, parent)
-    return net
+
+
+def build_trial_network(scenario: Scenario, algo: str) -> Network:
+    """Network after the phase-1 build-up over unshadowed links, before any
+    traffic; always a fresh build, never a replay."""
+    return Layout(scenario).network(scenario, algo)
 
 
 class TrialEngine:
@@ -356,12 +353,10 @@ class TrialEngine:
         self.scenario = scenario
         self.algo = algo
         self.seed = seed
-        self.shadowed = scenario.radio.shadowing_sigma_db > 0
-        if self.shadowed:  # this seed's own draws
-            self.links = Links({n.id: Position(*n.pos) for n in scenario.nodes},
-                               scenario.radio, seed)
-        else:
-            self.links = scenario.layout.links
+        # shadowing draws belong to this seed; without them the scenario's own
+        self.layout = (Layout(scenario, seed) if scenario.radio.shadowing_sigma_db > 0
+                       else scenario.layout)
+        self.links = self.layout.links
         eng = scenario.engine
         self.horizon = eng.horizon_ms()
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
@@ -497,10 +492,7 @@ class TrialEngine:
     def run(self) -> TrialResult:
         eng = self.scenario.engine
         new_id = self.scenario.new_node_id
-        if self.shadowed:
-            self.net = build_trial_network(self.scenario, self.algo, self.links)
-        else:
-            self.net = layout_network(self.scenario, self.algo)
+        self.net = self.layout.network(self.scenario, self.algo)
 
         heap = self.heap
         for nid, node in sorted(self.net.nodes.items()):

@@ -2,7 +2,8 @@
 
 A Scenario checks its ids and ranges when it is built. The hearing-graph
 checks, the generator's build-ups and every unshadowed trial share the
-scenario's one engine.Layout.
+scenario's one engine.Layout (Scenario.layout); a shadowed trial builds
+its own.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cache, cached_property
 from typing import get_args, get_origin, get_type_hints
 
 from .channel import RadioParams, hears  # noqa: F401 -- bench/spans.py patches it
-from .engine import ALGOS, Layout, Links, layout_network
+from .engine import ALGOS, Layout, Links
 from .join_scored import ScoreWeights
 
 CI_TIERS_MS = (50.0, 100.0, 200.0, 400.0)
@@ -325,7 +326,8 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
 def _acceptable(s: Scenario) -> bool:
     """gen_random_scenario's test; it implies every validate_scenario check,
     since a link the scored filter can use is heard and at or above rl_min_dbm.
-    Its links and build-ups fill s.layout, which the trials on s reuse."""
+    It hears and builds through s.layout, unshadowed, so the unshadowed trials
+    on an accepted s replay its build-ups; a rejected s drops its layout."""
     links = s.layout.links
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
     floor = max(s.thresholds.rl_min_dbm, s.radio.rx_threshold_dbm)
@@ -335,7 +337,7 @@ def _acceptable(s: Scenario) -> bool:
     if len(usable) < 2:
         return False
     for algo in ALGOS:
-        net = layout_network(s, algo)
+        net = s.layout.network(s, algo)
         attached = sum(1 for nid in existing if net.nodes[nid].master is not None)
         if attached != len(existing) - 1:  # everyone but the sink
             return False

@@ -13,7 +13,7 @@ import pytest
 
 from scatterjoin.channel import Position, RadioParams, hears
 from scatterjoin.cli import cmd_compare
-from scatterjoin.engine import build_trial_network, run_trial
+from scatterjoin.engine import Layout, make_network, run_trial
 from scatterjoin.join_scored import ScoreWeights, score_candidate, select_parent
 from scatterjoin.scenario import EngineParams, gen_random_scenario, training11
 
@@ -117,17 +117,24 @@ def test_criterion_6_structural_invariants_across_buildups():
     checked = 0
     attaches = 0
 
-    def on_attach(net, child, parent):
-        nonlocal attaches
-        attaches += 1
-        net.check_invariants()
-        assert net.nodes[child].hops_to_sink == net.nodes[parent].hops_to_sink + 1
+    def tree(net):
+        return [(n.master, list(n.slaves), n.cluster_id, n.cluster_size, n.hops_to_sink)
+                for n in net.nodes.values()]
 
     for seed in range(500):
         s = gen_random_scenario(n_nodes=10, seed=seed, area_m=24.0)
         for algo in ("baseline", "scored"):
-            net = build_trial_network(s, algo, on_attach=on_attach)
+            layout = Layout(s)
+            net = layout.network(s, algo)  # a fresh build, which records its attaches
             net.check_invariants()
+            # the build's attaches, one at a time: every state the build passed through
+            replay = make_network(s)
+            for child, parent in layout.attaches[algo]:
+                replay.attach(child, parent)
+                attaches += 1
+                replay.check_invariants()
+                assert replay.nodes[child].hops_to_sink == replay.nodes[parent].hops_to_sink + 1
+            assert tree(replay) == tree(net)
             checked += 1
     report("criterion 6 (structural invariants)", checked == 1000,
            f"{checked} build-ups, {attaches} attaches, zero violations")

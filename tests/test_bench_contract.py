@@ -8,6 +8,7 @@ a reordering breaks only the slow benchmark self-test otherwise.
 
 import importlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -90,3 +91,41 @@ def test_compare_reduces_each_trial_once_to_a_row(monkeypatch):
     assert counts == {"trial_row": 4, "delay_stats": 4}
     assert len(aggregated) == 2
     assert all(type(row) is dict for rows in aggregated for row in rows)
+
+
+def counted_builds(monkeypatch, m) -> list:
+    """The algo of every call through `engine.build_network`, which spans.py traces."""
+    real, calls = m.engine.build_network, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(m.engine, "build_network", counting)
+    return calls
+
+
+def test_build_trial_network_always_builds(monkeypatch):
+    # kernels.py times build_trial_network as a real build, warm layout or not
+    m = bench_modules()
+    s = training11()
+    for algo in m.engine.ALGOS:
+        m.engine.run_trial(s, algo, 0)  # warms s.layout
+    calls = counted_builds(monkeypatch, m)
+    for algo in m.engine.ALGOS * 2:
+        m.engine.build_trial_network(s, algo)
+    assert calls == list(m.engine.ALGOS * 2)
+
+
+def test_a_warm_unshadowed_trial_replays_and_a_shadowed_trial_builds(monkeypatch):
+    m = bench_modules()
+    s = training11()
+    m.engine.run_trial(s, "scored", 0)  # warms s.layout
+    calls = counted_builds(monkeypatch, m)
+    m.engine.run_trial(s, "scored", 1)
+    assert calls == []
+    shadowed = replace(s, radio=replace(s.radio, shadowing_sigma_db=4.0))
+    for seed in (1, 2):  # each shadowed trial builds its own, once
+        calls.clear()
+        m.engine.run_trial(shadowed, "scored", seed)
+        assert calls == ["scored"]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import scatterjoin
-from scatterjoin import cli
+from scatterjoin import cli, engine
 from scatterjoin.cli import (CSV_COLUMNS, cmd_compare, format_summary, main,
                              parse_weight_vector, parse_weights_grid)
 from scatterjoin.engine import ALGOS, run_trial
@@ -334,6 +334,23 @@ def test_weight_overrides_checked_through_the_api():
         cmd_compare(scenario=training11(), trials=1, weights={"w_m": math.inf})
     with pytest.raises(ScenarioError, match="unknown field.*w_zz"):
         cmd_compare(scenario=training11(), trials=1, weights={"w_zz": 1.0})
+
+
+def test_a_weight_override_applies_once_per_scenario(monkeypatch):
+    # every seed of one scenario shares one weighted copy, so its build-ups run once
+    real, builds = engine.build_network, []
+
+    def counting(*args, **kwargs):
+        builds.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "build_network", counting)
+    weights, s = {"w_b": 1.0}, training11()
+    rows = cmd_compare(scenario=s, trials=5, weights=weights)[3]
+    assert sorted(builds) == sorted(ALGOS)
+    weighted = replace(s, weights=replace(s.weights, **weights))
+    assert rows == [trial_row(seed, run_trial(replace(weighted), algo, seed))
+                    for seed in range(5) for algo in ALGOS]
 
 
 @pytest.mark.parametrize("argv", [

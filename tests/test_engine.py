@@ -16,11 +16,10 @@ from hypothesis import given, settings, strategies as st
 import scatterjoin
 from scatterjoin import engine
 from scatterjoin.channel import Position, RadioParams, hears
-from scatterjoin.engine import (ALGOS, KIND_CONN, KIND_END, KIND_GEN, KIND_JOINME, Links,
-                                ProbeRecord, TrialEngine, TrialResult, broadcast_status,
-                                build_network, build_trial_network,
-                                connection_event, generate_traffic, layout_network,
-                                make_network, run_trial)
+from scatterjoin.engine import (ALGOS, KIND_CONN, KIND_END, KIND_GEN, KIND_JOINME, Layout,
+                                Links, ProbeRecord, TrialEngine, TrialResult, broadcast_status,
+                                build_network, build_trial_network, connection_event,
+                                generate_traffic, make_network, run_trial)
 from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
@@ -432,8 +431,9 @@ def joinme_candidates(monkeypatch, scenario, algo, seed):
         return real_rule(cands, *args)
 
     def build(*args, **kwargs):
-        real_build(*args, **kwargs)
+        order = real_build(*args, **kwargs)
         seen.clear()  # the build phase's own picks are not joinMe rounds
+        return order
 
     monkeypatch.setattr(engine, rule, recording)
     monkeypatch.setattr(engine, "build_network", build)
@@ -809,11 +809,11 @@ def test_buildup_reaches_single_cluster_when_connected():
 
 def test_buildup_hook_sees_every_attach():
     s = training11()
-    seen = []
-    build_trial_network(s, "baseline",
-                        on_attach=lambda net, c, p: seen.append((c, p)))
-    assert len(seen) == 10  # everyone but sink and joiner
-    assert all(c != p for c, p in seen)
+    order = build_network(make_network(s), "baseline", Layout(s).links, s.weights,
+                          s.thresholds, exclude={s.new_node_id})
+    assert len(order) == 10  # everyone but sink and joiner
+    assert all(c != p for c, p in order)
+    assert len({c for c, _ in order}) == 10  # each child attaches once
 
 
 def test_shadowing_trials_still_deterministic():
@@ -883,12 +883,32 @@ def test_replayed_build_up_equals_a_fresh_build(algo):
                      for n, seed in ((16, 0), (16, 1), (64, 0)))
     for s in scenarios.values():
         fresh = build_trial_network(s, algo)
-        first = layout_network(s, algo)  # a replay if generation recorded the order
+        first = s.layout.network(s, algo)  # a replay if generation recorded the order
         assert algo in s.layout.attaches
-        replayed = layout_network(s, algo)
+        replayed = s.layout.network(s, algo)
         for net in (first, replayed):
             net.check_invariants()
             assert _tree(net) == _tree(fresh)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=st.lists(st.tuples(st.floats(0.0, 15.0), st.floats(0.0, 15.0), st.integers(0, 3)),
+                      min_size=3, max_size=9),
+       sigma=st.sampled_from([0.0, 4.0]), seed=st.integers(), algo=st.sampled_from(ALGOS))
+def test_a_layout_builds_and_replays_what_a_fresh_build_gives(specs, sigma, seed, algo):
+    nodes = [NodeSpec(nid, (x, y), slave_capacity=cap)
+             for nid, (x, y, cap) in enumerate(specs, start=1)]
+    s = Scenario("drawn", nodes, new_node_id=len(nodes),
+                 radio=RadioParams(shadowing_sigma_db=sigma))
+    fresh = make_network(s)
+    build_network(fresh, algo, Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio, seed),
+                  s.weights, s.thresholds, exclude={s.new_node_id})
+    layout = Layout(s, seed)
+    first, replayed = layout.network(s, algo), layout.network(s, algo)
+    assert _tree(first) == _tree(fresh) == _tree(replayed)
+    replayed.check_invariants()
+    # a trial shares the scenario's layout exactly when no draws are taken
+    assert (TrialEngine(s, algo, seed).layout is s.layout) == (sigma == 0)
 
 
 def test_trials_on_a_shared_layout_equal_trials_on_a_cold_copy():
