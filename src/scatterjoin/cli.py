@@ -33,11 +33,15 @@ def _load(ref: str) -> Scenario:
 
 
 def _with_weights(s: Scenario, overrides: dict | None) -> Scenario:
-    """s with its weights overridden, checked like a file's weights block."""
+    """s with its weights overridden, checked like a file's weights block.
+    The copy takes over s's links and baseline build-up, which read no
+    weights, so only its scored build-up is worked out again."""
     if not overrides:
         return s
     block = {**asdict(s.weights), **overrides}
-    return replace(s, weights=_build(ScoreWeights, block, "weights"))
+    weighted = replace(s, weights=_build(ScoreWeights, block, "weights"))
+    object.__setattr__(weighted, "layout", s.layout.reweighted())  # fills the cached_property
+    return weighted
 
 
 def _opt(x: float | None, spec: str) -> str:

@@ -28,9 +28,10 @@ Every trial gets its network from a Layout: a link table and each
 algorithm's build-up, recorded by its first build and replayed on a
 fresh Network after that. Without shadowing both depend only on the
 scenario, so every trial shares the Scenario's Layout; a shadowed trial
-draws and builds its own. Both the build phase and each joinMe hear
-through broadcast_status: the same nodes every time, with their state at
-that instant. A delivered probe's hop count is hops_at_join: no node
+draws and builds its own. Both the build phase and each joinMe walk only
+the nodes the listener hears (Links.heard) and hear each through
+broadcast_status: the same nodes every time, with their state at that
+instant. A delivered probe's hop count is hops_at_join: no node
 attaches after the join, so the tree a probe crosses is the joiner's
 path at the join.
 
@@ -49,6 +50,7 @@ one that visits every slot.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -117,14 +119,17 @@ class Links:
     """Every directed link of one layout, frozen once worked out.
 
     links[at_id, from_id] is (heard, rssi) for from_id's signal received
-    at at_id, worked out by hears on first use and kept. With a seed and
-    shadowing on, one standard-normal draw per ordered pair is taken up
-    front in id order, so paired runs of both algorithms on the same seed
-    see identical links; such a table belongs to one trial's Layout.
-    Without draws a link is the same both ways (hypot takes absolute
-    values), so its result is kept under both orders, and the scenario's
-    Layout shares the table with every check and unshadowed trial on it.
-    seed=None is the unshadowed layout.
+    at at_id, worked out by hears on first use and kept. heard(at_id)
+    lists, in ascending id order, the nodes whose signal at_id hears;
+    each list is worked out once and kept. With a seed and shadowing on,
+    one standard-normal draw per ordered pair is taken up front in id
+    order, so paired runs of both algorithms on the same seed see
+    identical links; such a table belongs to one trial's Layout, and a
+    link may then be heard one way only. Without draws a link is the
+    same both ways (hypot takes absolute values), so its result is kept
+    under both orders, and the scenario's Layout shares the table with
+    every check and unshadowed trial on it. seed=None is the unshadowed
+    layout.
     """
 
     def __init__(self, positions: dict[int, Position], radio: RadioParams,
@@ -132,6 +137,7 @@ class Links:
         self.positions, self.radio = positions, radio
         self._draws: dict[tuple[int, int], float] = {}
         self._known: dict[tuple[int, int], tuple[bool, float]] = {}
+        self._heard: dict[int, list[int]] = {}
         if seed is not None and radio.shadowing_sigma_db > 0:
             rng = random.Random(f"scatterjoin-shadow:{seed}")
             ids = sorted(positions)
@@ -148,6 +154,14 @@ class Links:
                 self._known[from_id, at_id] = known
         return known
 
+    def heard(self, at_id: int) -> list[int]:
+        """The ids at_id hears (links[at_id, other] heard), ascending."""
+        ids = self._heard.get(at_id)
+        if ids is None:
+            ids = self._heard[at_id] = [other for other in sorted(self.positions)
+                                        if other != at_id and self[at_id, other][0]]
+        return ids
+
 
 def broadcast_status(node: NodeState, links: Links, receiver_id: int) -> CandidateInfo | None:
     """node's fresh status broadcast as receiver_id hears it; None out of range.
@@ -160,11 +174,10 @@ def broadcast_status(node: NodeState, links: Links, receiver_id: int) -> Candida
     if not heard:
         return None
     rn = None if node.master is None else links[node.id, node.master][1]
-    return CandidateInfo(
-        id=node.id, cluster_id=node.cluster_id, cluster_size=node.cluster_size,
-        m=len(node.slaves), h=node.hops_to_sink, b=node.tail - node.head,
-        ci_ms=node.ci_ms, rl_dbm=rl, rn_dbm=rn, free_out=node.free_out,
-        children=tuple(node.slaves))
+    # positional, in field order: keyword arguments would more than double its cost
+    return CandidateInfo(node.id, node.cluster_id, node.cluster_size, len(node.slaves),
+                         node.hops_to_sink, node.tail - node.head, node.ci_ms, rl, rn,
+                         node.free_out, tuple(node.slaves))
 
 
 def branch_saturated(path, sink_id: int, theta_sat: float, level) -> bool:
@@ -203,30 +216,29 @@ def generate_traffic(rate_pps: float, horizon_ms: float, rng: random.Random) -> 
         times.append(t)
 
 
-def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
+def connection_event(sender: NodeState, receiver: NodeState, to_sink: bool, n_ce: int,
                      result: TrialResult, now_ms: float) -> int:
     """One connection event on a link: move up to n_ce packets.
 
-    The n packets at the sender's head leave in FIFO order. The sink
-    consumes them all, and each probe among them is stamped delivered at
-    now_ms. Elsewhere the first k = min(n, free) join the receiver's tail
-    in the same order, and the other n - k are dropped at the receiver.
-    The counts go into result. Returns n.
+    The n packets at the sender's head leave in FIFO order. When the
+    receiver is the sink (to_sink) it consumes them all, and each probe
+    among them is stamped delivered at now_ms. Elsewhere the first
+    k = min(n, free) join the receiver's tail in the same order, and the
+    other n - k are dropped at the receiver. The counts go into result.
+    Returns n.
     """
-    sender = net.nodes[sender_id]
     head, probes = sender.head, sender.probes
     n = sender.tail - head
     if n > n_ce:
         n = n_ce
     end = sender.head = head + n
-    if receiver_id == net.sink_id:
+    if to_sink:
         result.total_delivered += n
         while probes and probes[0][0] < end:
             probe = probes.popleft()[1]
             probe.delivered_at_ms = now_ms
             probe.hops = result.hops_at_join
         return n
-    receiver = net.nodes[receiver_id]
     tail = receiver.tail
     k = receiver.b_max - (tail - receiver.head)  # free room, clamped into [0, n]
     if k > n:
@@ -249,11 +261,16 @@ def connection_event(net: Network, sender_id: int, receiver_id: int, n_ce: int,
 
 
 def _gather_candidates(net, joiner_id, links):
-    """Live candidate records for every heard member of the sink's cluster."""
-    sink_cluster = net.nodes[net.sink_id].cluster_id
-    members = (net.nodes[mid] for mid in net.cluster_members(sink_cluster))
-    return [c for m in members if m.free_out >= 1
-            if (c := broadcast_status(m, links, joiner_id)) is not None]
+    """Live candidate records for every heard member of the sink's cluster
+    with a free slot, in ascending id order."""
+    nodes = net.nodes
+    sink_cluster = nodes[net.sink_id].cluster_id
+    cands = []
+    for nid in links.heard(joiner_id):
+        node = nodes[nid]
+        if node.cluster_id == sink_cluster and node.free_out >= 1:
+            cands.append(broadcast_status(node, links, joiner_id))
+    return cands
 
 
 def scored_select(cands: list[CandidateInfo], thresholds, weights) -> int | None:
@@ -275,14 +292,16 @@ def build_network(net: Network, algo: str, links: Links, weights, thresholds,
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
+    nodes, sink_id = net.nodes, net.sink_id
+    sink, ids = nodes[sink_id], sorted(nodes)
     attaches = []
     while True:
         progress = False
-        for nid in sorted(net.nodes):
-            node = net.nodes[nid]
-            if nid in exclude or nid == net.sink_id or node.master is not None:
+        for nid in ids:
+            node = nodes[nid]
+            if nid in exclude or nid == sink_id or node.master is not None:
                 continue
-            if node.cluster_id == net.nodes[net.sink_id].cluster_id:
+            if node.cluster_id == sink.cluster_id:
                 continue
             cands = _gather_candidates(net, nid, links)
             if not cands:
@@ -338,6 +357,15 @@ class Layout:
             for child, parent in order:
                 net.attach(child, parent)
         return net
+
+    def reweighted(self) -> Layout:
+        """This layout for a copy of its scenario with other weights: the
+        same link table and baseline build-up, which read no weights. The
+        scored build-up reads them, so the copy records its own."""
+        twin = copy.copy(self)
+        twin.attaches = {algo: order for algo, order in self.attaches.items()
+                         if algo == "baseline"}
+        return twin
 
 
 def build_trial_network(scenario: Scenario, algo: str) -> Network:
@@ -412,8 +440,8 @@ class TrialEngine:
         new_id = s.new_node_id
         new, now_ms = net.nodes[new_id], key[0]
         self._catch_up_all(key)
-        cands = [c for nid in sorted(net.nodes) if nid != new_id
-                 if (c := broadcast_status(net.nodes[nid], self.links, new_id)) is not None]
+        cands = [broadcast_status(net.nodes[nid], self.links, new_id)
+                 for nid in self.links.heard(new_id)]
         if self.algo == "baseline":
             parent = baseline_select(cands, new)
         else:
@@ -511,7 +539,7 @@ class TrialEngine:
         # stand-in installed on the module still sees every call.
         push, pop = heapq.heappush, heapq.heappop
         move = connection_event
-        net, nodes = self.net, self.net.nodes
+        nodes, sink_id = self.net.nodes, self.net.sink_id
         horizon, n_ce = self.horizon, eng.n_ce
         catch_up, catch_up_all = self._catch_up, self._catch_up_all
         interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
@@ -530,7 +558,7 @@ class TrialEngine:
                 held = receiver.tail - receiver.head
                 receiver.area += held * (now - receiver.last_ms)
                 receiver.last_ms = now
-                move(net, nid, peer, n_ce, r, now)
+                move(sender, receiver, peer == sink_id, n_ce, r, now)
                 # the sender's next slot always sorts after this event
                 s = sender.next_slot_ms = now + sender.ci_ms
                 if sender.tail != sender.head:

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 WEIGHT_NAMES = ("w_m", "w_h", "w_b", "w_ci", "w_rl", "w_rn")
 
 
-@dataclass(frozen=True)
-class CandidateInfo:
+class CandidateInfo(NamedTuple):
     """One heard neighbor as both strategies see it: the sender's live
-    state from its status broadcast plus the RSSI measured on receipt."""
+    state from its status broadcast plus the RSSI measured on receipt.
+
+    A NamedTuple: immutable and hashable like a frozen dataclass, but
+    cheaper to build, since one is built per heard candidate. A changed
+    copy is c._replace(field=value).
+    """
 
     id: int
     cluster_id: int
@@ -74,7 +79,12 @@ class ScoreWeights:
 
 
 def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
+    """x clamped into [0, 1]; -0.0 and NaN come back as they are."""
+    if x < 0.0:
+        return 0.0
+    if x > 1.0:
+        return 1.0
+    return x
 
 
 def score_candidate(c: CandidateInfo, w: ScoreWeights) -> float:
@@ -85,16 +95,14 @@ def score_candidate(c: CandidateInfo, w: ScoreWeights) -> float:
     joiner link and the candidate's uplink raise it too. A root candidate
     has no uplink to degrade, so its rn term counts as perfect.
     """
-    def nr(rssi: float) -> float:
-        return _clamp01((rssi - w.rssi_lo) / (w.rssi_hi - w.rssi_lo))
-
-    rn_term = 1.0 if c.rn_dbm is None else nr(c.rn_dbm)
+    lo, span = w.rssi_lo, w.rssi_hi - w.rssi_lo
+    rn_term = 1.0 if c.rn_dbm is None else _clamp01((c.rn_dbm - lo) / span)
     return (
         w.w_m * (1.0 - min(c.m, w.m_max) / w.m_max)
         + w.w_h * (1.0 / (1.0 + c.h))
         + w.w_b * (1.0 - min(c.b, w.b_max) / w.b_max)
         + w.w_ci * (1.0 - _clamp01((c.ci_ms - w.ci_min_ms) / (w.ci_max_ms - w.ci_min_ms)))
-        + w.w_rl * nr(c.rl_dbm)
+        + w.w_rl * _clamp01((c.rl_dbm - lo) / span)
         + w.w_rn * rn_term
     )
 

@@ -88,17 +88,17 @@ def test_criterion_5_score_properties():
         c = random_candidate(rng, 1)
         s = score_candidate(c, W)
         bump = rng.uniform(0.05, 8.0)
-        if score_candidate(replace(c, m=c.m + 1), W) > s:
+        if score_candidate(c._replace(m=c.m + 1), W) > s:
             violations += 1
-        if score_candidate(replace(c, h=c.h + 1), W) > s:
+        if score_candidate(c._replace(h=c.h + 1), W) > s:
             violations += 1
-        if score_candidate(replace(c, b=c.b + 1), W) > s:
+        if score_candidate(c._replace(b=c.b + 1), W) > s:
             violations += 1
-        if score_candidate(replace(c, ci_ms=c.ci_ms + bump), W) > s:
+        if score_candidate(c._replace(ci_ms=c.ci_ms + bump), W) > s:
             violations += 1
-        if score_candidate(replace(c, rl_dbm=c.rl_dbm + bump), W) < s:
+        if score_candidate(c._replace(rl_dbm=c.rl_dbm + bump), W) < s:
             violations += 1
-        if c.rn_dbm is not None and score_candidate(replace(c, rn_dbm=c.rn_dbm + bump), W) < s:
+        if c.rn_dbm is not None and score_candidate(c._replace(rn_dbm=c.rn_dbm + bump), W) < s:
             violations += 1
     scaling_violations = 0
     for _ in range(1_000):

@@ -129,3 +129,29 @@ def test_a_warm_unshadowed_trial_replays_and_a_shadowed_trial_builds(monkeypatch
         calls.clear()
         m.engine.run_trial(shadowed, "scored", seed)
         assert calls == ["scored"]
+
+
+
+def test_a_build_hears_each_gathered_candidate_once(monkeypatch):
+    # engine.broadcast_status.calls counts the candidates the build-ups gathered
+    m = bench_modules()
+    real_gather, real_status = m.engine._gather_candidates, m.engine.broadcast_status
+    gathered, heard = [], []
+
+    def recorded_gather(*args):
+        cands = real_gather(*args)
+        gathered.extend(c.id for c in cands)
+        return cands
+
+    def recorded_status(node, *args):
+        heard.append(node.id)
+        return real_status(node, *args)
+
+    monkeypatch.setattr(m.engine, "_gather_candidates", recorded_gather)
+    monkeypatch.setattr(m.engine, "broadcast_status", recorded_status)
+    for s in (training11(), m.scenario.gen_random_scenario(n_nodes=64, seed=0)):
+        for algo in m.engine.ALGOS:
+            gathered.clear()
+            heard.clear()
+            m.engine.build_trial_network(s, algo)
+            assert gathered and heard == gathered

@@ -13,7 +13,8 @@ import pytest
 import scatterjoin
 from scatterjoin import cli, engine
 from scatterjoin.cli import (CSV_COLUMNS, cmd_compare, format_summary, main,
-                             parse_weight_vector, parse_weights_grid)
+                             parse_weight_vector, parse_weights_grid, trial_rows,
+                             trial_scenarios)
 from scatterjoin.engine import ALGOS, run_trial
 from scatterjoin.metrics import aggregate, compare, trial_row
 from scatterjoin.scenario import (NodeSpec, Scenario, ScenarioError,
@@ -351,6 +352,48 @@ def test_a_weight_override_applies_once_per_scenario(monkeypatch):
     weighted = replace(s, weights=replace(s.weights, **weights))
     assert rows == [trial_row(seed, run_trial(replace(weighted), algo, seed))
                     for seed in range(5) for algo in ALGOS]
+
+
+def counted_layers(monkeypatch) -> dict:
+    """Calls through engine.build_network and engine.hears, counted as they happen."""
+    counts = {"build_network": 0, "hears": 0}
+    for name in counts:
+        real = getattr(engine, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counting)
+    return counts
+
+
+def test_a_weighted_copy_reuses_the_links_and_baseline_build_up(monkeypatch):
+    # generation hears every link and records both build-ups; weights
+    # change only the scored one
+    counts, weights = counted_layers(monkeypatch), {"w_b": 1.0}
+    cmd_compare(random_nodes=16, trials=3)
+    unweighted = dict(counts)
+    counts.update(build_network=0, hears=0)
+    rows = cmd_compare(random_nodes=16, trials=3, weights=weights)[3]
+    assert counts == {"build_network": unweighted["build_network"] + 3,
+                      "hears": unweighted["hears"]}
+    monkeypatch.undo()
+    fresh = [gen_random_scenario(seed=seed) for seed in range(3)]
+    assert rows == [trial_row(seed, run_trial(replace(s, weights=replace(s.weights, **weights)),
+                                              algo, seed))
+                    for seed, s in enumerate(fresh) for algo in ALGOS]
+
+
+def test_sweep_vectors_hear_no_link_again(monkeypatch):
+    layouts = list(trial_scenarios(3, 0, n_nodes=16))
+    for s in layouts:  # the recorded orders: generation's own
+        assert set(s[1].layout.attaches) == set(ALGOS)
+    counts = counted_layers(monkeypatch)
+    for w_b in (0.0, 0.1, 0.4):
+        rows = list(trial_rows(layouts, ("scored",), {"w_b": w_b}))
+        assert len(rows) == 3
+    assert counts == {"build_network": 9, "hears": 0}
 
 
 @pytest.mark.parametrize("argv", [

@@ -187,7 +187,8 @@ def recorded_event(net, sender_id, receiver_id, n_ce, now_ms=0.0):
     delivered as (seq, time) and dropped as (seq, node charged with drops)."""
     packets = [p for n in net.nodes.values() for _, p in n.probes]
     result = TrialResult(trial_seed=0, algo="scored", hops_at_join=2)
-    moved = connection_event(net, sender_id, receiver_id, n_ce, result, now_ms)
+    moved = connection_event(net.nodes[sender_id], net.nodes[receiver_id],
+                             receiver_id == net.sink_id, n_ce, result, now_ms)
     delivered = [(p.seq, p.delivered_at_ms) for p in packets if p.delivered_at_ms is not None]
     assert all(p.hops == 2 for p in packets if p.delivered_at_ms is not None)
     charged = [nid for nid, n in net.nodes.items() for _ in range(n.drops)]
@@ -242,7 +243,7 @@ def test_connection_event_moves_background_without_touching_probes_or_drops():
     net.nodes[3].tail += 5  # background packets only
     sender_probes, receiver_probes = net.nodes[3].probes, list(net.nodes[2].probes)
     result = TrialResult(trial_seed=0, algo="scored")
-    assert connection_event(net, 3, 2, 4, result, 0.0) == 4
+    assert connection_event(net.nodes[3], net.nodes[2], False, 4, result, 0.0) == 4
     assert net.nodes[3].probes is sender_probes and not sender_probes
     assert list(net.nodes[2].probes) == receiver_probes
     assert (net.nodes[3].head, net.nodes[2].tail) == (4, 5)
@@ -332,7 +333,8 @@ def test_count_buffer_matches_a_deque_of_packets(b_max, steps):
                 ref[nid].append(None if probe is None else probe.seq)
         else:
             peer = node.master
-            moved = connection_event(net, nid, peer, arg, result, float(now))
+            moved = connection_event(node, net.nodes[peer], peer == net.sink_id, arg, result,
+                                     float(now))
             n = min(arg, len(ref[nid]))
             assert moved == n
             for _ in range(n):
@@ -921,6 +923,95 @@ def test_trials_on_a_shared_layout_equal_trials_on_a_cold_copy():
         for algo in ALGOS:
             assert algo in s.layout.attaches
             assert run_trial(s, algo, seed) == run_trial(replace(s), algo, seed)
+
+
+def test_heard_lists_the_heard_links_in_ascending_order():
+    s = gen_random_scenario(n_nodes=16, seed=2)
+    positions = {n.id: Position(*n.pos) for n in reversed(s.nodes)}  # not in id order
+    for links in (Links(positions, s.radio), Links(positions, RadioParams(shadowing_sigma_db=4.0), 3)):
+        for at in positions:
+            heard = links.heard(at)
+            assert heard == [o for o in sorted(positions) if o != at and links[at, o][0]]
+            assert links.heard(at) is heard  # worked out once, kept on the table
+
+
+# one shadowed draw, pinned: node 2 hears the sink, the sink does not hear node 2
+ASYMMETRIC = Scenario("asymmetric", [NodeSpec(1, (0.0, 0.0)), NodeSpec(3, (17.0, 0.0)),
+                                     NodeSpec(2, (13.0, 0.0))],
+                      new_node_id=3, radio=RadioParams(shadowing_sigma_db=4.0), engine=FAST)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_a_node_gathers_what_it_hears_not_what_hears_it(algo):
+    links = Layout(ASYMMETRIC, 0).links
+    assert links[2, 1][0] and not links[1, 2][0]
+    assert links.heard(2) == [1, 3] and links.heard(1) == [] and links.heard(3) == [2]
+    net = make_network(ASYMMETRIC)
+    assert [c.id for c in engine._gather_candidates(net, 2, links)] == [1]
+    order = build_network(net, algo, links, ASYMMETRIC.weights, ASYMMETRIC.thresholds,
+                          exclude={3})
+    assert order == [(2, 1)]
+    r = run_trial(ASYMMETRIC, algo, 0)  # the joiner hears node 2 only
+    assert r.joined and r.chosen_parent == 2
+
+
+def reference_gather(net, joiner_id, links):
+    """The build-up's gather as first written: every member of the sink's
+    cluster in id order, each with a free slot heard through broadcast_status."""
+    sink_cluster = net.nodes[net.sink_id].cluster_id
+    members = sorted(nid for nid, n in net.nodes.items() if n.cluster_id == sink_cluster)
+    return [c for nid in members if net.nodes[nid].free_out >= 1
+            if (c := engine.broadcast_status(net.nodes[nid], links, joiner_id)) is not None]
+
+
+def reference_joinme(net, joiner_id, links):
+    """The joinMe round's gather as first written: every other node in id order."""
+    return [c for nid in sorted(net.nodes) if nid != joiner_id
+            if (c := engine.broadcast_status(net.nodes[nid], links, joiner_id)) is not None]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.integers(3, 9), sigma=st.sampled_from([0.0, 4.0]),
+       seed=st.integers(), algo=st.sampled_from(ALGOS))
+def test_gathers_equal_a_walk_over_every_node(data, n, sigma, seed, algo):
+    # ids other than the sink's are drawn apart, and the node list is shuffled
+    ids = [1] + data.draw(st.lists(st.integers(2, 60), min_size=n - 1, max_size=n - 1,
+                                   unique=True))
+    specs = data.draw(st.lists(st.tuples(st.floats(0.0, 15.0), st.floats(0.0, 15.0),
+                                         st.integers(0, 3), st.sampled_from([0.0, 2.0, 5.0])),
+                               min_size=n, max_size=n))
+    nodes = [NodeSpec(nid, (x, y), slave_capacity=cap, traffic_rate_pps=rate if nid > 1 else 0.0)
+             for nid, (x, y, cap, rate) in zip(ids, specs)]
+    new_id = data.draw(st.sampled_from(ids[1:]))
+    s = Scenario("drawn", data.draw(st.permutations(nodes)), new_node_id=new_id,
+                 radio=RadioParams(shadowing_sigma_db=sigma), declared_unjoinable=True,
+                 engine=EngineParams(warmup_ms=500.0, measure_ms=500.0, max_wait_ms=600.0))
+    real_gather, joinme = engine._gather_candidates, []
+    rule = "baseline_select" if algo == "baseline" else "filter_candidates"
+    real_rule = getattr(engine, rule)
+
+    def checked_gather(net, joiner_id, links):
+        cands = real_gather(net, joiner_id, links)
+        assert cands == reference_gather(net, joiner_id, links)
+        return cands
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(engine, "_gather_candidates", reference_gather)
+        expected = build_network(make_network(s), algo, Layout(s, seed).links, s.weights,
+                                 s.thresholds, exclude={new_id})
+        m.setattr(engine, "_gather_candidates", checked_gather)
+        eng = TrialEngine(s, algo, seed)
+        eng.layout.network(s, algo)  # the build, so that the trial replays it
+        assert eng.layout.attaches[algo] == expected
+
+        def checked_rule(cands, *args):
+            assert cands == reference_joinme(eng.net, new_id, eng.links)
+            joinme.append(cands)
+            return real_rule(cands, *args)
+
+        m.setattr(engine, rule, checked_rule)
+        eng.run()
+    assert joinme  # every trial holds at least one joinMe round
 
 
 def test_both_phases_hear_through_broadcast_status(monkeypatch):

@@ -1,12 +1,14 @@
 import math
 import random
+import struct
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from scatterjoin import engine
 from scatterjoin.engine import TrialEngine
-from scatterjoin.join_scored import (WEIGHT_NAMES, CandidateInfo, ScoreWeights,
+from scatterjoin.join_scored import (WEIGHT_NAMES, CandidateInfo, ScoreWeights, _clamp01,
                                      filter_candidates, score_candidate,
                                      select_parent)
 from scatterjoin.scenario import training11
@@ -73,7 +75,57 @@ def brute_force_select(cands, w):
     return best.id
 
 
+# -- the candidate record ----------------------------------------------
+
+
+def test_a_candidate_cannot_be_reassigned_and_hashes():
+    c = cand(4, children=(5, 6))
+    for name in CandidateInfo._fields:
+        with pytest.raises(AttributeError):
+            setattr(c, name, getattr(c, name))
+    assert hash(c) == hash(cand(4, children=(5, 6)))
+    assert {c, cand(4, children=(5, 6))} == {c}
+    assert c._replace(b=7) == cand(4, b=7, children=(5, 6)) and c.b == 0
+
+
 # -- scoring -----------------------------------------------------------
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def reference_score(c: CandidateInfo, w: ScoreWeights) -> float:
+    """score_candidate as first written: a per-call closure and min/max clamps."""
+    def clamp(x):
+        return min(max(x, 0.0), 1.0)
+
+    def nr(rssi):
+        return clamp((rssi - w.rssi_lo) / (w.rssi_hi - w.rssi_lo))
+
+    rn_term = 1.0 if c.rn_dbm is None else nr(c.rn_dbm)
+    return (w.w_m * (1.0 - min(c.m, w.m_max) / w.m_max)
+            + w.w_h * (1.0 / (1.0 + c.h))
+            + w.w_b * (1.0 - min(c.b, w.b_max) / w.b_max)
+            + w.w_ci * (1.0 - clamp((c.ci_ms - w.ci_min_ms) / (w.ci_max_ms - w.ci_min_ms)))
+            + w.w_rl * nr(c.rl_dbm)
+            + w.w_rn * rn_term)
+
+
+@given(x=st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1.0, math.nan, -math.inf])))
+def test_clamp01_is_min_of_max_bit_for_bit(x):
+    assert bits(_clamp01(x)) == bits(min(max(x, 0.0), 1.0))
+
+
+@given(rssi=st.floats(allow_nan=False), rn=st.one_of(st.none(), st.floats(allow_nan=False)),
+       ci=st.floats(0.0, 1e6), m=st.integers(0, 5), h=st.integers(0, 9), b=st.integers(0, 40),
+       lo=st.floats(-120.0, -40.0), span=st.floats(1e-3, 80.0))
+def test_score_is_the_reference_score_bit_for_bit(rssi, rn, ci, m, h, b, lo, span):
+    w = ScoreWeights(rssi_lo=lo, rssi_hi=lo + span)
+    c = cand(1, m=m, h=h, b=b, ci=ci, rl=rssi, rn=rn)
+    assert bits(score_candidate(c, w)) == bits(reference_score(c, w))
+    assert bits(score_candidate(c, W)) == bits(reference_score(c, W))
+
 
 
 def test_perfect_candidate_scores_one():
@@ -117,13 +169,13 @@ def test_score_monotone_in_each_input():
         c = random_candidate(rng, 1)
         s = score_candidate(c, W)
         bump = rng.uniform(0.1, 5.0)
-        assert score_candidate(replace(c, m=c.m + 1), W) <= s
-        assert score_candidate(replace(c, h=c.h + 1), W) <= s
-        assert score_candidate(replace(c, b=c.b + 1), W) <= s
-        assert score_candidate(replace(c, ci_ms=c.ci_ms + bump), W) <= s
-        assert score_candidate(replace(c, rl_dbm=c.rl_dbm + bump), W) >= s
+        assert score_candidate(c._replace(m=c.m + 1), W) <= s
+        assert score_candidate(c._replace(h=c.h + 1), W) <= s
+        assert score_candidate(c._replace(b=c.b + 1), W) <= s
+        assert score_candidate(c._replace(ci_ms=c.ci_ms + bump), W) <= s
+        assert score_candidate(c._replace(rl_dbm=c.rl_dbm + bump), W) >= s
         if c.rn_dbm is not None:
-            assert score_candidate(replace(c, rn_dbm=c.rn_dbm + bump), W) >= s
+            assert score_candidate(c._replace(rn_dbm=c.rn_dbm + bump), W) >= s
 
 
 def test_weight_validation():
