@@ -139,6 +139,8 @@ def main(argv=None) -> int:
         p.error("--pairs must be >= 1")
     if args.seed < 0:
         p.error("--seed must be >= 0")
+    if not 0 < args.seconds < float("inf"):  # also refuses nan
+        p.error("--seconds must be > 0 and finite")
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     ok = True
     for workload in args.workload:

@@ -46,6 +46,13 @@ the loop body: the first slot whose key (slot, KIND_CONN, node, master)
 sorts after the enqueuing event's key. Every slot skipped that way would
 have found an empty buffer and done nothing, so the trial is the same as
 one that visits every slot.
+
+A trial ends at its KIND_END event or at the joinMe round that gives
+up, and both sort before EngineParams.horizon_ms(): the give-up round
+comes by warmup_ms + max_wait_ms + t_adv_ms and the END measure_ms after
+the join. Nothing is cut earlier: arrival streams and link slots never
+end, and whatever would come after the trial's end is left unpopped on
+the heap or held on its node.
 """
 
 from __future__ import annotations
@@ -292,16 +299,12 @@ def build_network(net: Network, algo: str, links: Links, weights, thresholds,
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    nodes, sink_id = net.nodes, net.sink_id
-    sink, ids = nodes[sink_id], sorted(nodes)
+    nodes, sink_id, ids = net.nodes, net.sink_id, sorted(net.nodes)
     attaches = []
     while True:
         progress = False
         for nid in ids:
-            node = nodes[nid]
-            if nid in exclude or nid == sink_id or node.master is not None:
-                continue
-            if node.cluster_id == sink.cluster_id:
+            if nid in exclude or nid == sink_id or nodes[nid].master is not None:
                 continue
             cands = _gather_candidates(net, nid, links)
             if not cands:
@@ -385,8 +388,6 @@ class TrialEngine:
         self.layout = (Layout(scenario, seed) if scenario.radio.shadowing_sigma_db > 0
                        else scenario.layout)
         self.links = self.layout.links
-        eng = scenario.engine
-        self.horizon = eng.horizon_ms()
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
         self.result = TrialResult(trial_seed=seed, algo=algo)
         self.t_join: float | None = None
@@ -394,19 +395,15 @@ class TrialEngine:
 
     # -- bookkeeping -------------------------------------------------
 
-    @staticmethod
-    def _touch(node: NodeState, now_ms: float) -> None:
-        node.area += (node.tail - node.head) * (now_ms - node.last_ms)
-        node.last_ms = now_ms
-
     def _catch_up(self, node: NodeState, key: tuple) -> None:
         """Apply node's held arrivals whose keys (t, KIND_GEN, node.id, 0)
         sort before key, the key of the event about to read node. Each does
-        what a popped arrival does and draws the next; it wakes no link. A
-        tie never reaches key's peer: only probes carry one, and the joiner
-        holds no arrivals."""
+        what a popped arrival does and draws the next; it wakes no link. The
+        stream never ends: the first draw that does not sort before key is
+        held in node.due. A tie never reaches key's peer: only probes carry
+        one, and the joiner holds no arrivals."""
         until, kind, nid = key[0], key[1], key[2]
-        r, t, horizon = self.result, node.due, self.horizon
+        r, t = self.result, node.due
         while t < until or t == until and (kind > KIND_GEN or kind == KIND_GEN and nid > node.id):
             q = node.tail - node.head
             r.total_sent += 1
@@ -418,8 +415,6 @@ class TrialEngine:
             else:
                 node.tail += 1
             t += -log(1.0 - node.rnd()) * node.scale
-            if t >= horizon:
-                t = inf
         node.due = t
 
     def _catch_up_all(self, key: tuple) -> None:
@@ -456,7 +451,8 @@ class TrialEngine:
 
         level = {}  # node -> (running mean occupancy, drops, b_max) at the decision
         for nid, node in sorted(net.nodes.items()):
-            self._touch(node, now_ms)
+            node.area += (node.tail - node.head) * (now_ms - node.last_ms)
+            node.last_ms = now_ms
             self._join_snap[nid] = (node.area, node.drops)
             level[nid] = (node.area / now_ms, node.drops, node.b_max)
         theta = s.thresholds.theta_sat
@@ -481,20 +477,28 @@ class TrialEngine:
 
     # -- finalization ------------------------------------------------
 
-    def _flush_buffers(self, now_ms: float) -> int:
-        in_flight = 0
-        for node in self.net.nodes.values():
-            self._touch(node, now_ms)
-            in_flight += node.tail - node.head
-        return in_flight
-
     def _finalize(self, key: tuple) -> None:
         """Close the trial at key, the KIND_END event or the joinMe round
-        that gave up: in-flight counts, probe tallies, and the window
-        figures and verdict if joined."""
+        that gave up, in one pass over the nodes in id order: each applies
+        its held arrivals sorting before key, brings its meter to key's
+        time, and gives its in-flight count, its b_max and, if joined, its
+        window figures. Then the conservation check, the probe tallies and
+        the verdict."""
         r, now_ms = self.result, key[0]
-        self._catch_up_all(key)
-        r.total_in_flight = self._flush_buffers(now_ms)
+        window = now_ms - self.t_join if r.joined else None
+        in_flight, b_max = 0, r.node_b_max
+        for nid, node in sorted(self.net.nodes.items()):
+            if node.due <= now_ms:
+                self._catch_up(node, key)
+            node.area += (node.tail - node.head) * (now_ms - node.last_ms)
+            node.last_ms = now_ms
+            in_flight += node.tail - node.head
+            b_max[nid] = node.b_max
+            if window is not None:
+                area, drops = self._join_snap[nid]
+                r.buffer_avg[nid] = (node.area - area) / window
+                r.overflow_drops[nid] = node.drops - drops
+        r.total_in_flight = in_flight
         if r.total_sent - r.total_delivered - r.total_dropped != r.total_in_flight:
             raise ConservationError(
                 f"{self.algo} seed {self.seed}: {r.total_sent} sent, "
@@ -504,13 +508,7 @@ class TrialEngine:
         r.probe_delivered = sum(p.delivered_at_ms is not None for p in r.probes)
         r.probe_dropped = sum(p.dropped for p in r.probes)
         r.probe_in_flight = r.probe_sent - r.probe_delivered - r.probe_dropped
-        r.node_b_max = b_max = {nid: n.b_max for nid, n in sorted(self.net.nodes.items())}
         if r.joined:
-            window = now_ms - self.t_join
-            for nid, node in sorted(self.net.nodes.items()):
-                area, drops = self._join_snap[nid]
-                r.buffer_avg[nid] = (node.area - area) / window
-                r.overflow_drops[nid] = node.drops - drops
             r.sat_branch = branch_saturated(
                 r.path_to_sink, self.net.sink_id, self.scenario.thresholds.theta_sat,
                 lambda nid: (r.buffer_avg[nid], r.overflow_drops[nid], b_max[nid]))
@@ -528,8 +526,7 @@ class TrialEngine:
                 node.rnd = random.Random(f"scatterjoin-traffic:{self.seed}:{nid}").random
                 node.scale = 1000.0 / node.traffic_rate_pps
                 t = 0.0 + -log(1.0 - node.rnd()) * node.scale  # 0.0 + turns -0.0 into 0.0
-                if t < self.horizon:
-                    heapq.heappush(heap, (t, KIND_GEN, nid, 0))
+                heapq.heappush(heap, (t, KIND_GEN, nid, 0))
             if node.master is not None:
                 node.next_slot_ms = node.ci_ms
         heapq.heappush(heap, (eng.warmup_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
@@ -540,7 +537,7 @@ class TrialEngine:
         push, pop = heapq.heappush, heapq.heappop
         move = connection_event
         nodes, sink_id = self.net.nodes, self.net.sink_id
-        horizon, n_ce = self.horizon, eng.n_ce
+        n_ce = eng.n_ce
         catch_up, catch_up_all = self._catch_up, self._catch_up_all
         interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
         r = self.result
@@ -562,8 +559,7 @@ class TrialEngine:
                 # the sender's next slot always sorts after this event
                 s = sender.next_slot_ms = now + sender.ci_ms
                 if sender.tail != sender.head:
-                    if s <= horizon:
-                        push(heap, (s, KIND_CONN, nid, peer))
+                    push(heap, (s, KIND_CONN, nid, peer))
                 elif sender.due < inf:  # emptied: its held arrival goes on the heap
                     push(heap, (sender.due, KIND_GEN, nid, 0))
                     sender.due = inf
@@ -583,9 +579,7 @@ class TrialEngine:
                     if peer < n_probes:
                         push(heap, (self.t_join + peer * interval, KIND_GEN, nid, peer + 1))
                 else:  # the buffer holds a packet after this, so the next arrival is held
-                    t = now + -log(1.0 - node.rnd()) * node.scale
-                    if t < horizon:
-                        node.due = t
+                    node.due = now + -log(1.0 - node.rnd()) * node.scale
                 node.area += q * (now - node.last_ms)
                 node.last_ms = now
                 if q >= node.b_max:
@@ -613,8 +607,7 @@ class TrialEngine:
                 if (s, KIND_CONN, node.id, master) <= event:
                     s += ci
                 node.next_slot_ms = s
-                if s <= horizon:
-                    push(heap, (s, KIND_CONN, node.id, master))
+                push(heap, (s, KIND_CONN, node.id, master))
         self._finalize(event)
         return self.result
 

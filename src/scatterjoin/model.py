@@ -11,7 +11,7 @@ drops, the packets lost at this node to a full buffer), its uplink's
 next_slot_ms, the earliest connection slot not yet passed, and its
 arrival stream: rnd, the stream's random(), and scale, the mean gap in
 ms. due is the next arrival's time while it is held on the node, and
-inf while it is on the event heap or the stream has ended. An arrival
+inf while it is on the event heap or the node has no stream. An arrival
 is held only while the buffer holds a packet; the engine applies it just
 before the first event that reads the node and whose key sorts after it.
 """

@@ -57,7 +57,8 @@ class EngineParams:
         return round(self.measure_ms * self.probe_rate / 1000.0)
 
     def horizon_ms(self) -> float:
-        """Simulated time no event of a trial reaches past."""
+        """A bound past every event a trial pops; the worst-case event count
+        is taken over it."""
         return self.warmup_ms + self.max_wait_ms + self.measure_ms + 2 * self.t_adv_ms
 
 

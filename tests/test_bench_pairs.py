@@ -75,6 +75,18 @@ def test_seed_reaches_bench_run(monkeypatch, tmp_path):
                      ("change", "compare-t11", 5.0, 7), ("parent", "compare-t11", 5.0, 7)]
 
 
+@pytest.mark.parametrize("seconds", ["0", "nan", "inf"])
+def test_bad_seconds_rejected_before_any_run(monkeypatch, tmp_path, capsys, seconds):
+    calls = []
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench(calls, {}, {}))
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "compare-t11",
+            "--seconds", seconds]
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(argv)
+    assert exit_.value.code == 2 and calls == []
+    assert "--seconds must be > 0 and finite" in capsys.readouterr().err
+
+
 def test_json_records_each_workload_and_extends_a_record(monkeypatch, tmp_path):
     out = tmp_path / "BENCH.json"
     sides = [str(tmp_path / "parent"), str(tmp_path / "change")]

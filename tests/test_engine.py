@@ -24,7 +24,7 @@ from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
 
-from test_golden import busy_cases, golden_cases
+from test_golden import busy_cases, golden_cases, grid_cases
 
 FAST = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
 
@@ -112,13 +112,19 @@ def test_join_fails_when_out_of_range():
     assert t.total_sent == t.total_delivered + t.total_dropped + t.total_in_flight
 
 
-MISCOUNTED_FLUSH = """
+MISCOUNTED_MOVE = """
 import sys
+from scatterjoin import engine
 from scatterjoin.engine import ConservationError, TrialEngine
 from scatterjoin.scenario import training11
 
-flush = TrialEngine._flush_buffers
-TrialEngine._flush_buffers = lambda self, now_ms: flush(self, now_ms) + 1
+real, phantom = engine.connection_event, [1]
+
+def miscounted(sender, receiver, to_sink, n_ce, result, now_ms):
+    result.total_delivered += phantom.pop() if phantom else 0  # one delivery never sent
+    return real(sender, receiver, to_sink, n_ce, result, now_ms)
+
+engine.connection_event = miscounted
 try:
     TrialEngine(training11(), "scored", 0).run()
 except ConservationError:
@@ -128,7 +134,7 @@ except ConservationError:
 
 def test_conservation_check_survives_optimized_python():
     src = Path(scatterjoin.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-O", "-c", MISCOUNTED_FLUSH],
+    proc = subprocess.run([sys.executable, "-O", "-c", MISCOUNTED_MOVE],
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout.strip() == "optimize=1 ConservationError", proc.stderr
@@ -566,7 +572,8 @@ def test_a_link_is_pushed_at_its_first_slot_after_the_event(monkeypatch, scenari
         assert master == node.master
         if nid not in grids:
             first = (eng.t_join if nid == scenario.new_node_id else 0.0) + node.ci_ms
-            grids[nid] = slot_keys(nid, master, first, node.ci_ms, eng.horizon)
+            grids[nid] = slot_keys(nid, master, first, node.ci_ms,
+                                   scenario.engine.horizon_ms())
         keys = grids[nid]
         assert push == keys[bisect.bisect_right(keys, event)]
     assert counting.conn_pushes or not eng.result.total_sent
@@ -653,11 +660,12 @@ def test_catch_up_applies_an_arrival_at_until_only_when_asked():
     assert eng.result.total_sent == 1
 
 
-def test_catch_up_applies_in_time_order_and_ends_with_the_stream():
+def test_catch_up_applies_in_time_order_and_holds_the_next_draw():
     eng = TrialEngine(training11(), "scored", 0)
     gap = -math.log(0.5) * 10.0
-    t0 = eng.horizon - 15.0
+    t0 = 100.0
     t1, t2 = t0 + gap, t0 + gap + gap
+    t3 = t2 + gap
     node = held_node(t0)
     node.last_ms = t0
     eng._catch_up(node, (t2 + 1.0, KIND_CONN, 1, 2))
@@ -666,9 +674,9 @@ def test_catch_up_applies_in_time_order_and_ends_with_the_stream():
         (2, 2, 3, 2)
     assert node.last_ms == t2
     assert node.area == 2 * (t1 - t0) + 2 * (t2 - t1)
-    assert node.due == math.inf  # the fourth draw is past the horizon
-    eng._catch_up(node, (eng.horizon, KIND_END, 0, 0))
-    assert eng.result.total_sent == 3
+    assert node.due == t3  # the fourth arrival is held
+    eng._catch_up(node, (t3, KIND_CONN, 1, 2))  # sorts before (t3, KIND_GEN, 2, 0)
+    assert (node.tail, node.due, node.last_ms, eng.result.total_sent) == (2, t3, t2, 3)
 
 
 @pytest.mark.parametrize("key,applied", [
@@ -767,9 +775,53 @@ def test_every_node_meters_its_own_buffer(monkeypatch, scenario, algo, seed):
     nodes = eng.net.nodes.values()
     # every drop is charged to exactly one node
     assert sum(n.drops for n in nodes) == t.total_dropped
-    last = counting.popped[-1]
-    end = last[0] if last[1] in (KIND_JOINME, KIND_END) else eng.horizon
+    end, kind = counting.popped[-1][:2]
+    assert kind in (KIND_JOINME, KIND_END)
     assert all(n.last_ms == end and n.area >= 0 for n in nodes)
+
+
+class HorizonHeapq:
+    """Stands in for engine's heapq: keeps the last popped event and raises
+    at the first pop at or past horizon, so a trial that missed its exit
+    fails instead of running on."""
+
+    def __init__(self, horizon):
+        self.horizon, self.last = horizon, None
+
+    heappush = staticmethod(heapq.heappush)
+
+    def heappop(self, heap):
+        self.last = heapq.heappop(heap)
+        if self.last[0] >= self.horizon:
+            raise AssertionError(f"popped {self.last} at or past the horizon {self.horizon}")
+        return self.last
+
+
+@pytest.mark.parametrize("cases", [golden_cases, grid_cases, busy_cases])
+def test_a_trial_ends_at_its_end_or_give_up_before_the_horizon(monkeypatch, cases):
+    # every stream and link runs on, so only the trial's own exit ends the loop
+    for scenario, algo, seed in cases():
+        popping = HorizonHeapq(scenario.engine.horizon_ms())
+        monkeypatch.setattr(engine, "heapq", popping)
+        t = run_trial(scenario, algo, seed)
+        assert popping.last[1] == (KIND_END if t.joined else KIND_JOINME)
+
+
+@pytest.mark.parametrize("cases", [golden_cases, busy_cases])
+def test_a_later_horizon_changes_no_joined_trial(cases):
+    # a longer wait moves only the horizon and the give-up round
+    joined = 0
+    for scenario, algo, seed in cases():
+        t = run_trial(scenario, algo, seed)
+        if not t.joined:
+            continue
+        joined += 1
+        eng = scenario.engine
+        later = replace(scenario, engine=replace(eng, max_wait_ms=eng.max_wait_ms
+                                                 + 5 * eng.t_adv_ms))
+        assert later.engine.horizon_ms() > eng.horizon_ms()
+        assert run_trial(later, algo, seed) == t
+    assert joined
 
 
 @pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
