@@ -31,9 +31,11 @@ scenario, so every trial shares the Scenario's Layout; a shadowed trial
 draws and builds its own. Both the build phase and each joinMe walk only
 the nodes the listener hears (Links.heard) and hear each through
 broadcast_status: the same nodes every time, with their state at that
-instant. A delivered probe's hop count is hops_at_join: no node
-attaches after the join, so the tree a probe crosses is the joiner's
-path at the join.
+instant. The algorithms differ only in their picks: PICKS gives each a
+build-up pick and a joinMe pick, both (cands, joiner, scenario) -> id |
+None. A delivered probe's hop count is hops_at_join: no node attaches
+after the join, so the tree a probe crosses is the joiner's path at the
+join.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -79,8 +81,6 @@ KIND_JOINME = 1
 KIND_CONN = 2
 KIND_GEN = 3
 KIND_END = 4
-
-ALGOS = ("baseline", "scored")
 
 
 class ConservationError(RuntimeError):
@@ -272,48 +272,54 @@ def _gather_candidates(net, joiner_id, links):
     with a free slot, in ascending id order."""
     nodes = net.nodes
     sink_cluster = nodes[net.sink_id].cluster_id
-    cands = []
-    for nid in links.heard(joiner_id):
-        node = nodes[nid]
-        if node.cluster_id == sink_cluster and node.free_out >= 1:
-            cands.append(broadcast_status(node, links, joiner_id))
-    return cands
+    return [broadcast_status(node, links, joiner_id) for nid in links.heard(joiner_id)
+            if (node := nodes[nid]).cluster_id == sink_cluster and node.free_out >= 1]
 
 
-def scored_select(cands: list[CandidateInfo], thresholds, weights) -> int | None:
+def scored_select(cands: list[CandidateInfo], joiner: NodeState, s: Scenario) -> int | None:
     """The scored pipeline: filter, then the best score in the biggest cluster."""
-    return select_parent(filter_candidates(cands, thresholds.rl_min_dbm,
-                                           thresholds.b_fair), weights)
+    t = s.thresholds
+    return select_parent(filter_candidates(cands, t.rl_min_dbm, t.b_fair), s.weights)
 
 
-def build_network(net: Network, algo: str, links: Links, weights, thresholds,
-                  exclude=()) -> list[tuple[int, int]]:
+# algo -> (build-up pick, joinMe pick), each (cands, joiner, scenario) -> id | None;
+# a pick calls the rules by this module's names, so a stand-in here sees every call
+PICKS = {
+    "baseline": (lambda cands, joiner, s: strongest(cands),
+                 lambda cands, joiner, s: baseline_select(cands, joiner)),
+    "scored": (scored_select, scored_select),
+}
+ALGOS = tuple(PICKS)
+
+
+def picks(algo: str) -> tuple:
+    """algo's (build-up pick, joinMe pick); the one check of an algorithm's name."""
+    if algo not in PICKS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return PICKS[algo]
+
+
+def build_network(net: Network, algo: str, links: Links,
+                  scenario: Scenario) -> list[tuple[int, int]]:
     """Sink-anchored build-up: unattached roots join the sink's cluster.
 
-    Ascending-id passes, one attach at a time, repeated until a full pass
-    makes no progress. Baseline takes the strongest heard member with a
-    free slot, even a lone sink that baseline_select would refuse;
-    scored runs the filter/score pipeline over the same candidates.
-    Nodes out of reach of the growing cluster stay roots. Returns the
-    attaches as (child, parent) pairs in the order they were made.
+    Ascending-id passes over every node but the sink and scenario's
+    joiner, one attach at a time, until a full pass makes no progress.
+    A root picks among the heard members of the sink's cluster with a
+    free slot through algo's build-up pick, which reads the scenario.
+    Nodes out of reach stay roots. Returns the attaches as (child,
+    parent) pairs in the order they were made.
     """
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    nodes, sink_id, ids = net.nodes, net.sink_id, sorted(net.nodes)
+    pick, nodes = picks(algo)[0], net.nodes
+    ids = [nid for nid in sorted(nodes) if nid != net.sink_id and nid != scenario.new_node_id]
     attaches = []
     while True:
         progress = False
         for nid in ids:
-            if nid in exclude or nid == sink_id or nodes[nid].master is not None:
+            if nodes[nid].master is not None:
                 continue
             cands = _gather_candidates(net, nid, links)
-            if not cands:
-                continue
-            if algo == "baseline":
-                parent = strongest(cands)
-            else:
-                parent = scored_select(cands, thresholds, weights)
-            if parent is None:
+            if not cands or (parent := pick(cands, nodes[nid], scenario)) is None:
                 continue
             net.attach(nid, parent)
             attaches.append((nid, parent))
@@ -354,20 +360,19 @@ class Layout:
         net = make_network(scenario)
         order = self.attaches.get(algo)
         if order is None:
-            self.attaches[algo] = build_network(net, algo, self.links, scenario.weights,
-                                                scenario.thresholds, exclude={scenario.new_node_id})
+            self.attaches[algo] = build_network(net, algo, self.links, scenario)
         else:
             for child, parent in order:
                 net.attach(child, parent)
         return net
 
     def reweighted(self) -> Layout:
-        """This layout for a copy of its scenario with other weights: the
-        same link table and baseline build-up, which read no weights. The
-        scored build-up reads them, so the copy records its own."""
+        """This layout for a copy of its scenario with other weights: the same
+        link table and every build-up but scored_select's, the one pick that
+        reads weights; the copy records those build-ups afresh."""
         twin = copy.copy(self)
         twin.attaches = {algo: order for algo, order in self.attaches.items()
-                         if algo == "baseline"}
+                         if PICKS[algo][0] is not scored_select}
         return twin
 
 
@@ -381,6 +386,7 @@ class TrialEngine:
     """Single-threaded event loop owning one trial's network and RNG streams."""
 
     def __init__(self, scenario: Scenario, algo: str, seed: int):
+        self.join_pick = picks(algo)[1]
         self.scenario = scenario
         self.algo = algo
         self.seed = seed
@@ -437,12 +443,7 @@ class TrialEngine:
         self._catch_up_all(key)
         cands = [broadcast_status(net.nodes[nid], self.links, new_id)
                  for nid in self.links.heard(new_id)]
-        if self.algo == "baseline":
-            parent = baseline_select(cands, new)
-        else:
-            # the pick goes out in the joinMe ack field; only it answers
-            parent = scored_select(cands, s.thresholds, s.weights)
-
+        parent = self.join_pick(cands, new, s)
         if parent is None:
             if now_ms - eng.warmup_ms >= eng.max_wait_ms:
                 return True

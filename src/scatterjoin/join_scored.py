@@ -120,11 +120,8 @@ def filter_candidates(cands: list[CandidateInfo], rl_min_dbm: float = -85.0,
     """
     alive = [c for c in cands if c.free_out >= 1 and c.rl_dbm >= rl_min_dbm]
     alive_ids = {c.id for c in alive}
-    kept = []
-    for c in alive:
-        if c.b >= b_fair and any(ch in alive_ids for ch in c.children):
-            continue
-        kept.append(c)
+    kept = [c for c in alive
+            if not (c.b >= b_fair and any(ch in alive_ids for ch in c.children))]
     return sorted(kept, key=lambda c: c.id)
 
 
@@ -138,5 +135,4 @@ def select_parent(filtered: list[CandidateInfo], w: ScoreWeights) -> int | None:
         return None
     biggest = max(c.cluster_size for c in filtered)
     pool = [c for c in filtered if c.cluster_size == biggest]
-    best = max(pool, key=lambda c: (score_candidate(c, w), c.rl_dbm, -c.id))
-    return best.id
+    return max(pool, key=lambda c: (score_candidate(c, w), c.rl_dbm, -c.id)).id

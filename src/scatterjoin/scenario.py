@@ -69,6 +69,23 @@ class Thresholds:
     theta_sat: float = 0.8
 
 
+def _integer(v) -> bool:
+    """The integer check of every int field, in a file or in code: exactly
+    an int, so a float fails, and so does a bool, which Python counts as one."""
+    return type(v) is int
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _require_ints(where: str, obj, names) -> None:
+    """Each named field of obj an integer, else a ScenarioError naming it."""
+    for name in names:
+        if not _integer(value := getattr(obj, name)):
+            raise ScenarioError(f"{where}{name}: expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -82,16 +99,24 @@ class Scenario:
     declared_unjoinable: bool = False
 
     def __post_init__(self):
-        """The O(N) checks on ids and ranges, then the worst-case event count."""
+        """The O(N) checks on ids, integer fields and ranges, then the
+        worst-case event count."""
         object.__setattr__(self, "nodes", tuple(self.nodes))  # a list would stay editable
         seen = set()
         for i, n in enumerate(self.nodes):
+            # _integer inlined: generation builds about ten scenarios per layout
+            if not (type(n.id) is int and type(n.b_max) is int and type(n.slave_capacity) is int):
+                _require_ints(f"nodes[{i}].", n, ("id", "b_max", "slave_capacity"))
             if not n.id >= 1:
                 raise ScenarioError(f"nodes[{i}].id: must be >= 1")
             if n.id in seen:
                 raise ScenarioError(f"nodes: duplicate id {n.id}")
             seen.add(n.id)
-            if not all(map(math.isfinite, n.pos)):
+            pos = n.pos
+            if not (isinstance(pos, (tuple, list)) and len(pos) == 2
+                    and _number(pos[0]) and _number(pos[1])):
+                raise ScenarioError(f"nodes[{i}].pos: expected two numbers, got {pos!r}")
+            if not (abs(pos[0]) <= sys.float_info.max and abs(pos[1]) <= sys.float_info.max):
                 raise ScenarioError(f"nodes[{i}].pos: must be finite")
             if not 0 < n.ci_ms < math.inf:
                 raise ScenarioError(f"nodes[{i}].ci_ms: must be > 0 and finite")
@@ -104,6 +129,7 @@ class Scenario:
             if n.id == self.sink_id and n.traffic_rate_pps:
                 raise ScenarioError(f"nodes[{i}].traffic_rate_pps: must be 0 on the sink, "
                                     "which has no uplink")
+        _require_ints("", self, ("sink_id", "new_node_id"))
         if self.sink_id not in seen:
             raise ScenarioError(f"sink_id: node {self.sink_id} missing from nodes")
         if self.sink_id != 1:
@@ -119,6 +145,7 @@ class Scenario:
         for name in ("warmup_ms", "max_wait_ms"):
             if not 0 <= getattr(e, name) < math.inf:
                 raise ScenarioError(f"engine.{name}: must be >= 0 and finite")
+        _require_ints("engine.", e, ("n_ce",))
         if not e.n_ce >= 1:
             raise ScenarioError("engine.n_ce: must be >= 1")
         try:
@@ -131,6 +158,7 @@ class Scenario:
         t = self.thresholds
         if not math.isfinite(t.rl_min_dbm):
             raise ScenarioError("thresholds.rl_min_dbm: must be finite")
+        _require_ints("thresholds.", t, ("b_fair",))
         if not t.b_fair >= 0:
             raise ScenarioError("thresholds.b_fair: must be >= 0")
         if not 0 < t.theta_sat <= 1:
@@ -158,9 +186,8 @@ _FILE_DEFAULTS = {Scenario: {"name": "unnamed", "new_node_id": 0}}
 # annotation -> (accepts a JSON value, what it wants); the float bound also
 # rejects an int too big for a float, where math.isfinite would overflow
 _SCALARS = {
-    int: (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max, "a finite number"),
+    int: (_integer, "an integer"),
+    float: (lambda v: _number(v) and abs(v) <= sys.float_info.max, "a finite number"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
 }

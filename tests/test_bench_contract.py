@@ -155,3 +155,38 @@ def test_a_build_hears_each_gathered_candidate_once(monkeypatch):
             heard.clear()
             m.engine.build_trial_network(s, algo)
             assert gathered and heard == gathered
+
+
+def test_every_pick_calls_the_traced_rules_by_engine_name(monkeypatch):
+    # spans.py counts the rules through engine's names; a pick holding its
+    # own reference to a rule would hide its calls from --trace 1
+    m = bench_modules()
+    phase, seen = ["join"], set()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            seen.add((phase[0], name))
+            return fn(*args)
+        return wrapper
+
+    def build(*args):
+        phase[0] = "build"
+        try:
+            return real_build(*args)
+        finally:
+            phase[0] = "join"
+
+    for name in ("strongest", "baseline_select", "filter_candidates", "select_parent"):
+        monkeypatch.setattr(m.engine, name, counted(name, getattr(m.engine, name)))
+    real_build = m.engine.build_network
+    monkeypatch.setattr(m.engine, "build_network", build)
+    scored = {(p, n) for p in ("build", "join") for n in ("filter_candidates", "select_parent")}
+    expected = {"baseline": {("build", "strongest"), ("join", "baseline_select")},
+                "scored": scored}
+    assert set(expected) == set(m.engine.ALGOS)
+    for algo, names in expected.items():
+        seen.clear()
+        m.engine.build_trial_network(training11(), algo)
+        assert seen == {(p, n) for p, n in names if p == "build"}
+        assert m.engine.run_trial(training11(), algo, 0).joined  # a fresh layout: build, then join
+        assert seen == names

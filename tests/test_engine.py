@@ -863,8 +863,7 @@ def test_buildup_reaches_single_cluster_when_connected():
 
 def test_buildup_hook_sees_every_attach():
     s = training11()
-    order = build_network(make_network(s), "baseline", Layout(s).links, s.weights,
-                          s.thresholds, exclude={s.new_node_id})
+    order = build_network(make_network(s), "baseline", Layout(s).links, s)
     assert len(order) == 10  # everyone but sink and joiner
     assert all(c != p for c, p in order)
     assert len({c for c, _ in order}) == 10  # each child attaches once
@@ -955,8 +954,7 @@ def test_a_layout_builds_and_replays_what_a_fresh_build_gives(specs, sigma, seed
     s = Scenario("drawn", nodes, new_node_id=len(nodes),
                  radio=RadioParams(shadowing_sigma_db=sigma))
     fresh = make_network(s)
-    build_network(fresh, algo, Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio, seed),
-                  s.weights, s.thresholds, exclude={s.new_node_id})
+    build_network(fresh, algo, Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio, seed), s)
     layout = Layout(s, seed)
     first, replayed = layout.network(s, algo), layout.network(s, algo)
     assert _tree(first) == _tree(fresh) == _tree(replayed)
@@ -1000,8 +998,7 @@ def test_a_node_gathers_what_it_hears_not_what_hears_it(algo):
     assert links.heard(2) == [1, 3] and links.heard(1) == [] and links.heard(3) == [2]
     net = make_network(ASYMMETRIC)
     assert [c.id for c in engine._gather_candidates(net, 2, links)] == [1]
-    order = build_network(net, algo, links, ASYMMETRIC.weights, ASYMMETRIC.thresholds,
-                          exclude={3})
+    order = build_network(net, algo, links, ASYMMETRIC)
     assert order == [(2, 1)]
     r = run_trial(ASYMMETRIC, algo, 0)  # the joiner hears node 2 only
     assert r.joined and r.chosen_parent == 2
@@ -1049,8 +1046,7 @@ def test_gathers_equal_a_walk_over_every_node(data, n, sigma, seed, algo):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(engine, "_gather_candidates", reference_gather)
-        expected = build_network(make_network(s), algo, Layout(s, seed).links, s.weights,
-                                 s.thresholds, exclude={new_id})
+        expected = build_network(make_network(s), algo, Layout(s, seed).links, s)
         m.setattr(engine, "_gather_candidates", checked_gather)
         eng = TrialEngine(s, algo, seed)
         eng.layout.network(s, algo)  # the build, so that the trial replays it
@@ -1083,8 +1079,10 @@ def test_both_phases_hear_through_broadcast_status(monkeypatch):
 
 
 def test_unknown_algorithm_rejected():
-    with pytest.raises(ValueError):
-        run_trial(training11(), "fancy", 0)
-    with pytest.raises(ValueError):
-        build_network(make_network(training11()), "fancy", Links({}, RadioParams()),
-                      None, None)
+    s = training11()
+    calls = (lambda: TrialEngine(s, "fancy", 0), lambda: run_trial(s, "fancy", 0),
+             lambda: Layout(s).network(s, "fancy"),
+             lambda: build_network(make_network(s), "fancy", Layout(s).links, s))
+    for call in calls:
+        with pytest.raises(ValueError, match="'fancy'"):
+            call()

@@ -16,9 +16,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import scatterjoin
-from scatterjoin.channel import Position, RadioParams
-from scatterjoin.engine import Links, build_network, run_trial
-from scatterjoin.model import Network, NodeState
+from scatterjoin.channel import RadioParams
+from scatterjoin.engine import Layout, build_network, make_network, run_trial
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario,
                                   gen_random_scenario, scenario_to_dict,
                                   training11)
@@ -202,8 +201,8 @@ def test_golden_covers_failed_joins():
 
 def test_baseline_build_phase_attaches_to_lone_sink():
     # ... while the build phase takes the strongest heard sink-cluster member
-    net = Network([NodeState(id=1, pos=Position(0.0, 0.0)),
-                   NodeState(id=5, pos=Position(5.0, 0.0))])
-    links = Links({nid: n.pos for nid, n in net.nodes.items()}, RadioParams())
-    build_network(net, "baseline", links, None, None)
+    s = Scenario("lone-sink-build", [NodeSpec(1, (0.0, 0.0)), NodeSpec(5, (5.0, 0.0)),
+                                     NodeSpec(9, (100.0, 0.0))], new_node_id=9)
+    net = make_network(s)
+    build_network(net, "baseline", Layout(s).links, s)
     assert net.nodes[5].master == 1

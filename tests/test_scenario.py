@@ -244,6 +244,38 @@ def test_code_built_nan_rejected_by_name(where, build):
         replace(s, **build(s))
 
 
+@pytest.mark.parametrize("where,build", [
+    (r"nodes\[3\]\.id: expected an integer, got 4\.0",
+     lambda s: {"nodes": _with_node(s, 3, id=4.0)}),
+    (r"nodes\[3\]\.b_max: expected an integer, got 2\.5",
+     lambda s: {"nodes": _with_node(s, 3, b_max=2.5)}),
+    (r"nodes\[0\]\.slave_capacity: expected an integer, got True",
+     lambda s: {"nodes": _with_node(s, 0, slave_capacity=True)}),
+    (r"sink_id: expected an integer", lambda s: {"sink_id": 1.0}),
+    (r"new_node_id: expected an integer", lambda s: {"new_node_id": 12.0}),
+    (r"engine\.n_ce: expected an integer, got 1\.5", lambda s: {"engine": EngineParams(n_ce=1.5)}),
+    (r"thresholds\.b_fair: expected an integer", lambda s: {"thresholds": Thresholds(b_fair=1.0)}),
+    # a pos that is not two numbers, which make_network could not place
+    (r"nodes\[3\]\.pos: expected two numbers",
+     lambda s: {"nodes": _with_node(s, 3, pos=("a", 0.0))}),
+    (r"nodes\[3\]\.pos: expected two numbers", lambda s: {"nodes": _with_node(s, 3, pos=(1.0,))}),
+    (r"nodes\[3\]\.pos: expected two numbers", lambda s: {"nodes": _with_node(s, 3, pos=None)}),
+    (r"nodes\[3\]\.pos: expected two numbers",
+     lambda s: {"nodes": _with_node(s, 3, pos=(True, 0.0))}),
+    (r"nodes\[3\]\.pos: must be finite", lambda s: {"nodes": _with_node(s, 3, pos=(10 ** 400, 0))}),
+])
+def test_code_built_fractional_or_mistyped_fields_rejected_by_name(where, build):
+    # the file parser's integer check holds for a Scenario built in code too
+    s = training11()
+    with pytest.raises(ScenarioError, match=where):
+        replace(s, **build(s))
+
+
+def test_code_built_integer_pos_accepted():
+    s = training11()
+    assert replace(s, nodes=_with_node(s, 3, pos=[22, 11])).nodes[3].pos == [22, 11]
+
+
 def _with_node(s, i, **fields):
     return [replace(n, **fields) if k == i else n for k, n in enumerate(s.nodes)]
 
