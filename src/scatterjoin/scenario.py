@@ -1,6 +1,7 @@
 """Scenario definition, validation, JSON round-tripping, and random generation.
 
-A Scenario checks its ids and ranges when it is built. The hearing-graph
+A Scenario checks its field types, ids and ranges when it is built, from
+a file or in code, by one type rule (_SCALARS). The hearing-graph
 checks, the generator's build-ups and every unshadowed trial share the
 scenario's one engine.Layout (Scenario.layout); a shadowed trial builds
 its own.
@@ -14,7 +15,7 @@ import random
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 from .channel import RadioParams, hears  # noqa: F401 -- bench/spans.py patches it
 from .engine import ALGOS, Layout, Links
@@ -69,23 +70,6 @@ class Thresholds:
     theta_sat: float = 0.8
 
 
-def _integer(v) -> bool:
-    """The integer check of every int field, in a file or in code: exactly
-    an int, so a float fails, and so does a bool, which Python counts as one."""
-    return type(v) is int
-
-
-def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _require_ints(where: str, obj, names) -> None:
-    """Each named field of obj an integer, else a ScenarioError naming it."""
-    for name in names:
-        if not _integer(value := getattr(obj, name)):
-            raise ScenarioError(f"{where}{name}: expected an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -99,26 +83,18 @@ class Scenario:
     declared_unjoinable: bool = False
 
     def __post_init__(self):
-        """The O(N) checks on ids, integer fields and ranges, then the
-        worst-case event count."""
+        """Every field checked against its annotation (_check), then the
+        O(N) checks on ids and ranges, then the worst-case event count."""
+        _check(Scenario, self, "scenario")
         object.__setattr__(self, "nodes", tuple(self.nodes))  # a list would stay editable
         seen = set()
         for i, n in enumerate(self.nodes):
-            # _integer inlined: generation builds about ten scenarios per layout
-            if not (type(n.id) is int and type(n.b_max) is int and type(n.slave_capacity) is int):
-                _require_ints(f"nodes[{i}].", n, ("id", "b_max", "slave_capacity"))
             if not n.id >= 1:
                 raise ScenarioError(f"nodes[{i}].id: must be >= 1")
             if n.id in seen:
                 raise ScenarioError(f"nodes: duplicate id {n.id}")
             seen.add(n.id)
-            pos = n.pos
-            if not (isinstance(pos, (tuple, list)) and len(pos) == 2
-                    and _number(pos[0]) and _number(pos[1])):
-                raise ScenarioError(f"nodes[{i}].pos: expected two numbers, got {pos!r}")
-            if not (abs(pos[0]) <= sys.float_info.max and abs(pos[1]) <= sys.float_info.max):
-                raise ScenarioError(f"nodes[{i}].pos: must be finite")
-            if not 0 < n.ci_ms < math.inf:
+            if not 0 < n.ci_ms:
                 raise ScenarioError(f"nodes[{i}].ci_ms: must be > 0 and finite")
             if not n.b_max >= 1:
                 raise ScenarioError(f"nodes[{i}].b_max: must be >= 1")
@@ -129,7 +105,6 @@ class Scenario:
             if n.id == self.sink_id and n.traffic_rate_pps:
                 raise ScenarioError(f"nodes[{i}].traffic_rate_pps: must be 0 on the sink, "
                                     "which has no uplink")
-        _require_ints("", self, ("sink_id", "new_node_id"))
         if self.sink_id not in seen:
             raise ScenarioError(f"sink_id: node {self.sink_id} missing from nodes")
         if self.sink_id != 1:
@@ -140,12 +115,11 @@ class Scenario:
             raise ScenarioError("new_node_id: must differ from sink_id")
         e = self.engine  # ranges that keep a trial finite and its window defined
         for name in ("t_adv_ms", "measure_ms", "probe_rate"):
-            if not 0 < getattr(e, name) < math.inf:
+            if not 0 < getattr(e, name):
                 raise ScenarioError(f"engine.{name}: must be > 0 and finite")
         for name in ("warmup_ms", "max_wait_ms"):
-            if not 0 <= getattr(e, name) < math.inf:
+            if not 0 <= getattr(e, name):
                 raise ScenarioError(f"engine.{name}: must be >= 0 and finite")
-        _require_ints("engine.", e, ("n_ce",))
         if not e.n_ce >= 1:
             raise ScenarioError("engine.n_ce: must be >= 1")
         try:
@@ -156,9 +130,6 @@ class Scenario:
             raise ScenarioError("engine.measure_ms: the window holds no probe at engine."
                                 "probe_rate (measure_ms * probe_rate / 1000 must round to >= 1)")
         t = self.thresholds
-        if not math.isfinite(t.rl_min_dbm):
-            raise ScenarioError("thresholds.rl_min_dbm: must be finite")
-        _require_ints("thresholds.", t, ("b_fair",))
         if not t.b_fair >= 0:
             raise ScenarioError("thresholds.b_fair: must be >= 0")
         if not 0 < t.theta_sat <= 1:
@@ -183,11 +154,14 @@ class Scenario:
 # new_node_id gets 0, which Scenario's own checks then reject by name.
 _FILE_DEFAULTS = {Scenario: {"name": "unnamed", "new_node_id": 0}}
 
-# annotation -> (accepts a JSON value, what it wants); the float bound also
-# rejects an int too big for a float, where math.isfinite would overflow
+# annotation -> (accepts a value, what it wants): the one type rule, for a file
+# and for code. An int is exactly an int, so a bool fails. A float is a number
+# a float holds, bool aside: NaN, +-inf and an int too big for a float (where
+# math.isfinite would overflow) fail; the common exact float is tested first.
 _SCALARS = {
-    int: (_integer, "an integer"),
-    float: (lambda v: _number(v) and abs(v) <= sys.float_info.max, "a finite number"),
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: (type(v) is float or isinstance(v, (int, float)) and not isinstance(v, bool))
+            and abs(v) <= sys.float_info.max, "a finite number"),
     bool: (lambda v: isinstance(v, bool), "true or false"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
@@ -223,22 +197,47 @@ def _build(cls, block, where: str):
 
 
 def _value(kind, value, where: str):
-    """value checked against the annotation kind; a float field gets a float."""
+    """A file's value checked against the annotation kind and converted:
+    objects built into dataclasses, lists made tuples, ints made floats."""
     if is_dataclass(kind):
         return _build(kind, value, where)
-    origin, args = get_origin(kind), get_args(kind)
-    if origin is tuple and args[-1] is Ellipsis:  # any length, from a JSON list
-        if not isinstance(value, list):
-            raise ScenarioError(f"{where}: expected a list, got {value!r}")
-        return tuple(_value(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if origin is tuple:
-        if not (isinstance(value, (list, tuple)) and len(value) == len(args)):
-            raise ScenarioError(f"{where}: expected {len(args)} values, got {value!r}")
-        return tuple(_value(a, v, f"{where}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    accepts, want = _SCALARS[kind]
-    if not accepts(value):
-        raise ScenarioError(f"{where}: expected {want}, got {value!r}")
+    if kind not in _SCALARS:  # a tuple
+        return tuple(_value(a, v, f"{where}[{i}]")
+                     for i, (a, v) in enumerate(zip(_items(kind, value, where), value)))
+    _check(kind, value, where)
     return float(value) if kind is float else value
+
+
+def _check(kind, value, where: str) -> None:
+    """value checked in place against the annotation kind, converting
+    nothing: a dataclass must be an instance, whose fields are checked in
+    turn. A part that passes its scalar check builds no where string."""
+    if kind in _SCALARS:
+        if not _SCALARS[kind][0](value):
+            raise ScenarioError(f"{where}: expected {_SCALARS[kind][1]}, got {value!r}")
+    elif not is_dataclass(kind):  # a tuple
+        for i, (a, v) in enumerate(zip(_items(kind, value, where), value)):
+            if (scalar := _SCALARS.get(a)) is None or not scalar[0](v):
+                _check(a, v, f"{where}[{i}]")
+    elif not isinstance(value, kind):
+        raise ScenarioError(f"{where}: expected {kind.__name__}, got {value!r}")
+    else:
+        prefix = "" if kind is Scenario else f"{where}."
+        for name, hint in _hints(kind).items():
+            v = getattr(value, name)
+            if (scalar := _SCALARS.get(hint)) is None or not scalar[0](v):
+                _check(hint, v, prefix + name)
+
+
+def _items(kind, value, where: str) -> tuple:
+    """The annotation of each item of a tuple-annotated value, once its length fits."""
+    args = kind.__args__
+    if isinstance(value, (list, tuple)) and args[-1] is Ellipsis:
+        return args[:1] * len(value)
+    if isinstance(value, (list, tuple)) and len(value) == len(args):
+        return args
+    want = "a list" if args[-1] is Ellipsis else f"{len(args)} values"
+    raise ScenarioError(f"{where}: expected {want}, got {value!r}")
 
 
 def parse_scenario(doc: dict) -> Scenario:

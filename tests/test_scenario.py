@@ -231,11 +231,11 @@ def test_malformed_documents_rejected_by_name(doc, message):
     (r"thresholds\.rl_min_dbm", lambda s: {"thresholds": Thresholds(rl_min_dbm=math.nan)}),
     (r"thresholds\.theta_sat", lambda s: {"thresholds": Thresholds(theta_sat=math.nan)}),
     # a file's pos and ci_ms must be finite numbers; code-built ones too
-    (r"nodes\[3\]\.pos: must be finite",
+    (r"nodes\[3\]\.pos\[0\]: expected a finite number, got nan",
      lambda s: {"nodes": _with_node(s, 3, pos=(math.nan, 0.0))}),
-    (r"nodes\[0\]\.pos: must be finite",
+    (r"nodes\[0\]\.pos\[1\]: expected a finite number, got -inf",
      lambda s: {"nodes": _with_node(s, 0, pos=(0.0, -math.inf))}),
-    (r"nodes\[3\]\.ci_ms: must be > 0 and finite",
+    (r"nodes\[3\]\.ci_ms: expected a finite number, got inf",
      lambda s: {"nodes": _with_node(s, 3, ci_ms=math.inf)}),
 ])
 def test_code_built_nan_rejected_by_name(where, build):
@@ -256,16 +256,44 @@ def test_code_built_nan_rejected_by_name(where, build):
     (r"engine\.n_ce: expected an integer, got 1\.5", lambda s: {"engine": EngineParams(n_ce=1.5)}),
     (r"thresholds\.b_fair: expected an integer", lambda s: {"thresholds": Thresholds(b_fair=1.0)}),
     # a pos that is not two numbers, which make_network could not place
-    (r"nodes\[3\]\.pos: expected two numbers",
+    (r"nodes\[3\]\.pos\[0\]: expected a finite number, got 'a'",
      lambda s: {"nodes": _with_node(s, 3, pos=("a", 0.0))}),
-    (r"nodes\[3\]\.pos: expected two numbers", lambda s: {"nodes": _with_node(s, 3, pos=(1.0,))}),
-    (r"nodes\[3\]\.pos: expected two numbers", lambda s: {"nodes": _with_node(s, 3, pos=None)}),
-    (r"nodes\[3\]\.pos: expected two numbers",
+    (r"nodes\[3\]\.pos: expected 2 values, got \(1\.0,\)",
+     lambda s: {"nodes": _with_node(s, 3, pos=(1.0,))}),
+    (r"nodes\[3\]\.pos: expected 2 values, got None",
+     lambda s: {"nodes": _with_node(s, 3, pos=None)}),
+    (r"nodes\[3\]\.pos\[0\]: expected a finite number, got True",
      lambda s: {"nodes": _with_node(s, 3, pos=(True, 0.0))}),
-    (r"nodes\[3\]\.pos: must be finite", lambda s: {"nodes": _with_node(s, 3, pos=(10 ** 400, 0))}),
+    (r"nodes\[3\]\.pos\[0\]: expected a finite number, got 10{400}$",
+     lambda s: {"nodes": _with_node(s, 3, pos=(10 ** 400, 0))}),
+    # an int field of a block that checks its own ranges, and a fraction that
+    # would change the scores
+    (r"weights\.m_max: expected an integer, got 2\.5",
+     lambda s: {"weights": ScoreWeights(m_max=2.5)}),
+    # a string or a bool in a float field, a bad name or flag
+    (r"nodes\[3\]\.traffic_rate_pps: expected a finite number, got '5'",
+     lambda s: {"nodes": _with_node(s, 3, traffic_rate_pps="5")}),
+    (r"nodes\[3\]\.ci_ms: expected a finite number, got '5'",
+     lambda s: {"nodes": _with_node(s, 3, ci_ms="5")}),
+    (r"nodes\[3\]\.ci_ms: expected a finite number, got True",
+     lambda s: {"nodes": _with_node(s, 3, ci_ms=True)}),
+    (r"engine\.t_adv_ms: expected a finite number, got '200'",
+     lambda s: {"engine": EngineParams(t_adv_ms="200")}),
+    (r"thresholds\.theta_sat: expected a finite number, got '0\.8'",
+     lambda s: {"thresholds": Thresholds(theta_sat="0.8")}),
+    (r"thresholds\.rl_min_dbm: expected a finite number, got True",
+     lambda s: {"thresholds": Thresholds(rl_min_dbm=True)}),
+    (r"radio\.exponent: expected a finite number, got True",
+     lambda s: {"radio": RadioParams(exponent=True)}),
+    (r"name: expected a string, got 5", lambda s: {"name": 5}),
+    (r"declared_unjoinable: expected true or false, got 'yes'",
+     lambda s: {"declared_unjoinable": "yes"}),
+    # a block or the node list must be what a Scenario holds, not its file form
+    (r"engine: expected EngineParams, got \{'n_ce': 2\}", lambda s: {"engine": {"n_ce": 2}}),
+    (r"nodes: expected a list, got 5", lambda s: {"nodes": 5}),
 ])
 def test_code_built_fractional_or_mistyped_fields_rejected_by_name(where, build):
-    # the file parser's integer check holds for a Scenario built in code too
+    # the file parser's type rule holds for a Scenario built in code too
     s = training11()
     with pytest.raises(ScenarioError, match=where):
         replace(s, **build(s))
@@ -378,21 +406,67 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+def _doc_with(path, value):
+    """minimal_doc with the field at path set to value."""
+    doc = minimal_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key] if isinstance(key, int) else target.setdefault(key, {})
+    target[path[-1]] = value
+    return doc
+
+
+def _scenario_with(s, path, value):
+    """s with the field at path set to value through dataclasses.replace."""
+    if len(path) == 1:
+        return replace(s, **{path[0]: value})
+    if path[0] == "nodes":
+        return replace(s, nodes=_with_node(s, path[1], **{path[2]: value}))
+    return replace(s, **{path[0]: replace(getattr(s, path[0]), **{path[1]: value})})
+
+
+def _named(make):
+    """None if make() returns, else the field its ScenarioError names."""
+    try:
+        make()
+    except ScenarioError as e:
+        return str(e).split(":")[0]
+    return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(value=JSON_VALUES)
 def test_any_json_value_parses_or_fails_by_name(value):
     for path in FIELD_PATHS:
-        doc = minimal_doc()
-        target = doc
-        for key in path[:-1]:
-            target = target[key] if isinstance(key, int) else target.setdefault(key, {})
-        target[path[-1]] = value
         try:
-            s = parse_scenario(doc)
+            s = parse_scenario(_doc_with(path, value))
         except ScenarioError:
             continue
         for algo in ("baseline", "scored"):
             TrialEngine(s, algo, 0)
+
+
+# Where a Scenario holds dataclasses, a file spells each as a JSON object.
+OBJECT_PATHS = {("nodes",), ("radio",), ("engine",), ("weights",), ("thresholds",)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=JSON_VALUES)
+def test_a_value_set_in_code_fails_as_in_a_file(value):
+    base = parse_scenario(minimal_doc())
+    for path in FIELD_PATHS:
+        in_file = _named(lambda: parse_scenario(_doc_with(path, value)))
+        try:
+            in_code = _named(lambda: validate_scenario(_scenario_with(base, path, value)))
+        except (ValueError, TypeError):  # RadioParams and ScoreWeights check themselves
+            assert len(path) == 2 and path[0] in ("radio", "weights")
+            assert in_file is not None and in_file.split(".")[0] == path[0]
+            continue
+        spelled = value if isinstance(value, list) else [value]
+        if path in OBJECT_PATHS and any(isinstance(v, dict) for v in spelled):
+            assert in_code is not None and in_code.startswith(path[0])  # an instance is needed
+        else:
+            assert in_code == in_file, path
 
 
 def test_file_round_trip(tmp_path):
