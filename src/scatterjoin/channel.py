@@ -9,6 +9,7 @@ single-hop BLE.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 
@@ -31,8 +32,8 @@ class RadioParams:
             raise ValueError("rx_threshold_dbm must be below tx_power_dbm")
         if not self.shadowing_sigma_db >= 0:
             raise ValueError("shadowing_sigma_db must be >= 0")
-        for f in fields(self):  # an infinity passes the bounds above but breaks every link
-            if not -math.inf < getattr(self, f.name) < math.inf:
+        for f in fields(self):  # an infinity, or an int no float holds, passes the bounds
+            if not abs(getattr(self, f.name)) <= sys.float_info.max:  # above but breaks every link
                 raise ValueError(f"{f.name} must be finite")
 
     def max_range_m(self) -> float:
@@ -74,10 +75,16 @@ def hears(a: Position, b: Position, params: RadioParams,
     """Whether b's signal at a (or vice versa) clears the receive threshold.
 
     Returns (heard, rssi_dbm). Co-located nodes count as 1 m apart, and
-    nodes too far apart for a float distance are out of range.
+    nodes too far apart for a float distance are out of range. The rssi
+    is path_loss_rssi's at max(dist(a, b), 1.0), bit for bit, worked out
+    inline: hears runs once per link of every layout, and positions are
+    finite, so the checks and calls it skips could never fire.
     """
-    d = max(dist(a, b), 1.0)
-    if d == math.inf:
+    d = math.hypot(a.x - b.x, a.y - b.y)
+    if d < 1.0:
+        d = 1.0
+    elif d == math.inf:
         return False, -math.inf
-    rl = path_loss_rssi(d, params, noise_draw)
+    pl = params.pl0_db + 10.0 * params.exponent * math.log10(d)
+    rl = params.tx_power_dbm - pl + params.shadowing_sigma_db * noise_draw
     return rl >= params.rx_threshold_dbm, rl

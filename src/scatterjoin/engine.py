@@ -128,11 +128,11 @@ class Links:
     links[at_id, from_id] is (heard, rssi) for from_id's signal received
     at at_id, worked out by hears on first use and kept. heard(at_id)
     lists, in ascending id order, the nodes whose signal at_id hears;
-    each list is worked out once and kept. With a seed and shadowing on,
-    one standard-normal draw per ordered pair is taken up front in id
-    order, so paired runs of both algorithms on the same seed see
-    identical links; such a table belongs to one trial's Layout, and a
-    link may then be heard one way only. Without draws a link is the
+    each list is worked out once, in one pass, and kept. With a seed and
+    shadowing on, one standard-normal draw per ordered pair is taken up
+    front in id order, so paired runs of both algorithms on the same seed
+    see identical links; such a table belongs to one trial's Layout, and
+    a link may then be heard one way only. Without draws a link is the
     same both ways (hypot takes absolute values), so its result is kept
     under both orders, and the scenario's Layout shares the table with
     every check and unshadowed trial on it. seed=None is the unshadowed
@@ -142,12 +142,12 @@ class Links:
     def __init__(self, positions: dict[int, Position], radio: RadioParams,
                  seed: int | None = None):
         self.positions, self.radio = positions, radio
+        self._ids = ids = sorted(positions)
         self._draws: dict[tuple[int, int], float] = {}
         self._known: dict[tuple[int, int], tuple[bool, float]] = {}
         self._heard: dict[int, list[int]] = {}
         if seed is not None and radio.shadowing_sigma_db > 0:
             rng = random.Random(f"scatterjoin-shadow:{seed}")
-            ids = sorted(positions)
             self._draws = {(a, b): rng.gauss(0.0, 1.0) for a in ids for b in ids if a != b}
 
     def __getitem__(self, link: tuple[int, int]) -> tuple[bool, float]:
@@ -162,11 +162,29 @@ class Links:
         return known
 
     def heard(self, at_id: int) -> list[int]:
-        """The ids at_id hears (links[at_id, other] heard), ascending."""
+        """The ids at_id hears (links[at_id, other] heard), ascending.
+
+        One pass over the ids, sorted once per table: a known link is read
+        from the cache, an unknown one is worked out by hears and kept as
+        links[at_id, other] would keep it.
+        """
         ids = self._heard.get(at_id)
-        if ids is None:
-            ids = self._heard[at_id] = [other for other in sorted(self.positions)
-                                        if other != at_id and self[at_id, other][0]]
+        if ids is not None:
+            return ids
+        ids = self._heard[at_id] = []
+        known, draws, positions, radio = self._known, self._draws, self.positions, self.radio
+        here = positions[at_id]
+        for other in self._ids:
+            if other == at_id:
+                continue
+            link = (at_id, other)
+            result = known.get(link)
+            if result is None:
+                result = known[link] = hears(here, positions[other], radio, draws.get(link, 0.0))
+                if not draws:
+                    known[other, at_id] = result
+            if result[0]:
+                ids.append(other)
         return ids
 
 

@@ -9,6 +9,7 @@ the biggest cluster through the joinMe ack field.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -62,7 +63,7 @@ class ScoreWeights:
         weights = [getattr(self, n) for n in WEIGHT_NAMES]
         if any(not w >= 0 for w in weights):
             raise ValueError("weights must be >= 0")
-        if not sum(weights) > 0:
+        if not any(w > 0 for w in weights):  # not sum(): an int past the float range overflows it
             raise ValueError("weights must not all be zero")
         for bound in ("m_max", "b_max"):  # both divide in score_candidate
             if not getattr(self, bound) >= 1:
@@ -71,8 +72,8 @@ class ScoreWeights:
             raise ValueError("ci_min_ms must be below ci_max_ms")
         if not self.rssi_lo < self.rssi_hi:
             raise ValueError("rssi_lo must be below rssi_hi")
-        for f in fields(self):  # an infinity passes the bounds above but swamps or zeroes a term
-            if not -math.inf < getattr(self, f.name) < math.inf:
+        for f in fields(self):  # an infinity passes the bounds above but swamps or zeroes a term,
+            if not abs(getattr(self, f.name)) <= sys.float_info.max:  # as does an int no float holds
                 raise ValueError(f"{f.name} must be finite")
         if not sum(weights) < math.inf:  # sums are monotone, so every score is then finite
             raise ValueError("weights must have a finite sum")

@@ -72,7 +72,13 @@ class NodeState:
 
 
 class Network:
-    """Mutable network state owned by a single trial."""
+    """Mutable network state owned by a single trial.
+
+    It keeps each cluster's member ids (cluster id -> ids), built on first
+    use and rebuilt from the nodes whenever nodes has changed size since,
+    so a node added to nodes after construction is counted. Cluster ids
+    change only through attach, which keeps the index in step.
+    """
 
     def __init__(self, nodes, sink_id: int = SINK_ID):
         self.nodes: dict[int, NodeState] = {}
@@ -83,15 +89,28 @@ class Network:
         if sink_id not in self.nodes:
             raise ValueError(f"sink id {sink_id} not present")
         self.sink_id = sink_id
+        self._members: dict[int, list[int]] = {}
+        self._indexed = 0  # len(nodes) when _members was built; 0: never
+
+    def _clusters(self) -> dict[int, list[int]]:
+        """Cluster id -> member ids, rebuilt if nodes changed size since."""
+        if self._indexed != len(self.nodes):
+            self._members = members = {}
+            for nid, n in self.nodes.items():
+                members.setdefault(n.cluster_id, []).append(nid)
+            self._indexed = len(self.nodes)
+        return self._members
 
     def cluster_members(self, cluster_id: int) -> list[int]:
-        return [nid for nid, n in sorted(self.nodes.items()) if n.cluster_id == cluster_id]
+        return sorted(self._clusters().get(cluster_id, ()))
 
     def attach(self, child_id: int, parent_id: int) -> None:
         """Merge the child's cluster under parent: child becomes parent's slave.
 
         The child must be the root of its own cluster; its whole cluster
         adopts the parent's cluster id and gets its hop counts recomputed.
+        Only the two merging clusters' members are relabelled, read from
+        the member index; a refused attach changes nothing.
         """
         child = self.nodes[child_id]
         parent = self.nodes[parent_id]
@@ -103,14 +122,18 @@ class Network:
             raise TopologyError(
                 f"attaching {child_id} under {parent_id} would create a cycle")
 
-        old_cluster = child.cluster_id
+        clusters, nodes = self._clusters(), self.nodes
+        cluster_id = parent.cluster_id
         merged = parent.cluster_size + child.cluster_size
         child.master = parent_id
         parent.slaves.append(child_id)
-        for n in self.nodes.values():
-            if n.cluster_id in (old_cluster, parent.cluster_id):
-                n.cluster_id = parent.cluster_id
-                n.cluster_size = merged
+        members = clusters[cluster_id]
+        absorbed = clusters.pop(child.cluster_id)
+        for nid in absorbed:
+            nodes[nid].cluster_id = cluster_id
+        members += absorbed
+        for nid in members:
+            nodes[nid].cluster_size = merged
         # hop counts for the absorbed subtree
         child.hops_to_sink = parent.hops_to_sink + 1
         stack = [child_id]
@@ -181,6 +204,8 @@ class Network:
                 reached.add(nid)
                 stack.extend(self.nodes[nid].slaves)
             check(len(reached) == size, f"cluster {cid} is not connected")
+            check(self.cluster_members(cid) == sorted(n.id for n in members),
+                  f"cluster {cid}: member index {self.cluster_members(cid)} is stale")
         check(total == len(self.nodes), f"{total} clustered nodes of {len(self.nodes)}")
         sink = self.nodes.get(self.sink_id)
         if sink is not None and sink.master is None:

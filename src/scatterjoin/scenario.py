@@ -4,7 +4,9 @@ A Scenario checks its field types, ids and ranges when it is built, from
 a file or in code, by one type rule (_SCALARS). The hearing-graph
 checks, the generator's build-ups and every unshadowed trial share the
 scenario's one engine.Layout (Scenario.layout); a shadowed trial builds
-its own.
+its own. The generator judges each try (_Try) on its own link table,
+hearing checks first, and makes only the accepted one a Scenario, which
+takes over the try's Layout: its links and both recorded build-ups.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 from typing import get_type_hints
 
-from .channel import RadioParams, hears  # noqa: F401 -- bench/spans.py patches it
+from .channel import Position, RadioParams, hears  # noqa: F401 -- bench/spans.py patches hears
 from .engine import ALGOS, Layout, Links
 from .join_scored import ScoreWeights
 
@@ -325,7 +327,10 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
     over links at or above the filter threshold, with both join strategies
     able to attach every pre-existing node. The usable candidates must
     also sit on at least two distinct branches of the built tree, so every
-    trial confronts the joiner with a real choice.
+    trial confronts the joiner with a real choice. _acceptable judges each
+    try in that order on the try's own link table, and only an accepted
+    try is made a Scenario: one the hearing checks reject builds no
+    NodeSpec, Layout or Scenario, and one a build-up rejects no Scenario.
     """
     if n_nodes < 3:
         raise GenerationError("n_nodes must be >= 3")
@@ -333,45 +338,87 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
         raise GenerationError("area_m: must be > 0 and finite")
     rng = random.Random(f"scatterjoin-scenario:{seed}")
     new_id = n_nodes
+    name = f"random{n_nodes}-seed{seed}"
 
     for _ in range(max_retries):
-        nodes = []
+        draws = []
         for nid in range(1, n_nodes + 1):
             pos = (rng.uniform(0.0, area_m), rng.uniform(0.0, area_m))
             ci = rng.choice(CI_TIERS_MS)
             rate = 0.0 if nid in (1, new_id) else rng.choice(RATE_TIERS_PPS)
-            nodes.append(NodeSpec(nid, pos, ci_ms=ci, traffic_rate_pps=rate))
-        s = Scenario(name=f"random{n_nodes}-seed{seed}", nodes=nodes,
-                     sink_id=1, new_node_id=new_id)
-        if _acceptable(s):
+            draws.append((nid, pos, ci, rate))
+        if (s := _acceptable(_Try(name, draws, new_id))) is not None:
             return s
     raise GenerationError(
         f"no viable layout after {max_retries} tries (seed {seed}); "
         "try a larger area or more nodes")
 
 
-def _acceptable(s: Scenario) -> bool:
-    """gen_random_scenario's test; it implies every validate_scenario check,
-    since a link the scored filter can use is heard and at or above rl_min_dbm.
-    It hears and builds through s.layout, unshadowed, so the unshadowed trials
-    on an accepted s replay its build-ups; a rejected s drops its layout."""
-    links = s.layout.links
-    existing = [n.id for n in s.nodes if n.id != s.new_node_id]
+class _Try:
+    """One of gen_random_scenario's tries, judged by _acceptable before it
+    is a Scenario: its draws as (id, pos, ci_ms, traffic_rate_pps), every
+    other field at a generated scenario's default. To Layout and the
+    build-up picks it reads as a Scenario would (nodes, sink_id,
+    new_node_id, radio, thresholds, weights). links hears the draws at
+    once; nodes and layout are made only once the hearing checks pass,
+    and scenario() only for an accepted try, which takes over the layout
+    with its links and both recorded build-ups."""
+
+    sink_id = 1
+    radio, thresholds, weights = RadioParams(), Thresholds(), ScoreWeights()
+
+    def __init__(self, name: str, draws: list[tuple], new_node_id: int):
+        self.name, self.draws, self.new_node_id = name, draws, new_node_id
+        self.links = Links({nid: Position(*pos) for nid, pos, _, _ in draws}, self.radio)
+
+    @cached_property
+    def nodes(self) -> tuple[NodeSpec, ...]:
+        return tuple(NodeSpec(nid, pos, ci_ms=ci, traffic_rate_pps=rate)
+                     for nid, pos, ci, rate in self.draws)
+
+    @cached_property
+    def layout(self) -> Layout:
+        layout = Layout(self)  # its own, unheard table is dropped for the one
+        layout.links = self.links  # the hearing checks filled
+        return layout
+
+    def scenario(self) -> Scenario:
+        s = Scenario(name=self.name, nodes=self.nodes, sink_id=self.sink_id,
+                     new_node_id=self.new_node_id)
+        object.__setattr__(s, "layout", self.layout)  # fills the cached_property
+        return s
+
+
+def _acceptable(s: Scenario | _Try) -> Scenario | None:
+    """gen_random_scenario's verdict on one try, or the same test of a
+    Scenario: the scenario if it passes, else None. It implies every
+    validate_scenario check, since a link the scored filter can use is
+    heard and at or above rl_min_dbm.
+
+    The hearing checks come first and read only the links, so a try they
+    reject builds nothing more. Then both build-ups run through the
+    layout, unshadowed, so the unshadowed trials on an accepted scenario
+    replay them; a rejected one drops its layout. Only an accepted try is
+    made a Scenario.
+    """
+    links = s.links if isinstance(s, _Try) else s.layout.links
+    new_id = s.new_node_id
+    existing = [nid for nid in links.positions if nid != new_id]
     floor = max(s.thresholds.rl_min_dbm, s.radio.rx_threshold_dbm)
     if not _connected(existing, links, floor):
-        return False
-    usable = [nid for nid in existing if links[s.new_node_id, nid][1] >= floor]
+        return None
+    usable = [nid for nid in existing if links[new_id, nid][1] >= floor]
     if len(usable) < 2:
-        return False
+        return None
     for algo in ALGOS:
         net = s.layout.network(s, algo)
         attached = sum(1 for nid in existing if net.nodes[nid].master is not None)
         if attached != len(existing) - 1:  # everyone but the sink
-            return False
+            return None
         # a real decision exists: usable candidates on >= 2 distinct branches
         def branch(nid):
             path = net.path_to_root(nid)
             return path[-2] if len(path) >= 2 else nid
         if len({branch(u) for u in usable}) < 2:
-            return False
-    return True
+            return None
+    return s.scenario() if isinstance(s, _Try) else s

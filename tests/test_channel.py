@@ -3,6 +3,7 @@ import random
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scatterjoin.channel import Position, RadioParams, dist, hears, path_loss_rssi
 
@@ -67,6 +68,21 @@ def test_symmetry_without_shadowing():
         assert hears(a, b, params)[1] == hears(b, a, params)[1]
 
 
+finite = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.tuples(finite, finite), b=st.tuples(finite, finite), noise=st.floats(-4.0, 4.0),
+       radio=st.builds(RadioParams, tx_power_dbm=st.floats(-20.0, 10.0),
+                       pl0_db=st.floats(1.0, 80.0), exponent=st.floats(0.5, 6.0),
+                       rx_threshold_dbm=st.floats(-120.0, -30.0),
+                       shadowing_sigma_db=st.floats(0.0, 10.0)))
+def test_hears_is_path_loss_at_the_distance_bit_for_bit(a, b, noise, radio):
+    a, b = Position(*a), Position(*b)
+    rl = path_loss_rssi(max(dist(a, b), 1.0), radio, noise)
+    assert hears(a, b, radio, noise) == (rl >= radio.rx_threshold_dbm, rl)
+
+
 def test_range_boundary_on_grid():
     # 0.1 m grid: everything up to 13 m heard, everything from 14 m on not
     params = RadioParams()
@@ -106,6 +122,14 @@ def test_dist():
 def test_bad_radio_params_rejected(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         RadioParams(**kwargs)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RadioParams)])
+def test_radio_int_past_the_float_range_rejected_by_name(name):
+    # exponent=10 ** 400 used to pass (10 ** 400 < inf) and overflow in hears
+    for big in (10 ** 400, -10 ** 400):
+        with pytest.raises(ValueError, match=name):
+            RadioParams(**{name: big})
 
 
 def test_non_finite_position_rejected():

@@ -465,6 +465,42 @@ def test_joinme_hears_exactly_the_nodes_in_range(monkeypatch, algo, sigma):
         assert [(c.id, c.rl_dbm) for c in cands] == in_range
 
 
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(st.tuples(st.sampled_from([0.0, 6.5, 13.0, 13.3]), st.floats(0.0, 30.0)),
+                       min_size=1, max_size=12),
+       sigma=st.sampled_from([0.0, 4.0]), data=st.data())
+def test_heard_lists_equal_a_scan_of_every_link(points, sigma, data):
+    """heard(at) in one pass gives the list, the kept links and the hears
+    calls of a scan that reads links[at, other] for every other id, after
+    any links already read, a node's link to itself among them."""
+    positions = {nid: Position(*p) for nid, p in zip(data.draw(st.permutations(
+        range(1, len(points) + 1))), points)}
+    ids = sorted(positions)
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    read_first, ats = data.draw(st.lists(pair, max_size=8)), data.draw(st.lists(st.sampled_from(ids)))
+    radio = RadioParams(shadowing_sigma_db=sigma)
+    one_pass, scan = Links(positions, radio, 3), Links(positions, radio, 3)
+    calls = collections.Counter()
+
+    def counting(a, b, radio, noise=0.0):
+        calls[which] += 1
+        return hears(a, b, radio, noise)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "hears", counting)
+        for which, links in (("one pass", one_pass), ("scan", scan)):
+            for link in read_first:
+                links[link]
+        for at in ats:
+            which = "one pass"
+            got = one_pass.heard(at)
+            which = "scan"
+            want = [other for other in ids if other != at and scan[at, other][0]]
+            assert got == want and one_pass.heard(at) is got
+    assert one_pass._known == scan._known
+    assert calls["one pass"] == calls["scan"]
+
+
 # -- event core --------------------------------------------------------
 
 

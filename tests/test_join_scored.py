@@ -211,6 +211,19 @@ def test_infinite_weights_rejected_by_name(field, value):
         ScoreWeights(**{field: value})
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(ScoreWeights)])
+def test_weight_int_past_the_float_range_rejected_by_name(name):
+    # w_m=10 ** 400 used to raise OverflowError from sum(weights)
+    for big in (10 ** 400, -10 ** 400):
+        negative_weight = big < 0 and name in WEIGHT_NAMES  # refused before any is named
+        with pytest.raises(ValueError, match="weights must be >= 0" if negative_weight else name):
+            ScoreWeights(**{name: big})
+    only = dict.fromkeys(WEIGHT_NAMES, 0)  # an all-int sum never reaches a float
+    if name in only:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ScoreWeights(**{**only, name: 10 ** 400})
+
+
 def test_weights_whose_sum_overflows_rejected():
     # six 1e308s scored every candidate inf, so ties fell to RSSI and picks changed
     with pytest.raises(ValueError, match="weights must have a finite sum"):

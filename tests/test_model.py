@@ -198,6 +198,73 @@ def test_any_attach_sequence_is_refused_or_keeps_invariants(caps, data):
         net.check_invariants()
 
 
+def _attach_by_scan(net, child_id, parent_id):
+    """Network.attach as it was before the member index: the same checks,
+    then a relabel by a scan of every node."""
+    child, parent = net.nodes[child_id], net.nodes[parent_id]
+    if parent.free_out < 1:
+        raise SlotExhausted(f"node {parent_id} has no free slave slot")
+    if child.master is not None:
+        raise TopologyError(f"node {child_id} already has a master")
+    if child.cluster_id == parent.cluster_id:
+        raise TopologyError(f"attaching {child_id} under {parent_id} would create a cycle")
+    old_cluster, merged = child.cluster_id, parent.cluster_size + child.cluster_size
+    child.master = parent_id
+    parent.slaves.append(child_id)
+    for n in net.nodes.values():
+        if n.cluster_id in (old_cluster, parent.cluster_id):
+            n.cluster_id, n.cluster_size = parent.cluster_id, merged
+    child.hops_to_sink = parent.hops_to_sink + 1
+    stack = [child_id]
+    while stack:
+        nid = stack.pop()
+        for sid in net.nodes[nid].slaves:
+            net.nodes[sid].hops_to_sink = net.nodes[nid].hops_to_sink + 1
+            stack.append(sid)
+
+
+def _tree(net):
+    return {nid: (n.master, tuple(n.slaves), n.cluster_id, n.cluster_size, n.hops_to_sink)
+            for nid, n in net.nodes.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(caps=st.lists(st.integers(0, 3), min_size=1, max_size=10), data=st.data())
+def test_member_index_matches_a_full_recount(caps, data):
+    """Random attaches, some absorbing multi-node clusters and some
+    refused, and nodes added to net.nodes after construction: attach
+    does what a relabel by a full scan does, refuses the same inputs
+    with the same error and leaves a refused network unchanged."""
+    net, twin = (Network([node(i, slave_capacity=c) for i, c in enumerate(caps, start=1)])
+                 for _ in range(2))
+    for _ in range(data.draw(st.integers(0, 24))):
+        if data.draw(st.integers(0, 5)) == 0:  # a node added after construction
+            nid, cap = max(net.nodes) + 1, data.draw(st.integers(0, 3))
+            net.nodes[nid], twin.nodes[nid] = node(nid, slave_capacity=cap), node(nid, slave_capacity=cap)
+            continue
+        roots = sorted(nid for nid, n in net.nodes.items() if n.master is None)
+        child = data.draw(st.sampled_from(roots if data.draw(st.booleans()) else sorted(net.nodes)))
+        parent = data.draw(st.sampled_from(sorted(net.nodes)))
+        before, outcomes = _tree(net), []
+        for network, attach in ((net, Network.attach), (twin, _attach_by_scan)):
+            try:
+                attach(network, child, parent)
+                outcomes.append(None)
+            except (SlotExhausted, TopologyError) as e:
+                outcomes.append((type(e), str(e)))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is not None:
+            assert _tree(net) == before
+        assert _tree(net) == _tree(twin)
+        recount = {}
+        for nid, n in sorted(net.nodes.items()):
+            recount.setdefault(n.cluster_id, []).append(nid)
+        for cid, members in recount.items():
+            assert net.cluster_members(cid) == members
+            assert {net.nodes[nid].cluster_size for nid in members} == {len(members)}
+        net.check_invariants()
+
+
 @pytest.mark.parametrize("head,tail,indices,message", [
     (0, 4, [], "holds 4 packets, b_max 3"),
     (5, 4, [], "holds -1 packets"),

@@ -2,6 +2,7 @@ import ast
 import collections
 import json
 import math
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -522,6 +523,89 @@ def test_hot_tier_present_in_most_seeds():
 def test_generation_fails_on_hopeless_layout():
     with pytest.raises(GenerationError, match="tries"):
         gen_random_scenario(n_nodes=5, seed=0, area_m=500.0, max_retries=15)
+
+
+def _reference_acceptable(s):
+    """gen_random_scenario's per-try verdict as it was when every try was
+    made a Scenario first: the same checks, heard through s.layout."""
+    links = s.layout.links
+    existing = [n.id for n in s.nodes if n.id != s.new_node_id]
+    floor = max(s.thresholds.rl_min_dbm, s.radio.rx_threshold_dbm)
+    seen, frontier = {existing[0]}, [existing[0]]
+    while frontier:
+        cur = frontier.pop()
+        for other in existing:
+            if other not in seen and links[cur, other][1] >= floor:
+                seen.add(other)
+                frontier.append(other)
+    if len(seen) != len(existing):
+        return False
+    usable = [nid for nid in existing if links[s.new_node_id, nid][1] >= floor]
+    if len(usable) < 2:
+        return False
+    for algo in ALGOS:
+        net = s.layout.network(s, algo)
+        if sum(1 for nid in existing if net.nodes[nid].master is not None) != len(existing) - 1:
+            return False
+        paths = [net.path_to_root(u) for u in usable]
+        if len({path[-2] if len(path) >= 2 else u for u, path in zip(usable, paths)}) < 2:
+            return False
+    return True
+
+
+def _reference_gen(n_nodes, seed, area_m, max_retries):
+    """gen_random_scenario's loop as it was: a Scenario built for every try."""
+    rng = random.Random(f"scatterjoin-scenario:{seed}")
+    for _ in range(max_retries):
+        nodes = []
+        for nid in range(1, n_nodes + 1):
+            pos = (rng.uniform(0.0, area_m), rng.uniform(0.0, area_m))
+            ci = rng.choice(scenario.CI_TIERS_MS)
+            rate = 0.0 if nid in (1, n_nodes) else rng.choice(scenario.RATE_TIERS_PPS)
+            nodes.append(NodeSpec(nid, pos, ci_ms=ci, traffic_rate_pps=rate))
+        s = Scenario(name=f"random{n_nodes}-seed{seed}", nodes=nodes,
+                     sink_id=1, new_node_id=n_nodes)
+        if _reference_acceptable(s):
+            return s
+    raise GenerationError(
+        f"no viable layout after {max_retries} tries (seed {seed}); "
+        "try a larger area or more nodes")
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_nodes=st.integers(3, 24), area_m=st.floats(8.0, 40.0),
+       seed=st.integers(0, 10 ** 6), max_retries=st.integers(1, 6))
+def test_generation_equals_a_scenario_built_per_try(n_nodes, area_m, seed, max_retries):
+    def outcome(gen):
+        try:
+            s = gen(n_nodes, seed, area_m, max_retries)
+        except GenerationError as e:
+            return str(e)
+        return scenario_to_dict(s), s.layout.attaches, s.layout.links._known
+
+    assert outcome(gen_random_scenario) == outcome(_reference_gen)
+
+
+def test_an_accepted_layout_builds_one_scenario(monkeypatch):
+    built, tries = [], []
+    real_post_init, real_acceptable = Scenario.__post_init__, scenario._acceptable
+
+    def counting_post_init(self):
+        built.append(self.name)
+        real_post_init(self)
+
+    def counting_acceptable(s):
+        tries.append(s)
+        return real_acceptable(s)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counting_post_init)
+    monkeypatch.setattr(scenario, "_acceptable", counting_acceptable)
+    for n_nodes, seed in [(16, seed) for seed in range(20)] + [(64, 0), (6, 3)]:
+        built.clear()
+        s = gen_random_scenario(n_nodes=n_nodes, seed=seed)
+        assert built == [s.name]
+        assert s.layout.attaches.keys() == set(ALGOS)  # handed over, not built again
+    assert len(tries) > 22  # most layouts took several tries
 
 
 @pytest.mark.parametrize("area_m", [math.nan, math.inf, 0.0, -5.0])
