@@ -7,26 +7,13 @@ listens, decides, attaches, and streams probe packets to the sink while
 per-node buffer occupancy is integrated. Identical (scenario, algo, seed)
 triples produce bit-identical results. A Scenario checks its inputs when
 it is built, so the engine checks none. Each NodeState carries its
-buffer's meter, its uplink's next slot and its arrival stream.
-
-Events are plain (time, kind, node, peer) tuples popped in that order,
-so ties break on kind, then node id, then peer. The heap holds only
-pending work: at most one connection event per link, one probe, the
-joiner's next joinMe, and a node's next arrival only if it was drawn
-while the node's buffer was empty. Every other arrival is held on its
-node (NodeState.due) and follows the same order: _catch_up applies a
-node's held arrivals whose keys (t, KIND_GEN, node, 0) sort before the
-key of the event about to read that node, whichever event it is. A held
-arrival finds a packet in the buffer, so it wakes no link, and a buffer
-empties only at its own link's events, which hand the held arrival to
-the heap when they do. One flat loop in TrialEngine.run handles
-connection and arrival events inline. A buffer is counted, not held
-(see model): background packets have no identity, so a connection event
-moves or drops them by arithmetic on head and tail and walks only the
-probes among them. Links are frozen, and Links works each out once.
-Every trial gets its network from a Layout: a link table and each
-algorithm's build-up, recorded by its first build and replayed on a
-fresh Network after that. Without shadowing both depend only on the
+buffer's meter, its uplink's next slot and its arrival stream. A buffer
+is counted, not held (see model): background packets have no identity,
+so a connection event moves or drops them by arithmetic on head and tail
+and walks only the probes among them. Links are frozen, and Links works
+each out once. Every trial gets its network from a Layout: a link table
+and each algorithm's build-up, recorded by its first build and replayed
+on a fresh Network after that. Without shadowing both depend only on the
 scenario, so every trial shares the Scenario's Layout; a shadowed trial
 draws and builds its own. Both the build phase and each joinMe walk only
 the nodes the listener hears (Links.heard) and hear each through
@@ -37,32 +24,69 @@ None. A delivered probe's hop count is hops_at_join: no node attaches
 after the join, so the tree a probe crosses is the joiner's path at the
 join.
 
+Every event has a key (time, kind, node, peer), and events apply in key
+order, so ties break on kind, then node id, then peer: a joinMe round
+(KIND_JOINME, joiner, 0), a connection event at a link's slot (KIND_CONN,
+sender, master), an arrival (KIND_GEN, node, 0) or the joiner's probe k
+(KIND_GEN, joiner, k), and the trial's end (KIND_END, 0, 0). No global
+queue orders them, because a sender never reads its receiver. A
+connection event moves n = min(held, n_ce) packets and sets the sender's
+next slot from the sender alone; only the receiver reads its free room
+(connection_event is that rule for one link). Packets flow one way, up
+the tree, so a node's whole trajectory depends only on its own stream and
+its subtree.
+
+So TrialEngine._advance(key), the cut, applies every event whose key
+sorts before key one node at a time, children before their masters, over
+every root. A node merges three key-ordered sources in one loop: its own
+arrivals, drawn one at a time; its link's slots while its buffer holds a
+packet; and its children's departures in this cut, (slot, sender, n,
+probes) records sorted by (slot, sender). It sends at its own slots and
+leaves each departure for its master, which applies connection_event's
+receiving half: k = min(n, free) packets join its tail and the other
+n - k, probes among them, are dropped. The sink is never visited: it
+consumes everything at the sender's slot, so its buffer stays empty and
+its meter 0.0. Between cuts a node's state waits on its NodeState, so any
+cut schedule gives the same trial. A cut is applied in sweeps that end
+every _CUT_MS ms, counted from the start and again from the join, which
+bounds the departure lists held at once: each is freed once its master
+has read it.
+
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
 and a connection event is due at a slot only while the sender's buffer
 holds a packet. Packets leave a buffer only at its own link's events, so
-an empty buffer stays empty until something enqueues into it. The
-handler of the enqueuing event (a connection event into the receiver,
-or an arrival) pushes the link itself, at the one wake site that ends
-the loop body: the first slot whose key (slot, KIND_CONN, node, master)
-sorts after the enqueuing event's key. Every slot skipped that way would
-have found an empty buffer and done nothing, so the trial is the same as
-one that visits every slot.
+an empty buffer stays empty until something enqueues into it: an
+arrival, a probe or a child's departure. That event wakes the link at
+the first slot whose key (slot, KIND_CONN, node, master) sorts after its
+own. Every slot skipped that way would have found an empty buffer and
+done nothing, so the trial is the same as one that visits every slot.
 
-A trial ends at its KIND_END event or at the joinMe round that gives
-up, and both sort before EngineParams.horizon_ms(): the give-up round
-comes by warmup_ms + max_wait_ms + t_adv_ms and the END measure_ms after
-the join. Nothing is cut earlier: arrival streams and link slots never
-end, and whatever would come after the trial's end is left unpopped on
-the heap or held on its node.
+A trial is a sequence of cuts. It advances to each joinMe round's key,
+where the joiner hears every node as the cut leaves it. On the join every
+meter is split at t_join and the probe times are fixed: t_join, then
+t_join + k * interval. Then it advances to the END. A probe's seq counts
+the packets sent before it and itself: probe k's seq is k plus the
+arrivals whose keys sort before (t, KIND_GEN, joiner, k), those before t
+and, at t itself, those of nodes with ids below the joiner's. Each node
+counts its arrivals past each probe time as it goes, and the seqs are
+set once the END is reached.
+
+A trial ends at its KIND_END key or at the joinMe round that gives up,
+and both sort before EngineParams.horizon_ms(): the give-up round comes
+by warmup_ms + max_wait_ms + t_adv_ms and the END measure_ms after the
+join. Nothing ends earlier: arrival streams and link slots never end,
+and each node stops at its first event that does not sort before the
+trial's last key, which stays pending on its NodeState.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
+import heapq  # noqa: F401  not used here; bench/spans.py swaps it for a counter
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from math import inf, log
 from typing import TYPE_CHECKING
 
@@ -400,8 +424,13 @@ def build_trial_network(scenario: Scenario, algo: str) -> Network:
     return Layout(scenario).network(scenario, algo)
 
 
+# Simulated ms per sweep, counted from the trial's start and again from the
+# join. It bounds the departure lists held at once and changes no result.
+_CUT_MS = 5000.0
+
+
 class TrialEngine:
-    """Single-threaded event loop owning one trial's network and RNG streams."""
+    """One trial's network and RNG streams, advanced node by node, leaves first."""
 
     def __init__(self, scenario: Scenario, algo: str, seed: int):
         self.join_pick = picks(algo)[1]
@@ -412,60 +441,214 @@ class TrialEngine:
         self.layout = (Layout(scenario, seed) if scenario.radio.shadowing_sigma_db > 0
                        else scenario.layout)
         self.links = self.layout.links
-        self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
         self.result = TrialResult(trial_seed=seed, algo=algo)
         self.t_join: float | None = None
         self._join_snap: dict[int, tuple[float, int]] = {}  # node -> (area, drops) at the join
+        self._anchor, self._cuts = 0.0, 0  # sweeps end at _anchor + k * _CUT_MS
+        self._probe_times: list[float] = []  # probe k + 1 at _probe_times[k], from the join
+        # _before[k]: arrivals that sort before probe k + 1 and not before probe k
+        self._before = [0]
+        self._tally: dict[int, tuple[int, int]] = {}  # node -> (probes passed, arrivals since)
 
-    # -- bookkeeping -------------------------------------------------
+    # -- the sweep ---------------------------------------------------
 
-    def _catch_up(self, node: NodeState, key: tuple) -> None:
-        """Apply node's held arrivals whose keys (t, KIND_GEN, node.id, 0)
-        sort before key, the key of the event about to read node. Each does
-        what a popped arrival does and draws the next; it wakes no link. The
-        stream never ends: the first draw that does not sort before key is
-        held in node.due. A tie never reaches key's peer: only probes carry
-        one, and the joiner holds no arrivals."""
-        until, kind, nid = key[0], key[1], key[2]
-        r, t = self.result, node.due
-        while t < until or t == until and (kind > KIND_GEN or kind == KIND_GEN and nid > node.id):
-            q = node.tail - node.head
-            r.total_sent += 1
-            node.area += q * (t - node.last_ms)
-            node.last_ms = t
-            if q >= node.b_max:
-                r.total_dropped += 1
-                node.drops += 1
-            else:
-                node.tail += 1
-            t += -log(1.0 - node.rnd()) * node.scale
-        node.due = t
+    def _leaves_first(self) -> list[NodeState]:
+        """The nodes a sweep visits, every child before its master: all but
+        the sink, which consumes what reaches it."""
+        nodes, order = self.net.nodes, []
+        for nid in sorted(nodes):
+            if nodes[nid].master is None:
+                stack = [nid]
+                while stack:
+                    node = nodes[stack.pop()]
+                    order.append(node)
+                    stack += node.slaves
+        order.reverse()
+        return [n for n in order if n.id != self.net.sink_id]
 
-    def _catch_up_all(self, key: tuple) -> None:
-        """_catch_up every node that may hold an arrival sorting before key."""
-        for node in self.net.nodes.values():
-            if node.due <= key[0]:
-                self._catch_up(node, key)
+    def _advance(self, key: tuple) -> None:
+        """Apply every event whose key sorts before key, in sweeps that end
+        at _anchor + k * _CUT_MS on the way."""
+        while (cut := (self._anchor + (self._cuts + 1) * _CUT_MS, KIND_END, 0, 0)) < key:
+            self._sweep(cut)
+            self._cuts += 1
+        self._sweep(key)
 
-    # -- event handlers ----------------------------------------------
+    def _sweep(self, cut: tuple) -> None:
+        """Apply every event whose key sorts before cut, one node at a time.
 
-    def _on_join_round(self, key: tuple) -> bool:
-        """The joiner's joinMe emission at key: hear, decide, request, attach.
-
-        Returns True when the wait budget ran out with no parent picked.
+        A node merges its own arrivals, its link's slots while its buffer
+        holds a packet, and its children's departures before cut, which the
+        children left in inbox as (slot, sender, n, probes) lists. A slot
+        and a departure are connection_event's sending and receiving halves.
         """
+        ct, after = cut[0], cut[1:]  # cut's (kind, node, peer) decides a tie of times
+        r, sink_id = self.result, self.net.sink_id
+        n_ce, hops = self.scenario.engine.n_ce, r.hops_at_join
+        joiner_id = self.scenario.new_node_id
+        times, before, tally, sent_probes = self._probe_times, self._before, self._tally, r.probes
+        n_probes = len(times)
+        inbox: dict[int, list[list]] = {}
+        sent = delivered = 0
+        for node in self._order:
+            nid, master = node.id, node.master
+            lists = inbox.pop(nid, None)
+            if lists is None:
+                deps, nd, dt, dc = (), 0, inf, inf
+            else:
+                deps = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+                nd, dt, dc = len(deps), deps[0][0], deps[0][1]
+            i = 0
+            head, tail, area, last = node.head, node.tail, node.area, node.last_ms
+            drops = dropped = node.drops
+            b_max, probes, due, rnd, scale = node.b_max, node.probes, node.due, node.rnd, node.scale
+            if master is None:  # a root has no link: no slot comes, and a wake leaves it so
+                ns = st = ci = inf
+                to_sink, out = False, None
+            else:
+                ns, ci = node.next_slot_ms, node.ci_ms
+                st = ns if tail != head else inf  # the pending slot; inf while the buffer is empty
+                to_sink = master == sink_id
+                out = None if to_sink else []
+            pk, carry = tally.get(nid, (0, 0))
+            bound, own, mark = times[pk] if pk < n_probes else inf, 0, 0
+            while True:
+                if st <= dt and (st < dt or nid < dc):
+                    if st <= due:  # the node's own slot: it sends
+                        t = st
+                        if not (t < ct or t == ct and (KIND_CONN, nid, master) < after):
+                            break
+                        q = tail - head
+                        area += q * (t - last)
+                        last = t
+                        end = head + (q if q < n_ce else n_ce)
+                        moved = None
+                        if probes and probes[0][0] < end:
+                            if to_sink:
+                                while probes and probes[0][0] < end:
+                                    probe = probes.popleft()[1]
+                                    probe.delivered_at_ms = t
+                                    probe.hops = hops
+                            else:
+                                moved = []
+                                while probes and probes[0][0] < end:
+                                    index, probe = probes.popleft()
+                                    moved.append((index - head, probe))
+                        if to_sink:
+                            delivered += end - head
+                        else:
+                            out.append((t, nid, end - head, moved))
+                        head = end
+                        ns = t + ci
+                        st = ns if tail != head else inf
+                        continue
+                elif dt <= due:  # a child's departure: the node receives
+                    t, c, n, moved = deps[i]
+                    q = tail - head
+                    area += q * (t - last)
+                    last = t
+                    k = b_max - q  # free room, clamped into [0, n]
+                    if k > n:
+                        k = n
+                    elif k < 0:
+                        k = 0
+                    if moved:
+                        for offset, probe in moved:
+                            if offset < k:
+                                probes.append((tail + offset, probe))
+                            else:
+                                probe.dropped = True
+                    drops += n - k
+                    tail += k
+                    if not q and k:  # wake at the first slot after it
+                        while ns < t:
+                            ns += ci
+                        if ns == t and nid < c:
+                            ns += ci
+                        st = ns
+                    i += 1
+                    if i < nd:
+                        dt, dc = deps[i][0], deps[i][1]
+                    else:
+                        dt = dc = inf
+                    continue
+                t = due  # an arrival, or the joiner's probe
+                if not (t < ct or t == ct and
+                        (KIND_GEN, nid, 0 if rnd else len(sent_probes) + 1) < after):
+                    break
+                q = tail - head
+                area += q * (t - last)
+                last = t
+                if rnd is None:  # the joiner's stream is its probes; seqs come at the end
+                    probe = ProbeRecord(0, t)
+                    sent_probes.append(probe)
+                    k = len(sent_probes)
+                    due = times[k] if k < n_probes else inf
+                    sent += 1
+                    if q >= b_max:
+                        drops += 1
+                        probe.dropped = True
+                        continue
+                    probes.append((tail, probe))
+                else:
+                    if t >= bound:  # past one or more probes: credit them what came before
+                        while pk < n_probes and (t > times[pk] or
+                                                 t == times[pk] and nid > joiner_id):
+                            before[pk] += carry + own - mark
+                            carry, mark, pk = 0, own, pk + 1
+                        bound = times[pk] if pk < n_probes else inf
+                    own += 1
+                    due = t + -log(1.0 - rnd()) * scale
+                    if q >= b_max:
+                        drops += 1
+                        continue
+                tail += 1
+                if not q:  # wake at the first slot after it
+                    while ns <= t:
+                        ns += ci
+                    st = ns
+            node.head, node.tail, node.area, node.last_ms = head, tail, area, last
+            node.drops, node.due = drops, due
+            r.total_dropped += drops - dropped
+            sent += own
+            if own:
+                tally[nid] = (pk, carry + own - mark)
+            if master is not None:
+                node.next_slot_ms = ns
+                if out:
+                    if (box := inbox.get(master)) is None:
+                        inbox[master] = [out]
+                    else:
+                        box.append(out)
+        r.total_sent += sent
+        r.total_delivered += delivered
+
+    def _number_probes(self) -> None:
+        """Give probe k its seq: the packets sent before it, arrivals whose
+        keys sort before (t, KIND_GEN, joiner, k) and the probes before it,
+        plus one."""
+        before = self._before
+        for pk, carry in self._tally.values():
+            before[pk] += carry
+        sent = 0
+        for k, probe in enumerate(self.result.probes):
+            sent += before[k]
+            probe.seq = sent + k + 1
+
+    # -- the joinMe round --------------------------------------------
+
+    def _join_round(self, key: tuple) -> bool:
+        """The joiner's joinMe emission at key: advance to it, hear, decide,
+        request, attach. Returns True when the joiner attached."""
         s, net, r = self.scenario, self.net, self.result
         eng = s.engine
         new_id = s.new_node_id
         new, now_ms = net.nodes[new_id], key[0]
-        self._catch_up_all(key)
+        self._advance(key)
         cands = [broadcast_status(net.nodes[nid], self.links, new_id)
                  for nid in self.links.heard(new_id)]
         parent = self.join_pick(cands, new, s)
         if parent is None:
-            if now_ms - eng.warmup_ms >= eng.max_wait_ms:
-                return True
-            heapq.heappush(self.heap, (now_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
             return False
 
         level = {}  # node -> (running mean occupancy, drops, b_max) at the decision
@@ -489,26 +672,27 @@ class TrialEngine:
         r.hops_at_join = new.hops_to_sink
         self.t_join = now_ms
 
-        heapq.heappush(self.heap, (now_ms, KIND_GEN, new_id, 1))
+        interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
+        self._probe_times = [now_ms + k * interval for k in range(n_probes)]
+        self._before = [0] * (n_probes + 1)
+        new.due = now_ms
         new.next_slot_ms = now_ms + new.ci_ms
-        heapq.heappush(self.heap, (now_ms + eng.measure_ms, KIND_END, 0, 0))
-        return False
+        self._anchor, self._cuts = now_ms, 0
+        self._order = self._leaves_first()
+        return True
 
     # -- finalization ------------------------------------------------
 
     def _finalize(self, key: tuple) -> None:
         """Close the trial at key, the KIND_END event or the joinMe round
-        that gave up, in one pass over the nodes in id order: each applies
-        its held arrivals sorting before key, brings its meter to key's
-        time, and gives its in-flight count, its b_max and, if joined, its
-        window figures. Then the conservation check, the probe tallies and
-        the verdict."""
+        that gave up, in one pass over the nodes in id order: each brings
+        its meter to key's time and gives its in-flight count, its b_max
+        and, if joined, its window figures. Then the conservation check,
+        the probe tallies and the verdict."""
         r, now_ms = self.result, key[0]
         window = now_ms - self.t_join if r.joined else None
         in_flight, b_max = 0, r.node_b_max
         for nid, node in sorted(self.net.nodes.items()):
-            if node.due <= now_ms:
-                self._catch_up(node, key)
             node.area += (node.tail - node.head) * (now_ms - node.last_ms)
             node.last_ms = now_ms
             in_flight += node.tail - node.head
@@ -532,102 +716,30 @@ class TrialEngine:
                 r.path_to_sink, self.net.sink_id, self.scenario.thresholds.theta_sat,
                 lambda nid: (r.buffer_avg[nid], r.overflow_drops[nid], b_max[nid]))
 
-    # -- main loop ---------------------------------------------------
+    # -- the trial: a sequence of cuts ---------------------------------
 
     def run(self) -> TrialResult:
         eng = self.scenario.engine
         new_id = self.scenario.new_node_id
         self.net = self.layout.network(self.scenario, self.algo)
-
-        heap = self.heap
         for nid, node in sorted(self.net.nodes.items()):
             if nid != new_id and node.traffic_rate_pps > 0:
                 node.rnd = random.Random(f"scatterjoin-traffic:{self.seed}:{nid}").random
                 node.scale = 1000.0 / node.traffic_rate_pps
-                t = 0.0 + -log(1.0 - node.rnd()) * node.scale  # 0.0 + turns -0.0 into 0.0
-                heapq.heappush(heap, (t, KIND_GEN, nid, 0))
+                node.due = 0.0 + -log(1.0 - node.rnd()) * node.scale  # 0.0 + turns -0.0 into 0.0
             if node.master is not None:
                 node.next_slot_ms = node.ci_ms
-        heapq.heappush(heap, (eng.warmup_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
-
-        # Connection and arrival events are handled inline on these locals.
-        # heapq and connection_event are looked up here, per trial, so a
-        # stand-in installed on the module still sees every call.
-        push, pop = heapq.heappush, heapq.heappop
-        move = connection_event
-        nodes, sink_id = self.net.nodes, self.net.sink_id
-        n_ce = eng.n_ce
-        catch_up, catch_up_all = self._catch_up, self._catch_up_all
-        interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
-        r = self.result
-        probes = r.probes
-        while True:  # the joiner's next joinMe or the END is always pending
-            now, kind, nid, peer = event = pop(heap)
-            if kind == KIND_CONN:
-                sender, receiver = nodes[nid], nodes[peer]
-                if sender.due < now:
-                    catch_up(sender, event)
-                if receiver.due < now:
-                    catch_up(receiver, event)
-                sender.area += (sender.tail - sender.head) * (now - sender.last_ms)
-                sender.last_ms = now
-                held = receiver.tail - receiver.head
-                receiver.area += held * (now - receiver.last_ms)
-                receiver.last_ms = now
-                move(sender, receiver, peer == sink_id, n_ce, r, now)
-                # the sender's next slot always sorts after this event
-                s = sender.next_slot_ms = now + sender.ci_ms
-                if sender.tail != sender.head:
-                    push(heap, (s, KIND_CONN, nid, peer))
-                elif sender.due < inf:  # emptied: its held arrival goes on the heap
-                    push(heap, (sender.due, KIND_GEN, nid, 0))
-                    sender.due = inf
-                if held or receiver.tail == receiver.head:
-                    continue
-                node = receiver
-            elif kind == KIND_GEN:
-                node = nodes[nid]
-                if peer:  # probe number peer
-                    catch_up_all(event)
-                tail = node.tail
-                q = tail - node.head
-                r.total_sent += 1
-                if peer:
-                    probe = ProbeRecord(r.total_sent, now)
-                    probes.append(probe)
-                    if peer < n_probes:
-                        push(heap, (self.t_join + peer * interval, KIND_GEN, nid, peer + 1))
-                else:  # the buffer holds a packet after this, so the next arrival is held
-                    node.due = now + -log(1.0 - node.rnd()) * node.scale
-                node.area += q * (now - node.last_ms)
-                node.last_ms = now
-                if q >= node.b_max:
-                    r.total_dropped += 1
-                    node.drops += 1
-                    if peer:
-                        probe.dropped = True
-                    continue
-                if peer:
-                    node.probes.append((tail, probe))
-                node.tail = tail + 1
-                if q:
-                    continue
-            elif kind == KIND_END or self._on_join_round(event):
-                break
-            else:
-                continue
-            # The event gave node's empty buffer a packet: push node's link
-            # at its first slot sorting after the event. Roots have no link.
-            master = node.master
-            if master is not None:
-                s, ci = node.next_slot_ms, node.ci_ms
-                while s < now:
-                    s += ci
-                if (s, KIND_CONN, node.id, master) <= event:
-                    s += ci
-                node.next_slot_ms = s
-                push(heap, (s, KIND_CONN, node.id, master))
-        self._finalize(event)
+        self._order = self._leaves_first()
+        key = (eng.warmup_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0)
+        while not self._join_round(key):
+            if key[0] - eng.warmup_ms >= eng.max_wait_ms:  # the wait budget ran out
+                self._finalize(key)
+                return self.result
+            key = (key[0] + eng.t_adv_ms, KIND_JOINME, new_id, 0)
+        key = (self.t_join + eng.measure_ms, KIND_END, 0, 0)
+        self._advance(key)
+        self._number_probes()
+        self._finalize(key)
         return self.result
 
 

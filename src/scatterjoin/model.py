@@ -10,10 +10,8 @@ occupancy meter (area, the integral of occupancy up to last_ms, and
 drops, the packets lost at this node to a full buffer), its uplink's
 next_slot_ms, the earliest connection slot not yet passed, and its
 arrival stream: rnd, the stream's random(), and scale, the mean gap in
-ms. due is the next arrival's time while it is held on the node, and
-inf while it is on the event heap or the node has no stream. An arrival
-is held only while the buffer holds a packet; the engine applies it just
-before the first event that reads the node and whose key sorts after it.
+ms. due is the time of the next arrival not yet applied, inf when the
+node has no stream; for the joiner after its join, it is the next probe's.
 """
 
 from __future__ import annotations

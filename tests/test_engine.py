@@ -1,5 +1,8 @@
 import bisect
 import collections
+import contextlib
+import dataclasses
+import functools
 import heapq
 import math
 import os
@@ -24,7 +27,9 @@ from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
 
-from test_golden import busy_cases, golden_cases, grid_cases
+import heap_engine
+from heap_engine import HeapEngine, heap_trial
+from test_golden import busy_cases, canon, golden_cases, grid_cases
 
 FAST = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
 
@@ -114,19 +119,16 @@ def test_join_fails_when_out_of_range():
 
 MISCOUNTED_MOVE = """
 import sys
-from scatterjoin import engine
 from scatterjoin.engine import ConservationError, TrialEngine
 from scatterjoin.scenario import training11
 
-real, phantom = engine.connection_event, [1]
+class Miscounted(TrialEngine):
+    def _finalize(self, key):
+        self.result.total_delivered += 1  # one delivery never sent
+        super()._finalize(key)
 
-def miscounted(sender, receiver, to_sink, n_ce, result, now_ms):
-    result.total_delivered += phantom.pop() if phantom else 0  # one delivery never sent
-    return real(sender, receiver, to_sink, n_ce, result, now_ms)
-
-engine.connection_event = miscounted
 try:
-    TrialEngine(training11(), "scored", 0).run()
+    Miscounted(training11(), "scored", 0).run()
 except ConservationError:
     print(f"optimize={sys.flags.optimize} ConservationError")
 """
@@ -505,10 +507,10 @@ def test_heard_lists_equal_a_scan_of_every_link(points, sigma, data):
 
 
 class CountingHeapq:
-    """Stands in for engine's heapq: keeps every popped event, the largest
-    heap, pushes that found their link or source already pending, and each
-    connection event pushed with the popped event whose handling pushed it
-    (None before the first pop)."""
+    """Stands in for the reference engine's heapq: keeps every popped
+    event, the largest heap, pushes that found their link or source already
+    pending, and each connection event pushed with the popped event whose
+    handling pushed it (None before the first pop)."""
 
     def __init__(self):
         self.popped = []
@@ -531,18 +533,19 @@ class CountingHeapq:
 
 
 def traced_trial(monkeypatch, scenario, algo, seed):
-    """(result, heap stand-in, packets moved per connection event)."""
+    """(result, heap stand-in, packets moved per connection event) of a
+    trial through the reference heap loop."""
     counting, moved = CountingHeapq(), []
-    real = engine.connection_event
+    real = heap_engine.connection_event
 
     def counted(*args, **kwargs):
         moved.append(real(*args, **kwargs))
         return moved[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(engine, "heapq", counting)
-        m.setattr(engine, "connection_event", counted)
-        result = run_trial(scenario, algo, seed)
+        m.setattr(heap_engine, "heapq", counting)
+        m.setattr(heap_engine, "connection_event", counted)
+        result = heap_trial(scenario, algo, seed)
     return result, counting, moved
 
 
@@ -596,9 +599,9 @@ def slot_keys(nid, master, first, ci, horizon):
 def test_a_link_is_pushed_at_its_first_slot_after_the_event(monkeypatch, scenario, algo, seed):
     # the event that gives a buffer a packet, or the link's own last event,
     # pushes the link; every slot it skips sorts before that event
-    eng = TrialEngine(scenario, algo, seed)
+    eng = HeapEngine(scenario, algo, seed)
     counting = CountingHeapq()
-    monkeypatch.setattr(engine, "heapq", counting)
+    monkeypatch.setattr(heap_engine, "heapq", counting)
     eng.run()
     grids = {}
     for event, push in counting.conn_pushes:
@@ -644,9 +647,9 @@ def test_arrivals_are_generate_traffic_up_to_trial_end(monkeypatch, scenario, al
 
 
 class HeldCheckingHeapq:
-    """Stands in for engine's heapq: at every pop, checks that no node
-    holds an arrival (due < inf) while its buffer is empty, and counts the
-    pops at which some node held one."""
+    """Stands in for the reference engine's heapq: at every pop, checks
+    that no node holds an arrival (due < inf) while its buffer is empty,
+    and counts the pops at which some node held one."""
 
     def __init__(self, eng):
         self.eng = eng
@@ -670,9 +673,9 @@ def held_cases():
 @pytest.mark.parametrize("scenario,algo,seed", held_cases())
 def test_no_arrival_is_held_on_an_empty_buffer(monkeypatch, scenario, algo, seed):
     # a held arrival may skip the heap only because it cannot wake a link
-    eng = TrialEngine(scenario, algo, seed)
+    eng = HeapEngine(scenario, algo, seed)
     checking = HeldCheckingHeapq(eng)
-    monkeypatch.setattr(engine, "heapq", checking)
+    monkeypatch.setattr(heap_engine, "heapq", checking)
     eng.run()
     assert checking.held_pops > 0
 
@@ -686,7 +689,7 @@ def held_node(due, nid=2):
 
 
 def test_catch_up_applies_an_arrival_at_until_only_when_asked():
-    eng = TrialEngine(training11(), "scored", 0)
+    eng = HeapEngine(training11(), "scored", 0)
     node = held_node(100.0)
     eng._catch_up(node, (100.0, KIND_CONN, 1, 2))
     assert (node.tail, node.due, node.last_ms, eng.result.total_sent) == (1, 100.0, 0.0, 0)
@@ -697,7 +700,7 @@ def test_catch_up_applies_an_arrival_at_until_only_when_asked():
 
 
 def test_catch_up_applies_in_time_order_and_holds_the_next_draw():
-    eng = TrialEngine(training11(), "scored", 0)
+    eng = HeapEngine(training11(), "scored", 0)
     gap = -math.log(0.5) * 10.0
     t0 = 100.0
     t1, t2 = t0 + gap, t0 + gap + gap
@@ -727,7 +730,7 @@ def test_catch_up_applies_in_time_order_and_holds_the_next_draw():
 ])
 def test_catch_up_applies_an_arrival_whose_key_sorts_before_the_event(key, applied):
     # the arrival held at 100 ms on node 5 has the heap key (100.0, KIND_GEN, 5, 0)
-    eng = TrialEngine(training11(), "scored", 0)
+    eng = HeapEngine(training11(), "scored", 0)
     node = held_node(100.0, nid=5)
     eng._catch_up(node, key)
     assert ((100.0, KIND_GEN, 5, 0) < key) == applied
@@ -736,8 +739,8 @@ def test_catch_up_applies_an_arrival_whose_key_sorts_before_the_event(key, appli
 
 
 def stranded(joiner_id=12, joinable=True):
-    """training11 plus root 13, a 20 pps node nobody hears; its buffer never
-    drains, so every arrival after its first is held."""
+    """training11 plus root 13, a 20 pps node nobody hears; its buffer
+    fills and never drains."""
     t11 = training11()
     joiner = replace(t11.nodes[-1], id=joiner_id, pos=t11.nodes[-1].pos if joinable
                      else (300.0, 300.0))
@@ -746,80 +749,90 @@ def stranded(joiner_id=12, joinable=True):
                    engine=FAST, declared_unjoinable=not joinable)
 
 
-class TieHeapq:
-    """Stands in for engine's heapq: just before each pop of an event that
-    match(event) picks, the stranded root's held arrival is moved to that
-    event's time. times[i] is (that time, arrivals the root has taken so
-    far), and after[i] the same pair at the next pop."""
+def tied_log(nid, rate, at, seed=0):
+    """A stand-in for math.log, as both engines call it to draw arrivals,
+    that lands node nid's first arrival at or after `at` exactly on `at`:
+    the one draw that would carry nid's stream (rate pps, trial seed) to or
+    past `at` gets the log that sums to it, every other draw the real one.
+    hits lists the calls it answered."""
+    rnd, scale = random.Random(f"scatterjoin-traffic:{seed}:{nid}").random, 1000.0 / rate
+    t = 0.0
+    while t + -math.log(x := 1.0 - rnd()) * scale < at:
+        t += -math.log(x) * scale
+    value = -(at - t) / scale
+    while (landed := t + -value * scale) != at:
+        value = math.nextafter(value, -math.inf if landed < at else math.inf)
 
-    def __init__(self, eng, root_id, match):
-        self.eng, self.root_id, self.match = eng, root_id, match
-        self.times, self.after = [], []
+    def log(v):
+        if v != x:
+            return math.log(v)
+        log.hits.append(v)
+        return value
 
-    heappush = staticmethod(heapq.heappush)
-
-    def heappop(self, heap):
-        root = self.eng.net.nodes[self.root_id]
-        if len(self.after) < len(self.times):
-            self.after.append((root.due, root.tail + root.drops))
-        if self.match(heap[0]):
-            assert root.tail != root.head and root.due < math.inf
-            root.due = heap[0][0]
-            self.times.append((root.due, root.tail + root.drops))
-        return heapq.heappop(heap)
+    log.hits = []
+    return log
 
 
-def tie_trial(monkeypatch, scenario, match):
+def tied_trial(monkeypatch, scenario, at):
+    """(engine, result) of the scored trial at seed 0 with the stranded
+    root's arrival moved onto `at`; the reference heap loop agrees."""
+    log = tied_log(13, 20.0, at)
+    monkeypatch.setattr(engine, "log", log)
+    monkeypatch.setattr(heap_engine, "log", log)
     eng = TrialEngine(scenario, "scored", 0)
-    tie = TieHeapq(eng, 13, match)
-    monkeypatch.setattr(engine, "heapq", tie)
-    eng.run()
-    return eng, tie
+    result = eng.run()
+    assert result == heap_trial(scenario, "scored", 0) and len(log.hits) == 2
+    return eng, result
 
 
 @pytest.mark.parametrize("joiner_id,applied", [(12, False), (14, True)])
 def test_probe_takes_tied_arrivals_of_lower_ids_only(monkeypatch, joiner_id, applied):
-    def first_probe(e):
-        return e[1] == KIND_GEN and e[2] == joiner_id and e[3] == 1
-
-    eng, tie = tie_trial(monkeypatch, stranded(joiner_id), first_probe)
-    ((t, taken),), ((due, taken_after),) = tie.times, tie.after
-    assert eng.result.probes[0].created_at_ms == t
-    if applied:  # it sorts before the probe, so the probe's seq counts it
-        assert due > t and taken_after == taken + 1
-    else:
-        assert due == t and taken_after == taken
+    untied = run_trial(stranded(joiner_id), "scored", 0)
+    t = untied.probes[0].created_at_ms
+    _, tied = tied_trial(monkeypatch, stranded(joiner_id), t)
+    assert tied.probes[0].created_at_ms == t
+    # it sorts before the probe only from a lower id, and then the probe's seq counts it
+    assert tied.probes[0].seq == untied.probes[0].seq + applied
 
 
 def test_end_takes_tied_arrivals_and_a_failed_join_does_not(monkeypatch):
-    eng, tie = tie_trial(monkeypatch, stranded(), lambda e: e[1] == KIND_END)
-    root, ((t, taken),) = eng.net.nodes[13], tie.times
-    assert eng.result.joined and root.due > t and root.tail + root.drops == taken + 1
-    eng, tie = tie_trial(monkeypatch, stranded(joinable=False),
-                         lambda e: e[1] == KIND_JOINME)
-    root, (t, taken) = eng.net.nodes[13], tie.times[-1]
-    assert not eng.result.joined and len(tie.times) > 1
-    assert root.due == t == root.last_ms and root.tail + root.drops == taken
+    for joinable in (True, False):
+        eng = TrialEngine(stranded(joinable=joinable), "scored", 0)
+        untied, t = eng.run(), eng.net.nodes[13].last_ms
+        eng, tied = tied_trial(monkeypatch, stranded(joinable=joinable), t)
+        root = eng.net.nodes[13]
+        assert tied.joined == joinable and root.last_ms == t
+        if joinable:  # the END takes it; the root's full buffer drops it
+            assert root.due > t and tied.total_sent == untied.total_sent + 1
+        else:  # the last joinMe round sorts before it
+            assert root.due == t and tied.total_sent == untied.total_sent
+
+
+def trial_end(eng: TrialEngine) -> float:
+    """The time a finished trial ended at: its END, or the joinMe round that gave up."""
+    e = eng.scenario.engine
+    if eng.result.joined:
+        return eng.t_join + e.measure_ms
+    t = e.warmup_ms + e.t_adv_ms
+    while t - e.warmup_ms < e.max_wait_ms:
+        t += e.t_adv_ms
+    return t
 
 
 @pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
-def test_every_node_meters_its_own_buffer(monkeypatch, scenario, algo, seed):
-    counting = CountingHeapq()
-    monkeypatch.setattr(engine, "heapq", counting)
+def test_every_node_meters_its_own_buffer(scenario, algo, seed):
     eng = TrialEngine(scenario, algo, seed)
     t = eng.run()
     nodes = eng.net.nodes.values()
     # every drop is charged to exactly one node
     assert sum(n.drops for n in nodes) == t.total_dropped
-    end, kind = counting.popped[-1][:2]
-    assert kind in (KIND_JOINME, KIND_END)
-    assert all(n.last_ms == end and n.area >= 0 for n in nodes)
+    assert all(n.last_ms == trial_end(eng) and n.area >= 0 for n in nodes)
 
 
 class HorizonHeapq:
-    """Stands in for engine's heapq: keeps the last popped event and raises
-    at the first pop at or past horizon, so a trial that missed its exit
-    fails instead of running on."""
+    """Stands in for the reference engine's heapq: keeps the last popped
+    event and raises at the first pop at or past horizon, so a trial that
+    missed its exit fails instead of running on."""
 
     def __init__(self, horizon):
         self.horizon, self.last = horizon, None
@@ -838,8 +851,8 @@ def test_a_trial_ends_at_its_end_or_give_up_before_the_horizon(monkeypatch, case
     # every stream and link runs on, so only the trial's own exit ends the loop
     for scenario, algo, seed in cases():
         popping = HorizonHeapq(scenario.engine.horizon_ms())
-        monkeypatch.setattr(engine, "heapq", popping)
-        t = run_trial(scenario, algo, seed)
+        monkeypatch.setattr(heap_engine, "heapq", popping)
+        t = heap_trial(scenario, algo, seed)
         assert popping.last[1] == (KIND_END if t.joined else KIND_JOINME)
 
 
@@ -858,6 +871,104 @@ def test_a_later_horizon_changes_no_joined_trial(cases):
         assert later.engine.horizon_ms() > eng.horizon_ms()
         assert run_trial(later, algo, seed) == t
     assert joined
+
+
+# -- the sweep against the heap loop ---------------------------------
+
+
+GRID_RATES = (7.8125, 15.625, 31.25)  # mean gaps of 128, 64 and 32 ms
+
+
+def grid_log(x):
+    """math.log rounded to a multiple of 1/2. At a grid rate every gap is
+    then a whole multiple of 16 ms, zero included, so arrivals tie with one
+    another and with slots, departures and probes laid on the same grid."""
+    return -round(-math.log(x) * 2) / 2
+
+
+@functools.lru_cache(maxsize=None)
+def base_layout(n_nodes, seed):
+    return gen_random_scenario(n_nodes=n_nodes, seed=seed, area_m=24.0)
+
+
+@st.composite
+def busy_trials(draw):
+    """(scenario, algo, seed, grid): a small random layout with busy
+    buffers. On the grid, intervals, rates and engine times are multiples
+    of 16 ms and arrivals are drawn through grid_log; off it, intervals
+    run 7.7-400 ms, fractional ones included, and rates 0-60 pps."""
+    grid = draw(st.booleans())
+    base = base_layout(draw(st.sampled_from((6, 10))), draw(st.integers(0, 9)))
+    new_id = base.new_node_id
+    if grid:
+        ci = st.sampled_from((16.0, 32.0, 48.0, 64.0, 112.0, 400.0))
+        rate = st.sampled_from((0.0,) + GRID_RATES)
+        eng = EngineParams(t_adv_ms=draw(st.sampled_from((96.0, 208.0))),
+                           warmup_ms=draw(st.sampled_from((304.0, 1008.0))),
+                           measure_ms=draw(st.sampled_from((992.0, 2000.0))),
+                           max_wait_ms=draw(st.sampled_from((400.0, 800.0))),
+                           probe_rate=draw(st.sampled_from((15.625, 62.5))),
+                           n_ce=draw(st.integers(1, 4)))
+    else:
+        ci = st.floats(7.7, 400.0)
+        rate = st.one_of(st.just(0.0), st.floats(0.5, 60.0))
+        eng = EngineParams(t_adv_ms=draw(st.floats(50.0, 300.0)),
+                           warmup_ms=draw(st.floats(200.0, 1500.0)),
+                           measure_ms=draw(st.floats(500.0, 2500.0)),
+                           max_wait_ms=draw(st.floats(0.0, 1000.0)),
+                           probe_rate=draw(st.floats(5.0, 40.0)),
+                           n_ce=draw(st.integers(1, 4)))
+    nodes = [replace(n, ci_ms=draw(ci), b_max=draw(st.integers(1, 30)),
+                     traffic_rate_pps=0.0 if n.id in (1, new_id) else draw(rate))
+             for n in base.nodes]
+    other = draw(st.integers(2, new_id))  # the joiner takes a relay's id, or keeps its own
+    swap = {other: new_id, new_id: other}
+    nodes = [replace(n, id=swap.get(n.id, n.id)) for n in nodes]
+    lost = draw(st.integers(0, 7)) == 0  # the joiner hears nobody: the last round gives up
+    if lost:
+        nodes = [replace(n, pos=(300.0, 300.0)) if n.id == other else n for n in nodes]
+    scenario = replace(base, nodes=nodes, new_node_id=other, engine=eng, declared_unjoinable=lost,
+                       radio=RadioParams(shadowing_sigma_db=draw(st.sampled_from((0.0, 4.0)))))
+    return scenario, draw(st.sampled_from(ALGOS)), draw(st.integers(0, 3)), grid
+
+
+def differing_fields(a, b):
+    """The TrialResult fields where a and b differ, bit for bit."""
+    return [f.name for f in dataclasses.fields(a) if canon(getattr(a, f.name)) !=
+            canon(getattr(b, f.name))]
+
+
+@contextlib.contextmanager
+def drawn(grid):
+    """Arrivals through grid_log in both engines when grid is set."""
+    with pytest.MonkeyPatch.context() as mp:
+        if grid:
+            mp.setattr(engine, "log", grid_log)
+            mp.setattr(heap_engine, "log", grid_log)
+        yield
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=busy_trials())
+def test_trials_equal_the_heap_reference(case):
+    scenario, algo, seed, grid = case
+    with drawn(grid):
+        assert differing_fields(run_trial(scenario, algo, seed),
+                                heap_trial(scenario, algo, seed)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=busy_trials(), cut=st.one_of(st.sampled_from((math.inf, "probe")),
+                                         st.floats(5.0, 5000.0)))
+def test_any_cut_schedule_gives_the_same_trial(case, cut):
+    # one cut, a cut at every probe's time, or cuts of a drawn length
+    scenario, algo, seed, grid = case
+    with drawn(grid):
+        want = run_trial(scenario, algo, seed)
+        cut_ms = 1000.0 / scenario.engine.probe_rate if cut == "probe" else cut
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_CUT_MS", cut_ms)
+            assert differing_fields(run_trial(scenario, algo, seed), want) == []
 
 
 @pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
