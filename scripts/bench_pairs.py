@@ -13,8 +13,9 @@ record (bench/out/) names the machine, the Python version and the src/
 sha256. For every end-to-end metric in BENCHMARK.json the script prints
 the parent's median [quartiles], the change's median, the relative move
 and the number of pairs in which the change was on the metric's better
-side (a tie wins nothing). With --json PATH it also writes those figures,
-per workload and metric, with the machine, the Python version, both
+side (a tie wins nothing). With --json PATH it also writes those figures
+and the change's quartiles, so each side has its own median and IQR, per
+workload and metric, with the machine, the Python version, both
 checkouts' src/ sha256, the seed, the pairs and the seconds; a PATH that
 already holds a record of the same two sources gains the new workloads
 (a workload run again at the same seed replaces its entry). It exits 1
@@ -43,16 +44,17 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """One metric over paired runs: parent quartiles, change median, the
+    """One metric over paired runs: each side's median and quartiles, the
     relative move of the median and the pairs the change won."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same number (>= 1) of parent and change runs")
     if better not in ("higher", "lower"):
         raise ValueError(f"better must be 'higher' or 'lower', not {better!r}")
     q1, median, q3 = quartiles(parent)
-    after = statistics.median(change)
+    c1, after, c3 = quartiles(change)
     sign = 1 if better == "higher" else -1
-    return {"parent_median": median, "parent_iqr": (q1, q3), "change_median": after,
+    return {"parent_median": median, "parent_iqr": (q1, q3),
+            "change_median": after, "change_iqr": (c1, c3),
             "move": (after - median) / median if median else None,
             "won": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "pairs": len(parent)}
@@ -97,7 +99,8 @@ def bench_record(runs: dict, envs: dict, metrics: list[dict], workload: str,
                   for side, rs in runs.items()}
         s = summarize(values["parent"], values["change"], m["better"])
         summaries[m["name"]] = {"unit": m["unit"], "better": m["better"], **s,
-                                "parent_iqr": list(s["parent_iqr"])}
+                                "parent_iqr": list(s["parent_iqr"]),
+                                "change_iqr": list(s["change_iqr"])}
     return {
         "machine": {k: parent[k] for k in ("cpu_model", "nproc", "cpus_usable")},
         "python": parent["python"],

@@ -44,13 +44,18 @@ packet; and its children's departures in this cut, (slot, sender, n,
 probes) records sorted by (slot, sender). It sends at its own slots and
 leaves each departure for its master, which applies connection_event's
 receiving half: k = min(n, free) packets join its tail and the other
-n - k, probes among them, are dropped. The sink is never visited: it
-consumes everything at the sender's slot, so its buffer stays empty and
-its meter 0.0. Between cuts a node's state waits on its NodeState, so any
-cut schedule gives the same trial. A cut is applied in sweeps that end
-every _CUT_MS ms, counted from the start and again from the join, which
-bounds the departure lists held at once: each is freed once its master
-has read it.
+n - k, probes among them, are dropped. Each event adds occupancy times
+the time since the node's last event to its meter; one that finds the
+buffer empty only moves last_ms, as its term is +0.0. The sink is never
+visited: it consumes everything at the sender's slot, so its buffer stays
+empty and its meter 0.0. Between cuts a node's state waits on its
+NodeState, so any cut schedule gives the same trial. A cut is applied in
+sweeps of _sweep_ms(scenario) each, counted from the start and again
+from the join: the share of the horizon that holds _SWEEP_EVENTS of
+Scenario.worst_case_events(). That bounds the departure lists held at
+once, each freed once its master has read it; a default engine's worst
+case fits one sweep, so it sweeps once to each joinMe round and once to
+the END.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -111,7 +116,7 @@ class ConservationError(RuntimeError):
     """Sent packets do not equal delivered + dropped + in flight."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ProbeRecord:
     seq: int
     created_at_ms: float
@@ -424,9 +429,16 @@ def build_trial_network(scenario: Scenario, algo: str) -> Network:
     return Layout(scenario).network(scenario, algo)
 
 
-# Simulated ms per sweep, counted from the trial's start and again from the
-# join. It bounds the departure lists held at once and changes no result.
-_CUT_MS = 5000.0
+# Worst-case events a sweep may span, its pro rata share of
+# Scenario.worst_case_events(); it bounds the departure lists held at once.
+_SWEEP_EVENTS = 1 << 19
+
+
+def _sweep_ms(scenario: Scenario) -> float:
+    """Simulated ms per sweep: the share of the horizon that holds
+    _SWEEP_EVENTS of the scenario's worst-case events. Any length gives
+    the same trial."""
+    return scenario.engine.horizon_ms() * _SWEEP_EVENTS / scenario.worst_case_events()
 
 
 class TrialEngine:
@@ -444,7 +456,8 @@ class TrialEngine:
         self.result = TrialResult(trial_seed=seed, algo=algo)
         self.t_join: float | None = None
         self._join_snap: dict[int, tuple[float, int]] = {}  # node -> (area, drops) at the join
-        self._anchor, self._cuts = 0.0, 0  # sweeps end at _anchor + k * _CUT_MS
+        self._span = _sweep_ms(scenario)
+        self._anchor, self._cuts = 0.0, 0  # sweeps end at _anchor + k * _span
         self._probe_times: list[float] = []  # probe k + 1 at _probe_times[k], from the join
         # _before[k]: arrivals that sort before probe k + 1 and not before probe k
         self._before = [0]
@@ -468,8 +481,8 @@ class TrialEngine:
 
     def _advance(self, key: tuple) -> None:
         """Apply every event whose key sorts before key, in sweeps that end
-        at _anchor + k * _CUT_MS on the way."""
-        while (cut := (self._anchor + (self._cuts + 1) * _CUT_MS, KIND_END, 0, 0)) < key:
+        at _anchor + k * _span on the way."""
+        while (cut := (self._anchor + (self._cuts + 1) * self._span, KIND_END, 0, 0)) < key:
             self._sweep(cut)
             self._cuts += 1
         self._sweep(key)
@@ -545,7 +558,8 @@ class TrialEngine:
                 elif dt <= due:  # a child's departure: the node receives
                     t, c, n, moved = deps[i]
                     q = tail - head
-                    area += q * (t - last)
+                    if q:
+                        area += q * (t - last)
                     last = t
                     k = b_max - q  # free room, clamped into [0, n]
                     if k > n:
@@ -577,7 +591,8 @@ class TrialEngine:
                         (KIND_GEN, nid, 0 if rnd else len(sent_probes) + 1) < after):
                     break
                 q = tail - head
-                area += q * (t - last)
+                if q:
+                    area += q * (t - last)
                 last = t
                 if rnd is None:  # the joiner's stream is its probes; seqs come at the end
                     probe = ProbeRecord(0, t)

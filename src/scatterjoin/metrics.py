@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from math import isqrt
+from operator import itemgetter, mul
 
 from .engine import TrialResult
 
@@ -37,18 +39,40 @@ class Improvement:
     sat_reduction_pp: float   # percentage points of saturation probability removed
 
 
+def _sqrt_of_ratio(n: int, m: int) -> float:
+    """sqrt(n / m) correctly rounded: an integer root of 55 bits or more,
+    rounded to odd, then one rounding to a float."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
+
+
 def delay_stats(trial: TrialResult) -> tuple[float, float] | None:
     """Mean and sample deviation (ms) of delivered probe delays.
 
-    None when nothing was delivered; a single sample has deviation 0.
+    None when nothing was delivered; a single sample has deviation 0. The
+    deviation is the float statistics.stdev gives: the exact sample
+    variance, summed from integer numerators over one power-of-two
+    denominator, then its correctly rounded square root.
     """
     delays = [p.delivered_at_ms - p.created_at_ms
               for p in trial.probes if p.delivered_at_ms is not None]
     if not delays:
         return None
-    mu = statistics.fmean(delays)
-    sigma = statistics.stdev(delays) if len(delays) > 1 else 0.0
-    return mu, sigma
+    mu, n = statistics.fmean(delays), len(delays)
+    if n == 1:
+        return mu, 0.0
+    ratios = [x.as_integer_ratio() for x in delays]
+    top = max(map(itemgetter(1), ratios)).bit_length()  # the denominator is 2 ** (top - 1)
+    nums = [a << top - d.bit_length() for a, d in ratios]
+    sx = sum(nums)
+    ss = n * sum(map(mul, nums, nums)) - sx * sx  # n * (n - 1) * variance * 4 ** (top - 1)
+    return mu, _sqrt_of_ratio(ss, n * (n - 1) << 2 * (top - 1))
 
 
 def pdr(trial: TrialResult) -> float | None:

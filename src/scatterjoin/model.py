@@ -6,12 +6,13 @@ head packets have left it and tail have entered, so it holds tail - head.
 Background packets carry no identity; a probe is kept in probes as
 (index, ProbeRecord), its index being the tail value when it entered,
 so it sits index - head places from the front. Then come the buffer's
-occupancy meter (area, the integral of occupancy up to last_ms, and
-drops, the packets lost at this node to a full buffer), its uplink's
-next_slot_ms, the earliest connection slot not yet passed, and its
-arrival stream: rnd, the stream's random(), and scale, the mean gap in
-ms. due is the time of the next arrival not yet applied, inf when the
-node has no stream; for the joiner after its join, it is the next probe's.
+occupancy meter (area, the integral of occupancy up to last_ms, to
+which an event at an empty buffer adds no term, and drops, the packets
+lost at this node to a full buffer), its uplink's next_slot_ms, the
+earliest connection slot not yet passed, and its arrival stream: rnd,
+the stream's random(), and scale, the mean gap in ms. due is the time
+of the next arrival not yet applied, inf when the node has no stream;
+for the joiner after its join, it is the next probe's.
 """
 
 from __future__ import annotations

@@ -136,13 +136,19 @@ class Scenario:
             raise ScenarioError("thresholds.b_fair: must be >= 0")
         if not 0 < t.theta_sat <= 1:
             raise ScenarioError("thresholds.theta_sat: must be > 0 and <= 1")
-        horizon = e.horizon_ms()  # joinMe rounds, probes, then per node: slots, arrivals
-        events = e.max_wait_ms / e.t_adv_ms + n_probes + sum(
-            horizon / n.ci_ms + (n.id != self.new_node_id and n.traffic_rate_pps * horizon / 1e3)
-            for n in self.nodes)
+        events = self.worst_case_events()
         if not events <= MAX_EVENTS:
             raise ScenarioError(f"scenario: a trial may take {events:.3g} events, over the "
                                 f"{MAX_EVENTS:.0e} limit")
+
+    def worst_case_events(self) -> float:
+        """Events a trial may take over engine.horizon_ms(): joinMe rounds,
+        probes, then per node its link's slots and its arrivals."""
+        e = self.engine
+        horizon = e.horizon_ms()
+        return e.max_wait_ms / e.t_adv_ms + e.n_probes() + sum(
+            horizon / n.ci_ms + (n.id != self.new_node_id and n.traffic_rate_pps * horizon / 1e3)
+            for n in self.nodes)
 
     @cached_property
     def layout(self) -> Layout:

@@ -28,6 +28,14 @@ def test_pairs_won_count_the_better_side_only():
     assert up["change_median"] == 11.5 and up["move"] == 0.0
 
 
+def test_each_side_gets_its_own_median_and_quartiles():
+    s = bench_pairs.summarize([1.0, 2.0, 3.0, 4.0], [10.0, 30.0, 20.0, 40.0], "higher")
+    assert (s["parent_median"], s["parent_iqr"]) == (2.5, (1.75, 3.25))
+    assert (s["change_median"], s["change_iqr"]) == (25.0, (17.5, 32.5))
+    one = bench_pairs.summarize([3.0], [8.0], "lower")
+    assert (one["change_median"], one["change_iqr"]) == (8.0, (8.0, 8.0))
+
+
 def test_move_is_relative_to_the_parent_median():
     s = bench_pairs.summarize([4.0, 4.0, 4.0], [5.0, 5.0, 5.0], "higher")
     assert s["move"] == 0.25 and s["won"] == 3
@@ -106,8 +114,8 @@ def test_json_records_each_workload_and_extends_a_record(monkeypatch, tmp_path):
     assert set(t11["metrics"]) == set(METRIC_NAMES)
     tps_row = t11["metrics"]["trials_per_s"]
     assert tps_row == {"unit": "1/s", "better": "higher", "parent_median": 5.0,
-                       "parent_iqr": [4.5, 5.5], "change_median": 6.0, "move": 0.2,
-                       "won": 3, "pairs": 3}
+                       "parent_iqr": [4.5, 5.5], "change_median": 6.0,
+                       "change_iqr": [5.5, 6.5], "move": 0.2, "won": 3, "pairs": 3}
     assert (r64["workload"], r64["seed"], r64["pairs"]) == ("compare-r64", 3, 2)
     assert r64["metrics"]["trials_per_s"]["won"] == 0
     assert r64["metrics"]["trial_ms_p50"]["won"] == 2  # lower is better

@@ -24,7 +24,7 @@ from scatterjoin.engine import (ALGOS, KIND_CONN, KIND_END, KIND_GEN, KIND_JOINM
                                 build_network, build_trial_network, connection_event,
                                 generate_traffic, make_network, run_trial)
 from scatterjoin.model import Network, NodeState
-from scatterjoin.scenario import (EngineParams, NodeSpec, Scenario, ScenarioError,
+from scatterjoin.scenario import (MAX_EVENTS, EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
 
 import heap_engine
@@ -967,8 +967,57 @@ def test_any_cut_schedule_gives_the_same_trial(case, cut):
         want = run_trial(scenario, algo, seed)
         cut_ms = 1000.0 / scenario.engine.probe_rate if cut == "probe" else cut
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_CUT_MS", cut_ms)
+            mp.setattr(engine, "_sweep_ms", lambda s: cut_ms)
             assert differing_fields(run_trial(scenario, algo, seed), want) == []
+
+
+def sweep_cuts(monkeypatch):
+    """The cut keys every TrialEngine._sweep is given, in order, from now on."""
+    cuts, sweep = [], TrialEngine._sweep
+
+    def recorded(self, cut):
+        cuts.append(cut)
+        sweep(self, cut)
+    monkeypatch.setattr(TrialEngine, "_sweep", recorded)
+    return cuts
+
+
+@pytest.mark.parametrize("n_nodes", [None, 16, 64])
+def test_a_default_engine_sweeps_once_to_each_joinme_and_once_to_the_end(monkeypatch, n_nodes):
+    # training11 or a random layout: its worst case fits one sweep's budget
+    cuts = sweep_cuts(monkeypatch)
+    for seed in range(5):
+        s = training11() if n_nodes is None else gen_random_scenario(n_nodes=n_nodes, seed=seed)
+        eng, new_id = s.engine, s.new_node_id
+        for algo in ALGOS:
+            cuts.clear()
+            joined = run_trial(s, algo, seed).joined
+            key, want = eng.warmup_ms + eng.t_adv_ms, []
+            while True:  # the rounds' keys, as run() adds them up
+                want.append((key, KIND_JOINME, new_id, 0))
+                if len(want) >= len(cuts) - joined:
+                    break
+                key += eng.t_adv_ms
+            if joined:
+                want.append((key + eng.measure_ms, KIND_END, 0, 0))
+            assert cuts == want
+
+
+def test_sweeps_at_the_event_cap_each_span_at_most_the_budget(monkeypatch):
+    # 0.125 us connection intervals over a 102 ms horizon put training11 just under MAX_EVENTS
+    s = replace(training11(), engine=EngineParams(t_adv_ms=1.0, warmup_ms=0.0, max_wait_ms=0.0,
+                                                  measure_ms=100.0))
+    s = replace(s, nodes=[replace(n, ci_ms=1.25e-4) for n in s.nodes])
+    events, horizon = s.worst_case_events(), s.engine.horizon_ms()
+    assert 0.9 * MAX_EVENTS < events <= MAX_EVENTS
+    cuts = sweep_cuts(monkeypatch)
+    t = run_trial(s, "scored", 0)
+    assert t.joined and len(cuts) > 10
+    starts = [0.0] + [c[0] for c in cuts[:-1]]  # the join round's key starts the second phase
+    spans = [(c[0] - start) * events / horizon for start, c in zip(starts, cuts)]
+    assert max(spans) <= engine._SWEEP_EVENTS * (1 + 1e-9)
+    monkeypatch.setattr(engine, "_sweep_ms", lambda s: math.inf)
+    assert differing_fields(run_trial(s, "scored", 0), t) == []
 
 
 @pytest.mark.parametrize("scenario,algo,seed", event_core_cases())

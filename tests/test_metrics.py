@@ -1,5 +1,7 @@
+import math
 import random
 import statistics
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,39 @@ def test_delay_stats_two_samples():
 
 def test_delay_stats_single_sample_has_zero_deviation():
     assert delay_stats(make_trial(delays=(236.0,))) == (236.0, 0.0)
+
+
+# finite and non-negative, down to subnormals; capped so that fmean's sum of
+# up to 700 values stays finite, since the mean is not under test here
+_DELAY = st.floats(0.0, sys.float_info.max / 1024)
+
+
+@st.composite
+def delay_lists(draw):
+    """2-700 delays: free draws, one value repeated, two values mixed, or
+    a band of magnitudes around a drawn power of two."""
+    n = draw(st.integers(2, 700))
+    kind = draw(st.sampled_from(("free", "equal", "two", "band")))
+    if kind == "free":
+        return draw(st.lists(_DELAY, min_size=n, max_size=n))
+    if kind == "equal":
+        return [draw(_DELAY)] * n
+    if kind == "two":
+        a, b = draw(_DELAY), draw(_DELAY)
+        return [a if pick else b for pick in draw(st.lists(st.booleans(), min_size=n, max_size=n))]
+    e = draw(st.integers(-1074, 1012))
+    return draw(st.lists(st.floats(0.0, math.ldexp(1.0, e + 1)).map(lambda x: x + math.ldexp(1.0, e)),
+                         min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(delays=delay_lists())
+def test_delay_deviation_is_stdev_bit_for_bit(delays):
+    probes = [ProbeRecord(k, 0.0, x) for k, x in enumerate(delays)]
+    mu, sigma = delay_stats(TrialResult(trial_seed=0, algo="scored", probes=probes))
+    want = statistics.stdev(delays)
+    assert sigma == want and math.copysign(1.0, sigma) == math.copysign(1.0, want), delays
+    assert mu == statistics.fmean(delays)
 
 
 def test_delay_undefined_when_nothing_delivered():
