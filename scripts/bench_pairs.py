@@ -21,12 +21,18 @@ already holds a record of the same two sources gains the new workloads
 (a workload run again at the same seed replaces its entry). It exits 1
 if any run failed or printed "correct": false. Nothing else is written
 but what bench/run.py writes in each checkout.
+
+The runs inherit this process's environment. With PYTHONDONTWRITEBYTECODE
+set no run writes bytecode, so each run's set-up compiles every src/
+module it has none cached for, and setup_s includes that: the script
+prints whether it is set and records it per result in --json.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -65,6 +71,11 @@ def format_row(name: str, unit: str, s: dict) -> str:
     move = "" if s["move"] is None else f" ({s['move']:+.1%})"
     return (f"{name} ({unit}): {s['parent_median']:.6g} [{q1:.6g}, {q3:.6g}] -> "
             f"{s['change_median']:.6g}{move}, {s['won']} of {s['pairs']} pairs won")
+
+
+def writes_no_bytecode() -> bool:
+    """Whether PYTHONDONTWRITEBYTECODE is set (non-empty) for the runs."""
+    return bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
 
 
 def bench_command(workload: str, seconds: float, seed: int) -> list[str]:
@@ -107,7 +118,7 @@ def bench_record(runs: dict, envs: dict, metrics: list[dict], workload: str,
         "src_sha256": {"parent": parent["src_sha256"], "change": change["src_sha256"]},
         "results": [{
             "workload": workload, "seed": seed, "pairs": len(runs["parent"]),
-            "seconds": seconds,
+            "seconds": seconds, "pythondontwritebytecode": writes_no_bytecode(),
             "correct": all(r["correct"] is True and r["failed"] == 0
                            for rs in runs.values() for r in rs),
             "metrics": summaries}],
@@ -146,6 +157,9 @@ def main(argv=None) -> int:
         p.error("--seconds must be > 0 and finite")
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     ok = True
+    print(f"# PYTHONDONTWRITEBYTECODE set: {writes_no_bytecode()}"
+          + (" (each run's set-up compiles src/, and setup_s includes it)"
+             if writes_no_bytecode() else ""))
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         envs = {"parent": [], "change": []}

@@ -4,25 +4,26 @@ A trial runs three phases on one Network owned by one engine instance:
 existing nodes form a sink-rooted tree using the selected join strategy,
 background traffic warms the buffers up, then the designated new node
 listens, decides, attaches, and streams probe packets to the sink while
-per-node buffer occupancy is integrated. Identical (scenario, algo, seed)
-triples produce bit-identical results. A Scenario checks its inputs when
-it is built, so the engine checks none. Each NodeState carries its
-buffer's meter, its uplink's next slot and its arrival stream. A buffer
-is counted, not held (see model): background packets have no identity,
-so a connection event moves or drops them by arithmetic on head and tail
-and walks only the probes among them. Links are frozen, and Links works
-each out once. Every trial gets its network from a Layout: a link table
-and each algorithm's build-up, recorded by its first build and replayed
-on a fresh Network after that. Without shadowing both depend only on the
-scenario, so every trial shares the Scenario's Layout; a shadowed trial
-draws and builds its own. Both the build phase and each joinMe walk only
-the nodes the listener hears (Links.heard) and hear each through
-broadcast_status: the same nodes every time, with their state at that
-instant. The algorithms differ only in their picks: PICKS gives each a
-build-up pick and a joinMe pick, both (cands, joiner, scenario) -> id |
-None. A delivered probe's hop count is hops_at_join: no node attaches
-after the join, so the tree a probe crosses is the joiner's path at the
-join.
+per-node buffer occupancy is integrated. Identical (scenario, algo,
+seed) triples produce bit-identical results. A Scenario checks its
+inputs when it is built, so the engine checks none. Each NodeState
+carries its buffer's meter, its uplink's next slot and its arrival
+stream. A buffer is counted, not held (see model): packets have no
+identity in the sweep, so a connection event moves or drops them by
+arithmetic on head and tail, and a probe is a mark on its node's FIFO.
+Links are frozen, and Links works each out once. Every trial gets its
+network from a Layout: a link table and each algorithm's build-up,
+recorded by its first build and replayed on a fresh Network after that.
+Without shadowing both depend only on the scenario, so every trial
+shares the Scenario's Layout; a shadowed trial draws and builds its own.
+Both the build phase and each joinMe walk only the nodes the listener
+hears (Links.heard) and hear each through broadcast_status: the same
+nodes every time, with their state at that instant. The algorithms
+differ only in their picks: PICKS gives each a build-up pick and a
+joinMe pick, both (cands, joiner, scenario) -> id | None. No node
+attaches after the join, so every probe crosses one chain of FIFOs, the
+joiner's path at the join: probes keep their order, and a delivered
+probe's hop count is hops_at_join.
 
 Every event has a key (time, kind, node, peer), and events apply in key
 order, so ties break on kind, then node id, then peer: a joinMe round
@@ -41,17 +42,21 @@ sorts before key one node at a time, children before their masters, over
 every root. A node merges three key-ordered sources in one loop: its own
 arrivals, drawn one at a time; its link's slots while its buffer holds a
 packet; and its children's departures in this cut, (slot, sender, n,
-probes) records sorted by (slot, sender). It sends at its own slots and
+leaving) records sorted by (slot, sender). It sends at its own slots and
 leaves each departure for its master, which applies connection_event's
-receiving half: k = min(n, free) packets join its tail and the other
-n - k, probes among them, are dropped. Each event adds occupancy times
-the time since the node's last event to its meter; one that finds the
-buffer empty only moves last_ms, as its term is +0.0. The sink is never
-visited: it consumes everything at the sender's slot, so its buffer stays
-empty and its meter 0.0. Between cuts a node's state waits on its
-NodeState, so any cut schedule gives the same trial. A cut is applied in
-sweeps of _sweep_ms(scenario) each, counted from the start and again
-from the join: the share of the horizon that holds _SWEEP_EVENTS of
+receiving half: k = min(n, free) packets join its tail and the other n -
+k are dropped. leaving holds the marks of the n packets, 0 when no probe
+is among them: a send of n takes the low n bits of the sender's marks
+and shifts them out, and a receipt of k at occupancy q sets leaving's
+low k bits from bit q, since the receiver keeps a prefix of a
+departure's probes. Each event adds occupancy times the time since the
+node's last event to its meter; one that finds the buffer empty only
+moves last_ms, as its term is +0.0. The sink is never visited: it
+consumes everything at the sender's slot, so its buffer stays empty and
+its meter 0.0. Between cuts a node's state waits on its NodeState, so
+any cut schedule gives the same trial. A cut is applied in sweeps of
+_sweep_ms(scenario) each, counted from the start and again from the
+join: the share of the horizon that holds _SWEEP_EVENTS of
 Scenario.worst_case_events(). That bounds the departure lists held at
 once, each freed once its master has read it; a default engine's worst
 case fits one sweep, so it sweeps once to each joinMe round and once to
@@ -74,8 +79,12 @@ t_join + k * interval. Then it advances to the END. A probe's seq counts
 the packets sent before it and itself: probe k's seq is k plus the
 arrivals whose keys sort before (t, KIND_GEN, joiner, k), those before t
 and, at t itself, those of nodes with ids below the joiner's. Each node
-counts its arrivals past each probe time as it goes, and the seqs are
-set once the END is reached.
+counts its arrivals past each probe time as it goes. Each path node logs
+the probes offered to it and the positions among them it dropped, the
+joiner's by probe number, and the sink's child logs (slot, probes) for
+each send that delivers one. Once the END is reached, _resolve_probes
+follows the path once, in order, and makes each probe's ProbeRecord:
+its seq and its fate.
 
 A trial ends at its KIND_END key or at the joinMe round that gives up,
 and both sort before EngineParams.horizon_ms(): the give-up round comes
@@ -91,8 +100,9 @@ import copy
 import heapq  # noqa: F401  not used here; bench/spans.py swaps it for a counter
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, count, islice
 from math import inf, log
+from operator import add
 from typing import TYPE_CHECKING
 
 from .channel import Position, RadioParams, hears
@@ -462,6 +472,9 @@ class TrialEngine:
         # _before[k]: arrivals that sort before probe k + 1 and not before probe k
         self._before = [0]
         self._tally: dict[int, tuple[int, int]] = {}  # node -> (probes passed, arrivals since)
+        # path node -> (probes offered to it, the positions among them it dropped), from the join
+        self._logs: dict[int, tuple[int, list[int]]] = {}
+        self._slots: list[tuple[float, int]] = []  # the sink's child: (slot, probes delivered)
 
     # -- the sweep ---------------------------------------------------
 
@@ -492,14 +505,15 @@ class TrialEngine:
 
         A node merges its own arrivals, its link's slots while its buffer
         holds a packet, and its children's departures before cut, which the
-        children left in inbox as (slot, sender, n, probes) lists. A slot
+        children left in inbox as (slot, sender, n, leaving) lists. A slot
         and a departure are connection_event's sending and receiving halves.
         """
         ct, after = cut[0], cut[1:]  # cut's (kind, node, peer) decides a tie of times
         r, sink_id = self.result, self.net.sink_id
-        n_ce, hops = self.scenario.engine.n_ce, r.hops_at_join
+        n_ce = self.scenario.engine.n_ce
         joiner_id = self.scenario.new_node_id
-        times, before, tally, sent_probes = self._probe_times, self._before, self._tally, r.probes
+        times, before, tally = self._probe_times, self._before, self._tally
+        logs, slots = self._logs, self._slots
         n_probes = len(times)
         inbox: dict[int, list[list]] = {}
         sent = delivered = 0
@@ -514,7 +528,8 @@ class TrialEngine:
             i = 0
             head, tail, area, last = node.head, node.tail, node.area, node.last_ms
             drops = dropped = node.drops
-            b_max, probes, due, rnd, scale = node.b_max, node.probes, node.due, node.rnd, node.scale
+            b_max, marks, due, rnd, scale = node.b_max, node.marks, node.due, node.rnd, node.scale
+            seen, lost = logs.get(nid, (0, None))  # off the path: no probe, no log
             if master is None:  # a root has no link: no slot comes, and a wake leaves it so
                 ns = st = ci = inf
                 to_sink, out = False, None
@@ -534,29 +549,23 @@ class TrialEngine:
                         q = tail - head
                         area += q * (t - last)
                         last = t
-                        end = head + (q if q < n_ce else n_ce)
-                        moved = None
-                        if probes and probes[0][0] < end:
-                            if to_sink:
-                                while probes and probes[0][0] < end:
-                                    probe = probes.popleft()[1]
-                                    probe.delivered_at_ms = t
-                                    probe.hops = hops
-                            else:
-                                moved = []
-                                while probes and probes[0][0] < end:
-                                    index, probe = probes.popleft()
-                                    moved.append((index - head, probe))
+                        n = q if q < n_ce else n_ce
+                        leaving = 0
+                        if marks:
+                            leaving = marks & ((1 << n) - 1)
+                            marks >>= n
                         if to_sink:
-                            delivered += end - head
+                            delivered += n
+                            if leaving:
+                                slots.append((t, leaving.bit_count()))
                         else:
-                            out.append((t, nid, end - head, moved))
-                        head = end
+                            out.append((t, nid, n, leaving))
+                        head += n
                         ns = t + ci
                         st = ns if tail != head else inf
                         continue
                 elif dt <= due:  # a child's departure: the node receives
-                    t, c, n, moved = deps[i]
+                    t, c, n, leaving = deps[i]
                     q = tail - head
                     if q:
                         area += q * (t - last)
@@ -566,12 +575,14 @@ class TrialEngine:
                         k = n
                     elif k < 0:
                         k = 0
-                    if moved:
-                        for offset, probe in moved:
-                            if offset < k:
-                                probes.append((tail + offset, probe))
-                            else:
-                                probe.dropped = True
+                    if leaving:  # the first k packets join the tail, so a prefix of its probes
+                        kept = leaving & ((1 << k) - 1)
+                        marks |= kept << q
+                        seen += kept.bit_count()
+                        if kept != leaving:  # the rest are the next probes offered here
+                            gone = (leaving >> k).bit_count()
+                            lost.extend(range(seen, seen + gone))
+                            seen += gone
                     drops += n - k
                     tail += k
                     if not q and k:  # wake at the first slot after it
@@ -587,24 +598,21 @@ class TrialEngine:
                         dt = dc = inf
                     continue
                 t = due  # an arrival, or the joiner's probe
-                if not (t < ct or t == ct and
-                        (KIND_GEN, nid, 0 if rnd else len(sent_probes) + 1) < after):
+                if not (t < ct or t == ct and (KIND_GEN, nid, 0 if rnd else seen + 1) < after):
                     break
                 q = tail - head
                 if q:
                     area += q * (t - last)
                 last = t
-                if rnd is None:  # the joiner's stream is its probes; seqs come at the end
-                    probe = ProbeRecord(0, t)
-                    sent_probes.append(probe)
-                    k = len(sent_probes)
-                    due = times[k] if k < n_probes else inf
+                if rnd is None:  # the joiner's stream is its probes, seen of them sent so far
+                    seen += 1
+                    due = times[seen] if seen < n_probes else inf
                     sent += 1
                     if q >= b_max:
                         drops += 1
-                        probe.dropped = True
+                        lost.append(seen - 1)
                         continue
-                    probes.append((tail, probe))
+                    marks |= 1 << q
                 else:
                     if t >= bound:  # past one or more probes: credit them what came before
                         while pk < n_probes and (t > times[pk] or
@@ -623,11 +631,13 @@ class TrialEngine:
                         ns += ci
                     st = ns
             node.head, node.tail, node.area, node.last_ms = head, tail, area, last
-            node.drops, node.due = drops, due
+            node.drops, node.due, node.marks = drops, due, marks
             r.total_dropped += drops - dropped
             sent += own
             if own:
                 tally[nid] = (pk, carry + own - mark)
+            if lost is not None:
+                logs[nid] = (seen, lost)
             if master is not None:
                 node.next_slot_ms = ns
                 if out:
@@ -638,17 +648,43 @@ class TrialEngine:
         r.total_sent += sent
         r.total_delivered += delivered
 
-    def _number_probes(self) -> None:
-        """Give probe k its seq: the packets sent before it, arrivals whose
-        keys sort before (t, KIND_GEN, joiner, k) and the probes before it,
-        plus one."""
+    def _resolve_probes(self) -> None:
+        """Make each probe's ProbeRecord once the END is reached, and count
+        the delivered and the dropped.
+
+        Probe k's seq counts the packets sent before it, arrivals whose keys
+        sort before (t, KIND_GEN, joiner, k) and the probes before it, plus
+        one. Its fate follows the path in order: the probes offered to a
+        node are those its child passed on, it drops the positions its log
+        names, passes on those it accepted but the ones it still holds, and
+        the sink's child hands its delivery slots out in order. A path that
+        ends at a root other than the sink delivers nothing: its root sends
+        nothing on, so it holds every probe it accepted.
+        """
+        r, nodes, logs, times = self.result, self.net.nodes, self._logs, self._probe_times
         before = self._before
         for pk, carry in self._tally.values():
             before[pk] += carry
-        sent = 0
-        for k, probe in enumerate(self.result.probes):
-            sent += before[k]
-            probe.seq = sent + k + 1
+        n_sent = logs[r.path_to_sink[0]][0]
+        alive, dropped = list(range(n_sent)), [False] * n_sent
+        for nid, (_, lost) in logs.items():  # the path in order, from the joiner
+            if lost:
+                for p in lost:
+                    dropped[alive[p]] = True
+                gone = set(lost)
+                alive = [k for p, k in enumerate(alive) if p not in gone]
+            if held := nodes[nid].marks.bit_count():
+                del alive[-held:]
+        at, it = [None] * n_sent, iter(alive)
+        for t, c in self._slots:
+            for k in islice(it, c):
+                at[k] = t
+        hops = r.hops_at_join
+        seqs = map(add, accumulate(before), count(1))  # probe k's seq: before[:k + 1] + k + 1
+        r.probes = list(map(ProbeRecord, seqs, times, at, dropped,
+                            [0 if t is None else hops for t in at]))
+        r.probe_delivered = len(alive)
+        r.probe_dropped = sum(len(lost) for _, lost in logs.values())
 
     # -- the joinMe round --------------------------------------------
 
@@ -690,6 +726,8 @@ class TrialEngine:
         interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
         self._probe_times = [now_ms + k * interval for k in range(n_probes)]
         self._before = [0] * (n_probes + 1)
+        self._logs = {nid: (0, []) for nid in r.path_to_sink if nid != net.sink_id}
+        net.probe_source = new_id
         new.due = now_ms
         new.next_slot_ms = now_ms + new.ci_ms
         self._anchor, self._cuts = now_ms, 0
@@ -703,7 +741,8 @@ class TrialEngine:
         that gave up, in one pass over the nodes in id order: each brings
         its meter to key's time and gives its in-flight count, its b_max
         and, if joined, its window figures. Then the conservation check,
-        the probe tallies and the verdict."""
+        the probes sent and in flight (the delivered and the dropped are
+        counted before) and the verdict."""
         r, now_ms = self.result, key[0]
         window = now_ms - self.t_join if r.joined else None
         in_flight, b_max = 0, r.node_b_max
@@ -723,8 +762,6 @@ class TrialEngine:
                 f"{r.total_delivered} delivered, {r.total_dropped} dropped, "
                 f"{r.total_in_flight} in flight")
         r.probe_sent = len(r.probes)
-        r.probe_delivered = sum(p.delivered_at_ms is not None for p in r.probes)
-        r.probe_dropped = sum(p.dropped for p in r.probes)
         r.probe_in_flight = r.probe_sent - r.probe_delivered - r.probe_dropped
         if r.joined:
             r.sat_branch = branch_saturated(
@@ -753,7 +790,7 @@ class TrialEngine:
             key = (key[0] + eng.t_adv_ms, KIND_JOINME, new_id, 0)
         key = (self.t_join + eng.measure_ms, KIND_END, 0, 0)
         self._advance(key)
-        self._number_probes()
+        self._resolve_probes()
         self._finalize(key)
         return self.result
 

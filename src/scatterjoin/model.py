@@ -3,16 +3,19 @@
 A NodeState also carries a trial's per-node state, none of it a
 constructor option. Its buffer is a FIFO of packets counted, not held:
 head packets have left it and tail have entered, so it holds tail - head.
-Background packets carry no identity; a probe is kept in probes as
-(index, ProbeRecord), its index being the tail value when it entered,
-so it sits index - head places from the front. Then come the buffer's
-occupancy meter (area, the integral of occupancy up to last_ms, to
-which an event at an empty buffer adds no term, and drops, the packets
-lost at this node to a full buffer), its uplink's next_slot_ms, the
-earliest connection slot not yet passed, and its arrival stream: rnd,
-the stream's random(), and scale, the mean gap in ms. due is the time
-of the next arrival not yet applied, inf when the node has no stream;
-for the joiner after its join, it is the next probe's.
+Background packets carry no identity. The engine's sweep tracks probes
+as marks: bit j is set when the packet at index head + j is a probe, so
+no mark reaches past tail - head. probes is the heap reference's form
+(tests/heap_engine.py and connection_event), which the sweep never
+reads: each probe as (index, ProbeRecord), its index being the tail
+value when it entered. Then come the buffer's occupancy meter (area,
+the integral of occupancy up to last_ms, to which an event at an empty
+buffer adds no term, and drops, the packets lost at this node to a full
+buffer), its uplink's next_slot_ms, the earliest connection slot not yet
+passed, and its arrival stream: rnd, the stream's random(), and scale,
+the mean gap in ms. due is the time of the next arrival not yet applied,
+inf when the node has no stream; for the joiner after its join, it is
+the next probe's.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ class NodeState:
     hops_to_sink: int = 0
     head: int = field(default=0, init=False)
     tail: int = field(default=0, init=False)
+    marks: int = field(default=0, init=False)
     probes: deque = field(default_factory=deque, init=False)
     area: float = field(default=0.0, init=False)
     last_ms: float = field(default=0.0, init=False)
@@ -77,6 +81,8 @@ class Network:
     use and rebuilt from the nodes whenever nodes has changed size since,
     so a node added to nodes after construction is counted. Cluster ids
     change only through attach, which keeps the index in step.
+    probe_source is the node that sends probes, once it has joined: marks
+    may sit only on its path to the root.
     """
 
     def __init__(self, nodes, sink_id: int = SINK_ID):
@@ -90,6 +96,7 @@ class Network:
         self.sink_id = sink_id
         self._members: dict[int, list[int]] = {}
         self._indexed = 0  # len(nodes) when _members was built; 0: never
+        self.probe_source: int | None = None
 
     def _clusters(self) -> dict[int, list[int]]:
         """Cluster id -> member ids, rebuilt if nodes changed size since."""
@@ -162,6 +169,8 @@ class Network:
             if not ok:
                 raise TopologyError(message)
 
+        marked = (set(self.path_to_root(self.probe_source))
+                  if self.probe_source is not None else ())
         by_cluster: dict[int, list[NodeState]] = {}
         for n in self.nodes.values():
             by_cluster.setdefault(n.cluster_id, []).append(n)
@@ -186,6 +195,10 @@ class Network:
                           f"node {n.id}: probe index {index} out of order or outside "
                           f"[{n.head}, {n.tail})")
                     last = index
+                check(0 <= n.marks < 1 << (n.tail - n.head),
+                      f"node {n.id}: a mark at or past {n.tail - n.head}, the packets held")
+                check(not n.marks or n.id in marked,
+                      f"node {n.id} holds a mark off the probe path")
                 for sid in n.slaves:
                     s = self.nodes[sid]
                     check(s.master == n.id, f"slave {sid} does not point back to {n.id}")

@@ -146,8 +146,8 @@ class Scenario:
         probes, then per node its link's slots and its arrivals."""
         e = self.engine
         horizon = e.horizon_ms()
-        return e.max_wait_ms / e.t_adv_ms + e.n_probes() + sum(
-            horizon / n.ci_ms + (n.id != self.new_node_id and n.traffic_rate_pps * horizon / 1e3)
+        return _trial_events(e) + sum(
+            _node_events(horizon, n.ci_ms, n.id != self.new_node_id and n.traffic_rate_pps)
             for n in self.nodes)
 
     @cached_property
@@ -323,6 +323,16 @@ def training11() -> Scenario:
     return Scenario(name="training11", nodes=nodes, sink_id=1, new_node_id=12)
 
 
+def _trial_events(e: EngineParams) -> float:
+    """A trial's worst-case events of its own: joinMe rounds and probes."""
+    return e.max_wait_ms / e.t_adv_ms + e.n_probes()
+
+
+def _node_events(horizon: float, ci_ms: float, rate_pps: float) -> float:
+    """A node's worst-case events over horizon ms: its link's slots and its arrivals."""
+    return horizon / ci_ms + rate_pps * horizon / 1e3
+
+
 def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
                         max_retries: int = 500) -> Scenario:
     """Uniform random layout in an area_m x area_m square, deterministic per seed.
@@ -342,6 +352,11 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
         raise GenerationError("n_nodes must be >= 3")
     if not 0 < area_m < math.inf:
         raise GenerationError("area_m: must be > 0 and finite")
+    e = EngineParams()  # the fewest events a layout can take: every link slow, no traffic
+    fewest = _trial_events(e) + n_nodes * _node_events(e.horizon_ms(), max(CI_TIERS_MS), 0.0)
+    if not fewest <= MAX_EVENTS:
+        raise GenerationError(f"n_nodes: {n_nodes} nodes take at least {fewest:,.0f} events "
+                              f"per trial, over the {MAX_EVENTS:.0e} limit")
     rng = random.Random(f"scatterjoin-scenario:{seed}")
     new_id = n_nodes
     name = f"random{n_nodes}-seed{seed}"

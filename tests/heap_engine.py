@@ -116,11 +116,15 @@ class HeapEngine(TrialEngine):
     # -- finalization ------------------------------------------------
 
     def _finalize(self, key: tuple) -> None:
-        """Apply each node's held arrivals sorting before key, then close the
-        trial as TrialEngine does."""
+        """Apply each node's held arrivals sorting before key, count the
+        delivered and the dropped probes, then close the trial as
+        TrialEngine does."""
         for node in self.net.nodes.values():
             if node.due <= key[0]:
                 self._catch_up(node, key)
+        r = self.result
+        r.probe_delivered = sum(p.delivered_at_ms is not None for p in r.probes)
+        r.probe_dropped = sum(p.dropped for p in r.probes)
         super()._finalize(key)
 
     # -- main loop ---------------------------------------------------

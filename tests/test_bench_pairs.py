@@ -135,3 +135,21 @@ def test_json_refuses_a_record_of_other_sources(monkeypatch, tmp_path):
     change_src("c")
     with pytest.raises(ValueError, match="src_sha256"):
         bench_pairs.main(argv)
+
+
+@pytest.mark.parametrize("value,flag", [(None, False), ("", False), ("1", True)])
+def test_record_says_whether_runs_write_bytecode(monkeypatch, tmp_path, capsys, value, flag):
+    # an empty value leaves bytecode writing on, as Python reads it
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    out = tmp_path / "BENCH.json"
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench(
+        [], {"parent": [1.0], "change": [1.0]}, {"parent": "a", "change": "b"}))
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "compare-t11", "--pairs", "1",
+                             "--json", str(out)]) == 0
+    assert f"# PYTHONDONTWRITEBYTECODE set: {flag}" in capsys.readouterr().out
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["pythondontwritebytecode"] is flag

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -405,6 +406,17 @@ def test_bad_area_fails_with_stage(tmp_path, monkeypatch, capsys, argv):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(
         "error at generation stage: area_m: must be > 0 and finite")
+
+
+def test_gen_refuses_a_node_count_over_the_event_limit_at_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert main(["gen", "--seed", "1", "--out", "g.json", "--nodes", "100000000"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error at generation stage: n_nodes: 100000000 nodes")
+    assert "over the 1e+07 limit" in err
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_gen_then_run_round_trip(tmp_path, capsys):

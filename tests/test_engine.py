@@ -957,6 +957,22 @@ def test_trials_equal_the_heap_reference(case):
                                 heap_trial(scenario, algo, seed)) == []
 
 
+@pytest.mark.parametrize("b_max,counts", [(1, (10, 0, 9, 1)), (30, (10, 0, 0, 10))])
+def test_a_join_off_the_sinks_cluster_delivers_no_probe(b_max, counts):
+    # the joiner hears only node 2, a root cut off from the sink: node 2 sends
+    # nothing on, so it keeps what it has room for and drops the rest, as the
+    # reference does
+    s = Scenario(name="island", nodes=(NodeSpec(1, (0.0, 0.0)),
+                                       NodeSpec(2, (50.0, 0.0), b_max=b_max),
+                                       NodeSpec(3, (55.0, 0.0), ci_ms=50.0)),
+                 sink_id=1, new_node_id=3,
+                 engine=EngineParams(warmup_ms=200.0, measure_ms=1000.0, max_wait_ms=400.0))
+    t = run_trial(s, "scored", 0)
+    assert t.path_to_sink == [3, 2]
+    assert (t.probe_sent, t.probe_delivered, t.probe_dropped, t.probe_in_flight) == counts
+    assert differing_fields(t, heap_trial(s, "scored", 0)) == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=busy_trials(), cut=st.one_of(st.sampled_from((math.inf, "probe")),
                                          st.floats(5.0, 5000.0)))
@@ -971,15 +987,32 @@ def test_any_cut_schedule_gives_the_same_trial(case, cut):
             assert differing_fields(run_trial(scenario, algo, seed), want) == []
 
 
-def sweep_cuts(monkeypatch):
-    """The cut keys every TrialEngine._sweep is given, in order, from now on."""
+def sweep_cuts(monkeypatch, then=None):
+    """The cut keys every TrialEngine._sweep is given, in order, from now on;
+    then(engine), if given, runs after each sweep."""
     cuts, sweep = [], TrialEngine._sweep
 
     def recorded(self, cut):
         cuts.append(cut)
         sweep(self, cut)
+        if then is not None:
+            then(self)
     monkeypatch.setattr(TrialEngine, "_sweep", recorded)
     return cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=busy_trials(), cut=st.one_of(st.sampled_from((math.inf, "probe")),
+                                         st.floats(5.0, 5000.0)))
+def test_the_network_holds_its_invariants_at_every_cut(case, cut):
+    # marks within what each node holds and only on the probe path, after every sweep
+    scenario, algo, seed, grid = case
+    cut_ms = 1000.0 / scenario.engine.probe_rate if cut == "probe" else cut
+    with drawn(grid), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_sweep_ms", lambda s: cut_ms)
+        cuts = sweep_cuts(mp, then=lambda eng: eng.net.check_invariants())
+        run_trial(scenario, algo, seed)
+    assert cuts
 
 
 @pytest.mark.parametrize("n_nodes", [None, 16, 64])

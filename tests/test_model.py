@@ -282,6 +282,28 @@ def test_invariants_cover_the_counted_buffer(head, tail, indices, message):
         net.check_invariants()
 
 
+@pytest.mark.parametrize("source,marked,marks,message", [
+    (4, 4, 0b1000, "node 4: a mark at or past 3, the packets held"),
+    (4, 4, -1, "node 4: a mark at or past 3"),
+    (None, 2, 0b1, "node 2 holds a mark off the probe path"),
+    (4, 3, 0b1, "node 3 holds a mark off the probe path"),  # a sibling of the path
+])
+def test_invariants_cover_the_marks(source, marked, marks, message):
+    # 4 -> 2 -> 1 is the probe path; 3 hangs off the sink beside it
+    net = Network([node(i) for i in range(1, 5)])
+    for child, parent in ((2, 1), (3, 1), (4, 2)):
+        net.attach(child, parent)
+    net.probe_source = source
+    for n in net.nodes.values():
+        n.tail = 3
+    if source is not None:  # within what each holds, on the path
+        net.nodes[4].marks = net.nodes[2].marks = 0b101
+    net.check_invariants()
+    net.nodes[marked].marks = marks
+    with pytest.raises(TopologyError, match=message):
+        net.check_invariants()
+
+
 INFLATED_CLUSTER = """
 import sys
 from scatterjoin.channel import Position

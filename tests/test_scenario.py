@@ -525,6 +525,25 @@ def test_generation_fails_on_hopeless_layout():
         gen_random_scenario(n_nodes=5, seed=0, area_m=500.0, max_retries=15)
 
 
+@pytest.mark.parametrize("n_nodes", [53046, 53047])
+def test_generation_refuses_a_node_count_no_layout_fits(n_nodes):
+    # every link at the slowest tier, no traffic: the fewest events n_nodes can take
+    slowest = [NodeSpec(nid, (0.0, 0.0), ci_ms=max(scenario.CI_TIERS_MS))
+               for nid in range(1, n_nodes + 1)]
+    try:
+        Scenario(name="slowest", nodes=slowest, sink_id=1, new_node_id=n_nodes)
+        fits = True
+    except ScenarioError as e:
+        assert "limit" in str(e)
+        fits = False
+    assert fits == (n_nodes == 53046)  # 53,047 is the smallest count refused
+    # max_retries=0: a count that may fit gives up without a try, one that cannot is refused
+    with pytest.raises(GenerationError, match="tries" if fits else
+                       r"n_nodes: 53047 nodes take at least 10,000,010 events per trial, "
+                       r"over the 1e\+07 limit"):
+        gen_random_scenario(n_nodes=n_nodes, seed=0, max_retries=0)
+
+
 def _reference_acceptable(s):
     """gen_random_scenario's per-try verdict as it was when every try was
     made a Scenario first: the same checks, heard through s.layout."""
