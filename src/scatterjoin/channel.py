@@ -48,7 +48,8 @@ class Position:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        # RadioParams' finite rule: math.isfinite overflows on an int no float holds
+        if not (abs(self.x) <= sys.float_info.max and abs(self.y) <= sys.float_info.max):
             raise ValueError("position coordinates must be finite")
 
 

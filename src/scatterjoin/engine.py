@@ -33,9 +33,10 @@ sender, master), an arrival (KIND_GEN, node, 0) or the joiner's probe k
 queue orders them, because a sender never reads its receiver. A
 connection event moves n = min(held, n_ce) packets and sets the sender's
 next slot from the sender alone; only the receiver reads its free room
-(connection_event is that rule for one link). Packets flow one way, up
-the tree, so a node's whole trajectory depends only on its own stream and
-its subtree.
+(connection_event is that rule for one link, as counts alone: the heap
+reference in tests/heap_engine.py calls it and keeps its own probe
+records). Packets flow one way, up the tree, so a node's whole
+trajectory depends only on its own stream and its subtree.
 
 So TrialEngine._advance(key), the cut, applies every event whose key
 sorts before key one node at a time, children before their masters, over
@@ -281,46 +282,30 @@ def generate_traffic(rate_pps: float, horizon_ms: float, rng: random.Random) -> 
 
 
 def connection_event(sender: NodeState, receiver: NodeState, to_sink: bool, n_ce: int,
-                     result: TrialResult, now_ms: float) -> int:
-    """One connection event on a link: move up to n_ce packets.
+                     result: TrialResult) -> int:
+    """One connection event on a link, as counts: move up to n_ce packets.
 
-    The n packets at the sender's head leave in FIFO order. When the
-    receiver is the sink (to_sink) it consumes them all, and each probe
-    among them is stamped delivered at now_ms. Elsewhere the first
-    k = min(n, free) join the receiver's tail in the same order, and the
-    other n - k are dropped at the receiver. The counts go into result.
-    Returns n.
+    The n = min(held, n_ce) packets at the sender's head leave. When the
+    receiver is the sink (to_sink) it consumes them all. Elsewhere the
+    first k = min(n, free) join the receiver's tail and the other n - k are
+    dropped at the receiver. The counts go into result. Returns n.
     """
-    head, probes = sender.head, sender.probes
-    n = sender.tail - head
+    n = sender.tail - sender.head
     if n > n_ce:
         n = n_ce
-    end = sender.head = head + n
+    sender.head += n
     if to_sink:
         result.total_delivered += n
-        while probes and probes[0][0] < end:
-            probe = probes.popleft()[1]
-            probe.delivered_at_ms = now_ms
-            probe.hops = result.hops_at_join
         return n
-    tail = receiver.tail
-    k = receiver.b_max - (tail - receiver.head)  # free room, clamped into [0, n]
+    k = receiver.b_max - (receiver.tail - receiver.head)  # free room, clamped into [0, n]
     if k > n:
         k = n
     elif k < 0:
         k = 0
-    if probes:
-        cut, shift = head + k, tail - head
-        while probes and probes[0][0] < end:
-            index, probe = probes.popleft()
-            if index < cut:
-                receiver.probes.append((index + shift, probe))
-            else:
-                probe.dropped = True
     if n != k:
         result.total_dropped += n - k
         receiver.drops += n - k
-    receiver.tail = tail + k
+    receiver.tail += k
     return n
 
 

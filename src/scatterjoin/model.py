@@ -3,24 +3,21 @@
 A NodeState also carries a trial's per-node state, none of it a
 constructor option. Its buffer is a FIFO of packets counted, not held:
 head packets have left it and tail have entered, so it holds tail - head.
-Background packets carry no identity. The engine's sweep tracks probes
-as marks: bit j is set when the packet at index head + j is a probe, so
-no mark reaches past tail - head. probes is the heap reference's form
-(tests/heap_engine.py and connection_event), which the sweep never
-reads: each probe as (index, ProbeRecord), its index being the tail
-value when it entered. Then come the buffer's occupancy meter (area,
-the integral of occupancy up to last_ms, to which an event at an empty
-buffer adds no term, and drops, the packets lost at this node to a full
-buffer), its uplink's next_slot_ms, the earliest connection slot not yet
-passed, and its arrival stream: rnd, the stream's random(), and scale,
-the mean gap in ms. due is the time of the next arrival not yet applied,
-inf when the node has no stream; for the joiner after its join, it is
-the next probe's.
+Background packets carry no identity, and probes are marks: bit j is set
+when the packet at index head + j is a probe, so no mark reaches past
+tail - head. That is the one probe form here; the heap reference
+(tests/heap_engine.py) keeps its own probe records. Then come the
+buffer's occupancy meter (area, the integral of occupancy up to last_ms,
+to which an event at an empty buffer adds no term, and drops, the
+packets lost at this node to a full buffer), its uplink's next_slot_ms,
+the earliest connection slot not yet passed, and its arrival stream:
+rnd, the stream's random(), and scale, the mean gap in ms. due is the
+time of the next arrival not yet applied, inf when the node has no
+stream; for the joiner after its join, it is the next probe's.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import inf
@@ -54,7 +51,6 @@ class NodeState:
     head: int = field(default=0, init=False)
     tail: int = field(default=0, init=False)
     marks: int = field(default=0, init=False)
-    probes: deque = field(default_factory=deque, init=False)
     area: float = field(default=0.0, init=False)
     last_ms: float = field(default=0.0, init=False)
     drops: int = field(default=0, init=False)
@@ -189,12 +185,6 @@ class Network:
                 check(n.free_out >= 0, f"node {n.id} over-subscribed slots")
                 check(0 <= n.tail - n.head <= n.b_max,
                       f"node {n.id} holds {n.tail - n.head} packets, b_max {n.b_max}")
-                last = n.head - 1
-                for index, _ in n.probes:
-                    check(last < index < n.tail,
-                          f"node {n.id}: probe index {index} out of order or outside "
-                          f"[{n.head}, {n.tail})")
-                    last = index
                 check(0 <= n.marks < 1 << (n.tail - n.head),
                       f"node {n.id}: a mark at or past {n.tail - n.head}, the packets held")
                 check(not n.marks or n.id in marked,

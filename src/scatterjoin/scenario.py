@@ -256,7 +256,13 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def validate_scenario(s: Scenario) -> None:
-    """The hearing-graph checks a scenario's own ranges cannot make."""
+    """The hearing-graph checks a scenario's own ranges cannot make, once
+    its ordered links, which a trial's link table and build-ups may each
+    visit, fit MAX_EVENTS."""
+    n = len(s.nodes)
+    if not n * (n - 1) <= MAX_EVENTS:
+        raise ScenarioError(f"nodes: {n} nodes have {n * (n - 1):,} ordered links, over the "
+                            f"{MAX_EVENTS:.0e} limit")
     links = s.layout.links
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
     if not _connected(existing, links, s.radio.rx_threshold_dbm):

@@ -1,32 +1,67 @@
 """The heap event loop that TrialEngine.run replaced, kept as its reference.
 
-HeapEngine runs a trial the way the engine did before the leaves-first
-sweep: one global heap of (time, kind, node, peer) events popped in key
-order. The heap holds only pending work: at most one connection event per
-link, one probe, the joiner's next joinMe, and a node's next arrival only
-if it was drawn while the node's buffer was empty. Every other arrival is
-held on its node (NodeState.due) and follows the same order: _catch_up
-applies a node's held arrivals whose keys (t, KIND_GEN, node, 0) sort
-before the key of the event about to read that node, whichever event it
-is. A held arrival finds a packet in the buffer, so it wakes no link, and a
-buffer empties only at its own link's events, which hand the held arrival
-to the heap when they do.
+HeapEngine runs a trial as a plain discrete-event loop: one global heap
+of (time, kind, node, peer) events popped in key order. Popping an
+arrival pushes its stream's next one, and popping probe k pushes probe
+k + 1. A link is on the heap only while its sender's buffer holds a
+packet: the event that gives an empty buffer a packet pushes the link at
+its first slot sorting after that event, and the link's own event
+pushes its next slot while packets remain.
 
 It shares the rest with TrialEngine (the layout and build-up,
-broadcast_status, connection_event, _finalize), so a difference between
-the two is a difference in event order. heapq, connection_event and log
-are looked up on this module, so a stand-in installed here sees every
-call.
+broadcast_status, connection_event's counts, _finalize), so a difference
+between the two is a difference in event order. The probes are its own:
+probes[nid] holds each probe on path node nid as (index, ProbeRecord) in
+FIFO order, its index the node's tail when it entered, and move_probes
+carries them along after each connection event. heapq, connection_event
+and log are looked up on this module, so a stand-in installed here sees
+every call.
 """
 
 import heapq
 import random
-from math import inf, log
+from collections import deque
+from math import log
 
 from scatterjoin.engine import (KIND_CONN, KIND_END, KIND_GEN, KIND_JOINME, ProbeRecord,
                                 TrialEngine, TrialResult, branch_saturated, broadcast_status,
                                 connection_event)
 from scatterjoin.model import NodeState
+
+
+def move_probes(probes: dict, sender: NodeState, receiver: NodeState, to_sink: bool,
+                head: int, tail: int, now_ms: float, hops: int) -> None:
+    """The probe step after connection_event(sender, receiver, to_sink, ...)
+    at now_ms, which moved sender's head from head to sender.head and
+    receiver's tail from tail to receiver.tail. The probes among the moved
+    packets leave sender's deque in order: the sink stamps each delivered,
+    after hops; elsewhere the receiver keeps those among its first
+    receiver.tail - tail and the rest are dropped."""
+    queue, end = probes[sender.id], sender.head
+    if to_sink:
+        while queue and queue[0][0] < end:
+            probe = queue.popleft()[1]
+            probe.delivered_at_ms, probe.hops = now_ms, hops
+        return
+    kept, cut, shift = probes[receiver.id], head + receiver.tail - tail, tail - head
+    while queue and queue[0][0] < end:
+        index, probe = queue.popleft()
+        if index < cut:
+            kept.append((index + shift, probe))
+        else:
+            probe.dropped = True
+
+
+def check_probe_order(probes: dict, nodes: dict) -> None:
+    """Raise AssertionError unless each node's probes sit at increasing
+    indices within what it holds, [head, tail)."""
+    for nid, queue in probes.items():
+        node, last = nodes[nid], nodes[nid].head - 1
+        for index, _ in queue:
+            if not last < index < node.tail:
+                raise AssertionError(f"node {nid}: probe index {index} out of order or "
+                                     f"outside [{node.head}, {node.tail})")
+            last = index
 
 
 class HeapEngine(TrialEngine):
@@ -35,36 +70,7 @@ class HeapEngine(TrialEngine):
     def __init__(self, scenario, algo, seed):
         super().__init__(scenario, algo, seed)
         self.heap: list[tuple[float, int, int, int]] = []  # (time, kind, node, peer)
-
-    # -- bookkeeping -------------------------------------------------
-
-    def _catch_up(self, node: NodeState, key: tuple) -> None:
-        """Apply node's held arrivals whose keys (t, KIND_GEN, node.id, 0)
-        sort before key, the key of the event about to read node. Each does
-        what a popped arrival does and draws the next; it wakes no link. The
-        stream never ends: the first draw that does not sort before key is
-        held in node.due. A tie never reaches key's peer: only probes carry
-        one, and the joiner holds no arrivals."""
-        until, kind, nid = key[0], key[1], key[2]
-        r, t = self.result, node.due
-        while t < until or t == until and (kind > KIND_GEN or kind == KIND_GEN and nid > node.id):
-            q = node.tail - node.head
-            r.total_sent += 1
-            node.area += q * (t - node.last_ms)
-            node.last_ms = t
-            if q >= node.b_max:
-                r.total_dropped += 1
-                node.drops += 1
-            else:
-                node.tail += 1
-            t += -log(1.0 - node.rnd()) * node.scale
-        node.due = t
-
-    def _catch_up_all(self, key: tuple) -> None:
-        """_catch_up every node that may hold an arrival sorting before key."""
-        for node in self.net.nodes.values():
-            if node.due <= key[0]:
-                self._catch_up(node, key)
+        self.probes: dict[int, deque] = {}  # path node -> deque of (index, ProbeRecord)
 
     # -- event handlers ----------------------------------------------
 
@@ -77,7 +83,6 @@ class HeapEngine(TrialEngine):
         eng = s.engine
         new_id = s.new_node_id
         new, now_ms = net.nodes[new_id], key[0]
-        self._catch_up_all(key)
         cands = [broadcast_status(net.nodes[nid], self.links, new_id)
                  for nid in self.links.heard(new_id)]
         parent = self.join_pick(cands, new, s)
@@ -107,6 +112,7 @@ class HeapEngine(TrialEngine):
         r.join_time_ms = now_ms - eng.warmup_ms
         r.hops_at_join = new.hops_to_sink
         self.t_join = now_ms
+        self.probes.update((nid, deque()) for nid in r.path_to_sink)
 
         heapq.heappush(self.heap, (now_ms, KIND_GEN, new_id, 1))
         new.next_slot_ms = now_ms + new.ci_ms
@@ -116,12 +122,9 @@ class HeapEngine(TrialEngine):
     # -- finalization ------------------------------------------------
 
     def _finalize(self, key: tuple) -> None:
-        """Apply each node's held arrivals sorting before key, count the
-        delivered and the dropped probes, then close the trial as
-        TrialEngine does."""
-        for node in self.net.nodes.values():
-            if node.due <= key[0]:
-                self._catch_up(node, key)
+        """Check the probe deques, count the delivered and the dropped
+        probes, then close the trial as TrialEngine does."""
+        check_probe_order(self.probes, self.net.nodes)
         r = self.result
         r.probe_delivered = sum(p.delivered_at_ms is not None for p in r.probes)
         r.probe_dropped = sum(p.dropped for p in r.probes)
@@ -152,48 +155,42 @@ class HeapEngine(TrialEngine):
         move = connection_event
         nodes, sink_id = self.net.nodes, self.net.sink_id
         n_ce = eng.n_ce
-        catch_up, catch_up_all = self._catch_up, self._catch_up_all
         interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
-        r = self.result
-        probes = r.probes
+        r, probes = self.result, self.probes
         while True:  # the joiner's next joinMe or the END is always pending
             now, kind, nid, peer = event = pop(heap)
             if kind == KIND_CONN:
                 sender, receiver = nodes[nid], nodes[peer]
-                if sender.due < now:
-                    catch_up(sender, event)
-                if receiver.due < now:
-                    catch_up(receiver, event)
-                sender.area += (sender.tail - sender.head) * (now - sender.last_ms)
+                head = sender.head
+                sender.area += (sender.tail - head) * (now - sender.last_ms)
                 sender.last_ms = now
-                held = receiver.tail - receiver.head
+                tail = receiver.tail
+                held = tail - receiver.head
                 receiver.area += held * (now - receiver.last_ms)
                 receiver.last_ms = now
-                move(sender, receiver, peer == sink_id, n_ce, r, now)
+                move(sender, receiver, peer == sink_id, n_ce, r)
+                if probes.get(nid):
+                    move_probes(probes, sender, receiver, peer == sink_id, head, tail, now,
+                                r.hops_at_join)
                 # the sender's next slot always sorts after this event
                 s = sender.next_slot_ms = now + sender.ci_ms
                 if sender.tail != sender.head:
                     push(heap, (s, KIND_CONN, nid, peer))
-                elif sender.due < inf:  # emptied: its held arrival goes on the heap
-                    push(heap, (sender.due, KIND_GEN, nid, 0))
-                    sender.due = inf
                 if held or receiver.tail == receiver.head:
                     continue
                 node = receiver
             elif kind == KIND_GEN:
                 node = nodes[nid]
-                if peer:  # probe number peer
-                    catch_up_all(event)
                 tail = node.tail
                 q = tail - node.head
                 r.total_sent += 1
-                if peer:
+                if peer:  # probe number peer
                     probe = ProbeRecord(r.total_sent, now)
-                    probes.append(probe)
+                    r.probes.append(probe)
                     if peer < n_probes:
                         push(heap, (self.t_join + peer * interval, KIND_GEN, nid, peer + 1))
-                else:  # the buffer holds a packet after this, so the next arrival is held
-                    node.due = now + -log(1.0 - node.rnd()) * node.scale
+                else:
+                    push(heap, (now + -log(1.0 - node.rnd()) * node.scale, KIND_GEN, nid, 0))
                 node.area += q * (now - node.last_ms)
                 node.last_ms = now
                 if q >= node.b_max:
@@ -203,7 +200,7 @@ class HeapEngine(TrialEngine):
                         probe.dropped = True
                     continue
                 if peer:
-                    node.probes.append((tail, probe))
+                    probes[nid].append((tail, probe))
                 node.tail = tail + 1
                 if q:
                     continue

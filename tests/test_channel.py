@@ -137,6 +137,13 @@ def test_non_finite_position_rejected():
         Position(float("nan"), 0.0)
 
 
+@pytest.mark.parametrize("coords", [(10 ** 400, 0.0), (0.0, -10 ** 400)])
+def test_position_rejects_an_int_no_float_holds(coords):
+    # math.isfinite raised OverflowError on these; they now fail by name, as a NaN does
+    with pytest.raises(ValueError, match="position coordinates must be finite"):
+        Position(*coords)
+
+
 def test_overflowing_distance_is_out_of_range():
     # finite positions whose distance overflows a float; path_loss_rssi still rejects inf
     a, b = Position(1e308, 0.0), Position(-1e308, 0.0)

@@ -286,6 +286,21 @@ def test_scenario_that_would_hang_a_trial_fails_with_stage(tmp_path, capsys):
     assert err.startswith("error at scenario stage: scenario: a trial may take 7.54e+10 events")
 
 
+def test_scenario_with_too_many_links_fails_with_stage_at_once(tmp_path, capsys):
+    # every relay silent and slow, so only the N^2 link count is over the limit
+    bad = tmp_path / "big.json"
+    nodes = [NodeSpec(nid, (float(nid), 0.0), ci_ms=1e300) for nid in range(1, 3164)]
+    bad.write_text(json.dumps(scenario_to_dict(
+        Scenario(name="big", nodes=nodes, sink_id=1, new_node_id=3163))))
+    start = time.perf_counter()
+    assert main(["run", "--scenario", str(bad), "--algo", "baseline", "--seed", "0"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error at scenario stage: nodes: 3163 nodes have 10,001,406 "
+                          "ordered links")
+
+
 def test_deeply_nested_json_fails_with_stage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[" * 100_000 + "]" * 100_000)  # json.load used to die in RecursionError

@@ -28,7 +28,7 @@ from scatterjoin.scenario import (MAX_EVENTS, EngineParams, NodeSpec, Scenario, 
                                   gen_random_scenario, training11)
 
 import heap_engine
-from heap_engine import HeapEngine, heap_trial
+from heap_engine import HeapEngine, check_probe_order, heap_trial, move_probes
 from test_golden import busy_cases, canon, golden_cases, grid_cases
 
 FAST = EngineParams(warmup_ms=1000.0, measure_ms=5000.0, max_wait_ms=2000.0)
@@ -177,26 +177,30 @@ def _net_pair(b_max=30):
     return net
 
 
-def enqueue(node, seqs):
+def enqueue(probes, node, seqs):
     """One probe per seq into node's tail, as an accepted arrival enters."""
     for seq in seqs:
-        node.probes.append((node.tail, ProbeRecord(seq, 0.0)))
+        probes[node.id].append((node.tail, ProbeRecord(seq, 0.0)))
         node.tail += 1
 
 
-def held(node):
+def held(probes, node):
     """The seqs node holds in FIFO order, when every packet it holds is a probe."""
-    assert [i for i, _ in node.probes] == list(range(node.head, node.tail))
-    return [p.seq for _, p in node.probes]
+    assert [i for i, _ in probes[node.id]] == list(range(node.head, node.tail))
+    return [p.seq for _, p in probes[node.id]]
 
 
-def recorded_event(net, sender_id, receiver_id, n_ce, now_ms=0.0):
-    """connection_event on a net of probes: (moved, delivered, dropped), with
-    delivered as (seq, time) and dropped as (seq, node charged with drops)."""
-    packets = [p for n in net.nodes.values() for _, p in n.probes]
+def recorded_event(net, probes, sender_id, receiver_id, n_ce, now_ms=0.0):
+    """connection_event on a net of probes, then the reference's probe step:
+    (moved, delivered, dropped), with delivered as (seq, time) and dropped as
+    (seq, node charged with drops)."""
+    packets = [p for queue in probes.values() for _, p in queue]
+    sender, receiver = net.nodes[sender_id], net.nodes[receiver_id]
+    head, tail, to_sink = sender.head, receiver.tail, receiver_id == net.sink_id
     result = TrialResult(trial_seed=0, algo="scored", hops_at_join=2)
-    moved = connection_event(net.nodes[sender_id], net.nodes[receiver_id],
-                             receiver_id == net.sink_id, n_ce, result, now_ms)
+    moved = connection_event(sender, receiver, to_sink, n_ce, result)
+    move_probes(probes, sender, receiver, to_sink, head, tail, now_ms, 2)
+    check_probe_order(probes, net.nodes)
     delivered = [(p.seq, p.delivered_at_ms) for p in packets if p.delivered_at_ms is not None]
     assert all(p.hops == 2 for p in packets if p.delivered_at_ms is not None)
     charged = [nid for nid, n in net.nodes.items() for _ in range(n.drops)]
@@ -205,99 +209,104 @@ def recorded_event(net, sender_id, receiver_id, n_ce, now_ms=0.0):
     return moved, delivered, dropped
 
 
+def probe_net(b_max=30):
+    """_net_pair(b_max) and an empty probe deque per node."""
+    net = _net_pair(b_max)
+    return net, {nid: collections.deque() for nid in net.nodes}
+
+
 def test_connection_event_moves_at_most_n_ce():
-    net = _net_pair()
-    enqueue(net.nodes[3], range(6))
-    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    net, probes = probe_net()
+    enqueue(probes, net.nodes[3], range(6))
+    moved, delivered, dropped = recorded_event(net, probes, 3, 2, n_ce=4)
     assert moved == 4
     assert delivered == [] and dropped == []
-    assert held(net.nodes[3]) == [4, 5]
-    assert held(net.nodes[2]) == [0, 1, 2, 3]  # moved packets arrive in FIFO order
+    assert held(probes, net.nodes[3]) == [4, 5]
+    assert held(probes, net.nodes[2]) == [0, 1, 2, 3]  # moved packets arrive in FIFO order
 
 
 def test_connection_event_drops_on_full_receiver():
-    net = _net_pair(b_max=2)
-    enqueue(net.nodes[3], range(4))
-    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    net, probes = probe_net(b_max=2)
+    enqueue(probes, net.nodes[3], range(4))
+    moved, delivered, dropped = recorded_event(net, probes, 3, 2, n_ce=4)
     assert moved == 4 and delivered == []
-    assert held(net.nodes[2]) == [0, 1]
+    assert held(probes, net.nodes[2]) == [0, 1]
     assert dropped == [(2, 2), (3, 2)]
 
 
 def test_connection_event_fills_partly_full_receiver():
-    net = _net_pair(b_max=5)
-    enqueue(net.nodes[2], [100, 101])
-    enqueue(net.nodes[3], range(4))
-    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    net, probes = probe_net(b_max=5)
+    enqueue(probes, net.nodes[2], [100, 101])
+    enqueue(probes, net.nodes[3], range(4))
+    moved, delivered, dropped = recorded_event(net, probes, 3, 2, n_ce=4)
     assert moved == 4 and delivered == []
-    assert held(net.nodes[3]) == []
-    assert held(net.nodes[2]) == [100, 101, 0, 1, 2]
+    assert held(probes, net.nodes[3]) == []
+    assert held(probes, net.nodes[2]) == [100, 101, 0, 1, 2]
     assert dropped == [(3, 2)]
 
 
 def test_sink_consumes_destined_packets():
-    net = _net_pair()
-    enqueue(net.nodes[2], range(6))
-    moved, delivered, dropped = recorded_event(net, 2, 1, n_ce=4, now_ms=250.0)
+    net, probes = probe_net()
+    enqueue(probes, net.nodes[2], range(6))
+    moved, delivered, dropped = recorded_event(net, probes, 2, 1, n_ce=4, now_ms=250.0)
     assert moved == 4 and dropped == []
     assert delivered == [(0, 250.0), (1, 250.0), (2, 250.0), (3, 250.0)]
-    assert held(net.nodes[2]) == [4, 5]
+    assert held(probes, net.nodes[2]) == [4, 5]
     assert net.nodes[1].tail == net.nodes[1].head == 0
 
 
 def test_connection_event_moves_background_without_touching_probes_or_drops():
-    net = _net_pair()
-    enqueue(net.nodes[2], [100])
+    net, probes = probe_net()
+    enqueue(probes, net.nodes[2], [100])
     net.nodes[3].tail += 5  # background packets only
-    sender_probes, receiver_probes = net.nodes[3].probes, list(net.nodes[2].probes)
-    result = TrialResult(trial_seed=0, algo="scored")
-    assert connection_event(net.nodes[3], net.nodes[2], False, 4, result, 0.0) == 4
-    assert net.nodes[3].probes is sender_probes and not sender_probes
-    assert list(net.nodes[2].probes) == receiver_probes
+    sender_probes, receiver_probes = probes[3], list(probes[2])
+    moved, delivered, dropped = recorded_event(net, probes, 3, 2, n_ce=4)
+    assert (moved, delivered, dropped) == (4, [], [])
+    assert probes[3] is sender_probes and not sender_probes
+    assert list(probes[2]) == receiver_probes
     assert (net.nodes[3].head, net.nodes[2].tail) == (4, 5)
-    assert (result.total_dropped, result.total_delivered) == (0, 0)
     assert all(n.drops == 0 for n in net.nodes.values())
 
 
 def test_connection_event_drops_all_at_an_exactly_full_receiver():
-    net = _net_pair(b_max=2)
-    enqueue(net.nodes[2], [100, 101])
-    enqueue(net.nodes[3], range(3))
-    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    net, probes = probe_net(b_max=2)
+    enqueue(probes, net.nodes[2], [100, 101])
+    enqueue(probes, net.nodes[3], range(3))
+    moved, delivered, dropped = recorded_event(net, probes, 3, 2, n_ce=4)
     assert moved == 3 and delivered == []
     assert dropped == [(0, 2), (1, 2), (2, 2)]  # every one charged to the receiver
-    assert held(net.nodes[2]) == [100, 101] and held(net.nodes[3]) == []
+    assert held(probes, net.nodes[2]) == [100, 101] and held(probes, net.nodes[3]) == []
 
 
 def test_connection_event_drops_nothing_when_free_room_equals_n():
-    net = _net_pair(b_max=5)
-    enqueue(net.nodes[2], [100, 101])
-    enqueue(net.nodes[3], range(3))
-    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=3)
+    net, probes = probe_net(b_max=5)
+    enqueue(probes, net.nodes[2], [100, 101])
+    enqueue(probes, net.nodes[3], range(3))
+    moved, delivered, dropped = recorded_event(net, probes, 3, 2, n_ce=3)
     assert moved == 3 and delivered == [] and dropped == []
-    assert held(net.nodes[2]) == [100, 101, 0, 1, 2]
+    assert held(probes, net.nodes[2]) == [100, 101, 0, 1, 2]
     assert net.nodes[2].tail - net.nodes[2].head == net.nodes[2].b_max
 
 
 def test_connection_event_takes_nothing_back_from_an_overfull_receiver():
     # no free room clamps the packets taken at 0, never below
-    net = _net_pair(b_max=5)
-    enqueue(net.nodes[2], [100, 101, 102])
+    net, probes = probe_net(b_max=5)
+    enqueue(probes, net.nodes[2], [100, 101, 102])
     net.nodes[2].b_max = 1
-    enqueue(net.nodes[3], range(2))
-    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    enqueue(probes, net.nodes[3], range(2))
+    moved, delivered, dropped = recorded_event(net, probes, 3, 2, n_ce=4)
     assert moved == 2 and delivered == []
     assert dropped == [(0, 2), (1, 2)]
-    assert held(net.nodes[2]) == [100, 101, 102]
+    assert held(probes, net.nodes[2]) == [100, 101, 102]
 
 
 def test_connection_event_moves_only_what_the_sender_holds():
-    net = _net_pair()
-    enqueue(net.nodes[3], range(2))
-    moved, delivered, dropped = recorded_event(net, 3, 2, n_ce=4)
+    net, probes = probe_net()
+    enqueue(probes, net.nodes[3], range(2))
+    moved, delivered, dropped = recorded_event(net, probes, 3, 2, n_ce=4)
     assert moved == 2 and delivered == [] and dropped == []
-    assert held(net.nodes[3]) == [] and net.nodes[3].head == net.nodes[3].tail == 2
-    assert held(net.nodes[2]) == [0, 1]
+    assert held(probes, net.nodes[3]) == [] and net.nodes[3].head == net.nodes[3].tail == 2
+    assert held(probes, net.nodes[2]) == [0, 1]
 
 
 # One step of the count-buffer property: an arrival at node 2 or 3 (a
@@ -311,22 +320,23 @@ BUFFER_STEPS = st.one_of(
 @given(b_max=st.tuples(st.integers(1, 5), st.integers(1, 5)),
        steps=st.lists(BUFFER_STEPS, max_size=60))
 def test_count_buffer_matches_a_deque_of_packets(b_max, steps):
-    # the chain 3 -> 2 -> sink 1; the reference holds every packet in a
+    # the chain 3 -> 2 -> sink 1, counted by connection_event with the probes
+    # moved by the reference's probe step; the model holds every packet in a
     # deque, None for background and the probe's seq for a probe
-    net = _net_pair()
+    net, probes = probe_net()
     net.nodes[2].b_max, net.nodes[3].b_max = b_max
     ref = {nid: collections.deque() for nid in net.nodes}
     ref_drops = dict.fromkeys(net.nodes, 0)
     ref_fate = {}  # seq -> (delivered_at_ms, dropped) once the probe has left the chain
     result = TrialResult(trial_seed=0, algo="scored", hops_at_join=2)
-    probes = []
+    records = []
     for now, (op, nid, arg) in enumerate(steps):
         node = net.nodes[nid]
         if op == "arrive":  # the engine's arrival: drop at a full buffer, else enter
             result.total_sent += 1
             probe = ProbeRecord(result.total_sent, float(now)) if arg else None
             if probe is not None:
-                probes.append(probe)
+                records.append(probe)
             if node.tail - node.head >= node.b_max:
                 result.total_dropped += 1
                 node.drops += 1
@@ -336,18 +346,20 @@ def test_count_buffer_matches_a_deque_of_packets(b_max, steps):
                     ref_fate[probe.seq] = (None, True)
             else:
                 if probe is not None:
-                    node.probes.append((node.tail, probe))
+                    probes[nid].append((node.tail, probe))
                 node.tail += 1
                 ref[nid].append(None if probe is None else probe.seq)
         else:
             peer = node.master
-            moved = connection_event(node, net.nodes[peer], peer == net.sink_id, arg, result,
-                                     float(now))
+            receiver, to_sink = net.nodes[peer], peer == net.sink_id
+            head, tail = node.head, receiver.tail
+            moved = connection_event(node, receiver, to_sink, arg, result)
+            move_probes(probes, node, receiver, to_sink, head, tail, float(now), 2)
             n = min(arg, len(ref[nid]))
             assert moved == n
             for _ in range(n):
                 packet = ref[nid].popleft()
-                if peer == net.sink_id:
+                if to_sink:
                     if packet is not None:
                         ref_fate[packet] = (float(now), False)
                 elif len(ref[peer]) < net.nodes[peer].b_max:
@@ -357,12 +369,13 @@ def test_count_buffer_matches_a_deque_of_packets(b_max, steps):
                     if packet is not None:
                         ref_fate[packet] = (None, True)
         net.check_invariants()
+        check_probe_order(probes, net.nodes)
         for k, n in net.nodes.items():
             assert n.tail - n.head == len(ref[k])
             assert n.drops == ref_drops[k]
-            assert [(i - n.head, p.seq) for i, p in n.probes] == \
+            assert [(i - n.head, p.seq) for i, p in probes[k]] == \
                 [(pos, seq) for pos, seq in enumerate(ref[k]) if seq is not None]
-        for p in probes:
+        for p in records:
             assert (p.delivered_at_ms, p.dropped) == ref_fate.get(p.seq, (None, False))
             assert p.hops == (2 if p.delivered_at_ms is not None else 0)
         in_flight = sum(len(q) for q in ref.values())
@@ -620,20 +633,20 @@ def test_a_link_is_pushed_at_its_first_slot_after_the_event(monkeypatch, scenari
 
 @pytest.mark.parametrize("scenario,algo,seed", event_core_cases())
 def test_arrivals_are_generate_traffic_up_to_trial_end(monkeypatch, scenario, algo, seed):
-    # only arrivals drawn onto an empty buffer are popped; the held rest still count
+    # every arrival whose key sorts before the trial's last event is popped, in order
     t, counting, _ = traced_trial(monkeypatch, scenario, algo, seed)
     eng = scenario.engine
     horizon = eng.horizon_ms()
-    end = counting.popped[-1][0]
+    end = counting.popped[-1]
     background = 0
     for spec in scenario.nodes:
         if spec.id == scenario.new_node_id or spec.traffic_rate_pps == 0:
             continue
         rng = random.Random(f"scatterjoin-traffic:{seed}:{spec.id}")
-        want = [x for x in generate_traffic(spec.traffic_rate_pps, horizon, rng) if x <= end]
+        want = [x for x in generate_traffic(spec.traffic_rate_pps, horizon, rng)
+                if (x, KIND_GEN, spec.id, 0) < end]
         got = [e[0] for e in counting.popped if e[1] == KIND_GEN and e[2] == spec.id]
-        remaining = iter(want)
-        assert all(x in remaining for x in got)  # an ordered subsequence
+        assert got == want
         background += len(want)
     assert t.total_sent - t.probe_sent == background
     probes = [e[0] for e in counting.popped
@@ -644,98 +657,6 @@ def test_arrivals_are_generate_traffic_up_to_trial_end(monkeypatch, scenario, al
         interval = 1000.0 / eng.probe_rate
         assert probes == [t_join + i * interval for i in range(len(probes))]
         assert len(probes) == round(eng.measure_ms * eng.probe_rate / 1000.0)
-
-
-class HeldCheckingHeapq:
-    """Stands in for the reference engine's heapq: at every pop, checks
-    that no node holds an arrival (due < inf) while its buffer is empty,
-    and counts the pops at which some node held one."""
-
-    def __init__(self, eng):
-        self.eng = eng
-        self.held_pops = 0
-
-    heappush = staticmethod(heapq.heappush)
-
-    def heappop(self, heap):
-        held = [n for n in self.eng.net.nodes.values() if n.due < math.inf]
-        assert all(n.tail != n.head for n in held), [n.id for n in held if n.tail == n.head]
-        self.held_pops += bool(held)
-        return heapq.heappop(heap)
-
-
-def held_cases():
-    busy = busy_cases()
-    return [(s, algo, seed) for s, algo, seed in event_core_cases() + busy[:12] + busy[-6:]
-            if any(n.traffic_rate_pps > 0 for n in s.nodes if n.id != s.new_node_id)]
-
-
-@pytest.mark.parametrize("scenario,algo,seed", held_cases())
-def test_no_arrival_is_held_on_an_empty_buffer(monkeypatch, scenario, algo, seed):
-    # a held arrival may skip the heap only because it cannot wake a link
-    eng = HeapEngine(scenario, algo, seed)
-    checking = HeldCheckingHeapq(eng)
-    monkeypatch.setattr(heap_engine, "heapq", checking)
-    eng.run()
-    assert checking.held_pops > 0
-
-
-def held_node(due, nid=2):
-    """Node nid with b_max 2 and one packet, holding an arrival at due;
-    every gap it draws is -log(0.5) * 10 ms."""
-    node = NodeState(id=nid, pos=Position(0.0, 0.0), b_max=2)
-    node.tail, node.rnd, node.scale, node.due = 1, lambda: 0.5, 10.0, due
-    return node
-
-
-def test_catch_up_applies_an_arrival_at_until_only_when_asked():
-    eng = HeapEngine(training11(), "scored", 0)
-    node = held_node(100.0)
-    eng._catch_up(node, (100.0, KIND_CONN, 1, 2))
-    assert (node.tail, node.due, node.last_ms, eng.result.total_sent) == (1, 100.0, 0.0, 0)
-    eng._catch_up(node, (100.0, KIND_END, 0, 0))
-    gap = -math.log(0.5) * 10.0
-    assert (node.tail, node.due, node.last_ms, node.area) == (2, 100.0 + gap, 100.0, 100.0)
-    assert eng.result.total_sent == 1
-
-
-def test_catch_up_applies_in_time_order_and_holds_the_next_draw():
-    eng = HeapEngine(training11(), "scored", 0)
-    gap = -math.log(0.5) * 10.0
-    t0 = 100.0
-    t1, t2 = t0 + gap, t0 + gap + gap
-    t3 = t2 + gap
-    node = held_node(t0)
-    node.last_ms = t0
-    eng._catch_up(node, (t2 + 1.0, KIND_CONN, 1, 2))
-    # three arrivals: the first fills b_max = 2, the other two are dropped
-    assert (node.tail, node.drops, eng.result.total_sent, eng.result.total_dropped) == \
-        (2, 2, 3, 2)
-    assert node.last_ms == t2
-    assert node.area == 2 * (t1 - t0) + 2 * (t2 - t1)
-    assert node.due == t3  # the fourth arrival is held
-    eng._catch_up(node, (t3, KIND_CONN, 1, 2))  # sorts before (t3, KIND_GEN, 2, 0)
-    assert (node.tail, node.due, node.last_ms, eng.result.total_sent) == (2, t3, t2, 3)
-
-
-@pytest.mark.parametrize("key,applied", [
-    ((100.0, KIND_GEN, 6, 1), True),
-    ((100.0, KIND_END, 0, 0), True),
-    ((101.0, KIND_CONN, 1, 2), True),
-    ((100.0, KIND_JOINME, 9, 0), False),
-    ((100.0, KIND_CONN, 1, 2), False),
-    ((100.0, KIND_GEN, 4, 1), False),
-    ((100.0, KIND_GEN, 5, 0), False),  # the arrival's own key does not sort before itself
-    ((99.0, KIND_END, 0, 0), False),
-])
-def test_catch_up_applies_an_arrival_whose_key_sorts_before_the_event(key, applied):
-    # the arrival held at 100 ms on node 5 has the heap key (100.0, KIND_GEN, 5, 0)
-    eng = HeapEngine(training11(), "scored", 0)
-    node = held_node(100.0, nid=5)
-    eng._catch_up(node, key)
-    assert ((100.0, KIND_GEN, 5, 0) < key) == applied
-    assert (eng.result.total_sent, node.tail, node.due > 100.0) == \
-        ((1, 2, True) if applied else (0, 1, False))
 
 
 def stranded(joiner_id=12, joinable=True):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import scatterjoin
 from scatterjoin.channel import Position, RadioParams, hears
 from scatterjoin.engine import Links, ProbeRecord, broadcast_status
 from scatterjoin.model import Network, NodeState, SlotExhausted, TopologyError
+
+from heap_engine import check_probe_order
 
 
 def node(nid, **kw):
@@ -274,12 +277,19 @@ def test_member_index_matches_a_full_recount(caps, data):
     (1, 3, [3], r"probe index 3 out of order or outside \[1, 3\)"),
 ])
 def test_invariants_cover_the_counted_buffer(head, tail, indices, message):
+    # head and tail are check_invariants' to judge; probe records are the heap
+    # reference's own, so their order is its check_probe_order's
     net = Network([node(1, b_max=3)])
     root = net.nodes[1]
     root.head, root.tail = head, tail
-    root.probes.extend((i, ProbeRecord(seq, 0.0)) for seq, i in enumerate(indices))
-    with pytest.raises(TopologyError, match=message):
-        net.check_invariants()
+    if not indices:
+        with pytest.raises(TopologyError, match=message):
+            net.check_invariants()
+        return
+    net.check_invariants()
+    probes = {1: deque((i, ProbeRecord(seq, 0.0)) for seq, i in enumerate(indices))}
+    with pytest.raises(AssertionError, match=message):
+        check_probe_order(probes, net.nodes)
 
 
 @pytest.mark.parametrize("source,marked,marks,message", [

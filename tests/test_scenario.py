@@ -544,6 +544,30 @@ def test_generation_refuses_a_node_count_no_layout_fits(n_nodes):
         gen_random_scenario(n_nodes=n_nodes, seed=0, max_retries=0)
 
 
+class Heard(Exception):
+    """A link was heard."""
+
+
+@pytest.mark.parametrize("n_nodes", [3163, 3162])
+def test_validation_refuses_more_ordered_links_than_events_before_hearing_one(
+        monkeypatch, n_nodes):
+    # every relay silent and slow, so a trial takes almost no events, while the
+    # link table and the build-ups grow as N^2
+    def hears(*args):
+        raise Heard
+
+    monkeypatch.setattr(engine, "hears", hears)
+    nodes = [NodeSpec(nid, (float(nid), 0.0), ci_ms=1e300) for nid in range(1, n_nodes + 1)]
+    s = Scenario(name="silent", nodes=nodes, sink_id=1, new_node_id=n_nodes)
+    if n_nodes == 3163:  # 10,001,406 ordered links, the smallest count refused
+        with pytest.raises(ScenarioError, match=r"^nodes: 3163 nodes have 10,001,406 ordered "
+                                                r"links, over the 1e\+07 limit$"):
+            validate_scenario(s)
+    else:  # 9,995,082 links pass, so hearing begins
+        with pytest.raises(Heard):
+            validate_scenario(s)
+
+
 def _reference_acceptable(s):
     """gen_random_scenario's per-try verdict as it was when every try was
     made a Scenario first: the same checks, heard through s.layout."""
