@@ -79,13 +79,18 @@ meter is split at t_join and the probe times are fixed: t_join, then
 t_join + k * interval. Then it advances to the END. A probe's seq counts
 the packets sent before it and itself: probe k's seq is k plus the
 arrivals whose keys sort before (t, KIND_GEN, joiner, k), those before t
-and, at t itself, those of nodes with ids below the joiner's. Each node
-counts its arrivals past each probe time as it goes. Each path node logs
-the probes offered to it and the positions among them it dropped, the
-joiner's by probe number, and the sink's child logs (slot, probes) for
-each send that delivers one. Once the END is reached, _resolve_probes
-follows the path once, in order, and makes each probe's ProbeRecord:
-its seq and its fate.
+and, at t itself, those of nodes with ids below the joiner's. Each
+arrival adds one to the bin of the next probe, the first it sorts
+before; a last bin takes those after the last probe. Each path node
+logs the probes offered to it and the positions among them it dropped,
+the joiner's by probe number, and the sink's child logs (slot, probes)
+for each send that delivers one. Once the END is reached,
+_resolve_probes follows the path once, in order, and makes each probe's
+ProbeRecord: its seq and its fate. Each count has one place: the close
+reads total_sent off the bins and the probes, and total_dropped off the
+nodes' drops. total_delivered is added at each send to the sink, apart
+from the head it moves, so the conservation check catches a send that
+moves its head by a wrong count.
 
 A trial ends at its KIND_END key or at the joinMe round that gives up,
 and both sort before EngineParams.horizon_ms(): the give-up round comes
@@ -428,6 +433,9 @@ def build_trial_network(scenario: Scenario, algo: str) -> Network:
 # Scenario.worst_case_events(); it bounds the departure lists held at once.
 _SWEEP_EVENTS = 1 << 19
 
+_NO_DEPARTURE = (inf, inf, 0, 0)  # ends each departure list: it sorts after every real one
+_IDLE = ((_NO_DEPARTURE,),)  # the departure lists of a node that has none
+
 
 def _sweep_ms(scenario: Scenario) -> float:
     """Simulated ms per sweep: the share of the horizon that holds
@@ -456,7 +464,7 @@ class TrialEngine:
         self._probe_times: list[float] = []  # probe k + 1 at _probe_times[k], from the join
         # _before[k]: arrivals that sort before probe k + 1 and not before probe k
         self._before = [0]
-        self._tally: dict[int, tuple[int, int]] = {}  # node -> (probes passed, arrivals since)
+        self._passed: dict[int, int] = {}  # node -> the probes its arrivals have passed
         # path node -> (probes offered to it, the positions among them it dropped), from the join
         self._logs: dict[int, tuple[int, list[int]]] = {}
         self._slots: list[tuple[float, int]] = []  # the sink's child: (slot, probes delivered)
@@ -490,29 +498,26 @@ class TrialEngine:
 
         A node merges its own arrivals, its link's slots while its buffer
         holds a packet, and its children's departures before cut, which the
-        children left in inbox as (slot, sender, n, leaving) lists. A slot
-        and a departure are connection_event's sending and receiving halves.
+        children left in inbox as (slot, sender, n, leaving) lists ending
+        in _NO_DEPARTURE. A slot and a departure are connection_event's
+        sending and receiving halves.
         """
         ct, after = cut[0], cut[1:]  # cut's (kind, node, peer) decides a tie of times
-        r, sink_id = self.result, self.net.sink_id
+        sink_id = self.net.sink_id
         n_ce = self.scenario.engine.n_ce
         joiner_id = self.scenario.new_node_id
-        times, before, tally = self._probe_times, self._before, self._tally
+        times, before, passed = self._probe_times, self._before, self._passed
         logs, slots = self._logs, self._slots
         n_probes = len(times)
         inbox: dict[int, list[list]] = {}
-        sent = delivered = 0
+        delivered = 0
         for node in self._order:
             nid, master = node.id, node.master
-            lists = inbox.pop(nid, None)
-            if lists is None:
-                deps, nd, dt, dc = (), 0, inf, inf
-            else:
-                deps = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
-                nd, dt, dc = len(deps), deps[0][0], deps[0][1]
-            i = 0
+            lists = inbox.pop(nid, _IDLE)
+            deps = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
+            i, dt, dc = 0, deps[0][0], deps[0][1]
             head, tail, area, last = node.head, node.tail, node.area, node.last_ms
-            drops = dropped = node.drops
+            drops = node.drops
             b_max, marks, due, rnd, scale = node.b_max, node.marks, node.due, node.rnd, node.scale
             seen, lost = logs.get(nid, (0, None))  # off the path: no probe, no log
             if master is None:  # a root has no link: no slot comes, and a wake leaves it so
@@ -523,8 +528,8 @@ class TrialEngine:
                 st = ns if tail != head else inf  # the pending slot; inf while the buffer is empty
                 to_sink = master == sink_id
                 out = None if to_sink else []
-            pk, carry = tally.get(nid, (0, 0))
-            bound, own, mark = times[pk] if pk < n_probes else inf, 0, 0
+            pk = passed.get(nid, 0)
+            bound = times[pk] if pk < n_probes else inf
             while True:
                 if st <= dt and (st < dt or nid < dc):
                     if st <= due:  # the node's own slot: it sends
@@ -555,11 +560,9 @@ class TrialEngine:
                     if q:
                         area += q * (t - last)
                     last = t
-                    k = b_max - q  # free room, clamped into [0, n]
+                    k = b_max - q  # free room, at most n; never negative, as q <= b_max
                     if k > n:
                         k = n
-                    elif k < 0:
-                        k = 0
                     if leaving:  # the first k packets join the tail, so a prefix of its probes
                         kept = leaving & ((1 << k) - 1)
                         marks |= kept << q
@@ -577,10 +580,7 @@ class TrialEngine:
                             ns += ci
                         st = ns
                     i += 1
-                    if i < nd:
-                        dt, dc = deps[i][0], deps[i][1]
-                    else:
-                        dt = dc = inf
+                    dt, dc = deps[i][0], deps[i][1]
                     continue
                 t = due  # an arrival, or the joiner's probe
                 if not (t < ct or t == ct and (KIND_GEN, nid, 0 if rnd else seen + 1) < after):
@@ -592,20 +592,18 @@ class TrialEngine:
                 if rnd is None:  # the joiner's stream is its probes, seen of them sent so far
                     seen += 1
                     due = times[seen] if seen < n_probes else inf
-                    sent += 1
                     if q >= b_max:
                         drops += 1
                         lost.append(seen - 1)
                         continue
                     marks |= 1 << q
                 else:
-                    if t >= bound:  # past one or more probes: credit them what came before
+                    if t >= bound:  # past one or more probes: the next bin is a later one
                         while pk < n_probes and (t > times[pk] or
                                                  t == times[pk] and nid > joiner_id):
-                            before[pk] += carry + own - mark
-                            carry, mark, pk = 0, own, pk + 1
+                            pk += 1
                         bound = times[pk] if pk < n_probes else inf
-                    own += 1
+                    before[pk] += 1
                     due = t + -log(1.0 - rnd()) * scale
                     if q >= b_max:
                         drops += 1
@@ -617,40 +615,35 @@ class TrialEngine:
                     st = ns
             node.head, node.tail, node.area, node.last_ms = head, tail, area, last
             node.drops, node.due, node.marks = drops, due, marks
-            r.total_dropped += drops - dropped
-            sent += own
-            if own:
-                tally[nid] = (pk, carry + own - mark)
+            passed[nid] = pk
             if lost is not None:
                 logs[nid] = (seen, lost)
             if master is not None:
                 node.next_slot_ms = ns
                 if out:
+                    out.append(_NO_DEPARTURE)
                     if (box := inbox.get(master)) is None:
                         inbox[master] = [out]
                     else:
                         box.append(out)
-        r.total_sent += sent
-        r.total_delivered += delivered
+        self.result.total_delivered += delivered
 
     def _resolve_probes(self) -> None:
         """Make each probe's ProbeRecord once the END is reached, and count
         the delivered and the dropped.
 
-        Probe k's seq counts the packets sent before it, arrivals whose keys
-        sort before (t, KIND_GEN, joiner, k) and the probes before it, plus
-        one. Its fate follows the path in order: the probes offered to a
-        node are those its child passed on, it drops the positions its log
-        names, passes on those it accepted but the ones it still holds, and
-        the sink's child hands its delivery slots out in order. A path that
-        ends at a root other than the sink delivers nothing: its root sends
-        nothing on, so it holds every probe it accepted.
+        Probe k's seq counts the packets sent before it, the arrivals in
+        the bins of probes 1 to k and the probes before it, plus one. Every
+        probe is sent by the END, and its fate follows the path in order:
+        the probes offered to a node are those its child passed on, it
+        drops the positions its log names, passes on those it accepted but
+        the ones it still holds, and the sink's child hands its delivery
+        slots out in order. A path that ends at a root other than the sink
+        delivers nothing: its root sends nothing on, so it holds every
+        probe it accepted.
         """
         r, nodes, logs, times = self.result, self.net.nodes, self._logs, self._probe_times
-        before = self._before
-        for pk, carry in self._tally.values():
-            before[pk] += carry
-        n_sent = logs[r.path_to_sink[0]][0]
+        n_sent = len(times)  # every probe is sent before the END
         alive, dropped = list(range(n_sent)), [False] * n_sent
         for nid, (_, lost) in logs.items():  # the path in order, from the joiner
             if lost:
@@ -665,7 +658,7 @@ class TrialEngine:
             for k in islice(it, c):
                 at[k] = t
         hops = r.hops_at_join
-        seqs = map(add, accumulate(before), count(1))  # probe k's seq: before[:k + 1] + k + 1
+        seqs = map(add, accumulate(self._before), count(1))  # seq k: before[:k + 1] + k + 1
         r.probes = list(map(ProbeRecord, seqs, times, at, dropped,
                             [0 if t is None else hops for t in at]))
         r.probe_delivered = len(alive)
@@ -710,7 +703,7 @@ class TrialEngine:
 
         interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
         self._probe_times = [now_ms + k * interval for k in range(n_probes)]
-        self._before = [0] * (n_probes + 1)
+        self._before += [0] * n_probes  # arrivals before the join stay in bin 0
         self._logs = {nid: (0, []) for nid in r.path_to_sink if nid != net.sink_id}
         net.probe_source = new_id
         new.due = now_ms
@@ -726,8 +719,8 @@ class TrialEngine:
         that gave up, in one pass over the nodes in id order: each brings
         its meter to key's time and gives its in-flight count, its b_max
         and, if joined, its window figures. Then the conservation check,
-        the probes sent and in flight (the delivered and the dropped are
-        counted before) and the verdict."""
+        the probes sent and in flight and the verdict; the other totals
+        and probe counts are counted before (by run, or per event)."""
         r, now_ms = self.result, key[0]
         window = now_ms - self.t_join if r.joined else None
         in_flight, b_max = 0, r.node_b_max
@@ -756,6 +749,8 @@ class TrialEngine:
     # -- the trial: a sequence of cuts ---------------------------------
 
     def run(self) -> TrialResult:
+        """Cut to each joinMe round until one joins or the wait runs out, then
+        to the END if joined; either way, one close: the totals, _finalize."""
         eng = self.scenario.engine
         new_id = self.scenario.new_node_id
         self.net = self.layout.network(self.scenario, self.algo)
@@ -768,16 +763,17 @@ class TrialEngine:
                 node.next_slot_ms = node.ci_ms
         self._order = self._leaves_first()
         key = (eng.warmup_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0)
-        while not self._join_round(key):
-            if key[0] - eng.warmup_ms >= eng.max_wait_ms:  # the wait budget ran out
-                self._finalize(key)
-                return self.result
+        while not self._join_round(key) and key[0] - eng.warmup_ms < eng.max_wait_ms:
             key = (key[0] + eng.t_adv_ms, KIND_JOINME, new_id, 0)
-        key = (self.t_join + eng.measure_ms, KIND_END, 0, 0)
-        self._advance(key)
-        self._resolve_probes()
+        r = self.result
+        if r.joined:
+            key = (self.t_join + eng.measure_ms, KIND_END, 0, 0)
+            self._advance(key)
+            self._resolve_probes()
+        r.total_sent = sum(self._before) + len(self._probe_times)
+        r.total_dropped = sum(node.drops for node in self.net.nodes.values())
         self._finalize(key)
-        return self.result
+        return r
 
 
 def run_trial(scenario: Scenario, algo: str, seed: int) -> TrialResult:

@@ -471,6 +471,10 @@ def test_weights_grid_parsing():
      "nodes, area: apply only to random layouts, not to a scenario"),
     (["compare", "--scenario", "training11", "--area", "50", "--trials", "5"],
      "nodes, area: apply only to random layouts, not to a scenario"),
+    # a weight that is not a number; a grid's is tested with the layouts it must not draw
+    (["run", "--scenario", "training11", "--algo", "scored", "--seed", "0",
+      "--weights", "a,0,0,0,0,0"],
+     "weights: could not convert string to float: 'a'"),
 ])
 def test_bad_counts_and_grids_fail_at_scenario_stage(argv, message, capsys):
     assert main(argv) == 1
@@ -506,6 +510,15 @@ def test_sweep_checks_every_weight_vector_before_any_trial(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error at scenario stage: weights: weights must be >= 0\n"
     assert captured.out == ""  # not the w_b=0.25 line
+    assert calls == []
+
+
+def test_sweep_refuses_an_unparsable_grid_before_any_layout(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "gen_random_scenario", lambda **kw: calls.append("gen"))
+    assert main(["sweep", "--random", "--trials", "1", "--weights-grid", "w_b=x"]) == 1
+    assert capsys.readouterr().err == ("error at scenario stage: weights-grid: "
+                                       "could not convert string to float: 'x'\n")
     assert calls == []
 
 

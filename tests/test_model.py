@@ -154,6 +154,23 @@ def test_duplicate_ids_rejected():
         Network([node(3), node(3)])
 
 
+def two_node_cycle():
+    """Nodes 1 and 2, each the other's master; attach never builds this."""
+    net = Network([node(1), node(2)])
+    net.nodes[1].master, net.nodes[2].master = 2, 1
+    return net.path_to_root(1)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: node(0), ValueError, "node ids are positive integers"),
+    (lambda: Network([node(2)], sink_id=1), ValueError, "sink id 1 not present"),
+    (two_node_cycle, TopologyError, "master-link cycle at node 1"),
+])
+def test_model_guards_refuse_bad_ids_and_cycles(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 def test_random_merge_sequences_keep_invariants():
     rng = random.Random(7)
     for _ in range(60):

@@ -178,6 +178,11 @@ def test_mistyped_fields_rejected_by_name(doc, where):
         parse_scenario(doc)
 
 
+def test_new_node_cannot_be_the_sink():
+    with pytest.raises(ScenarioError, match="^new_node_id: must differ from sink_id$"):
+        replace(training11(), new_node_id=1)
+
+
 def test_engine_checks_node_ids_of_a_scenario_built_in_code():
     s = training11()
     with pytest.raises(ScenarioError, match=r"nodes\[10\]\.id"):
