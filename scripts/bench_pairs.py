@@ -4,23 +4,29 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --workload compare-t11 compare-r64 \
         --seed 7 --json BENCH.json
 
-PARENT and CHANGE are two checkouts of this repository. For each workload
-in turn, each pair runs `bench/run.py --trace 0 --seed N` once in each
-checkout, one run at a time; the parent goes first in even pairs and the
-change in odd ones, so a drift in the machine's speed falls on both sides
-alike. Each run's last stdout line is its JSON summary, and its full
-record (bench/out/) names the machine, the Python version and the src/
-sha256. For every end-to-end metric in BENCHMARK.json the script prints
-the parent's median [quartiles], the change's median, the relative move
-and the number of pairs in which the change was on the metric's better
-side (a tie wins nothing). With --json PATH it also writes those figures
-and the change's quartiles, so each side has its own median and IQR, per
-workload and metric, with the machine, the Python version, both
-checkouts' src/ sha256, the seed, the pairs and the seconds; a PATH that
-already holds a record of the same two sources gains the new workloads
-(a workload run again at the same seed replaces its entry). It exits 1
-if any run failed or printed "correct": false. Nothing else is written
-but what bench/run.py writes in each checkout.
+PARENT and CHANGE are two checkouts of this repository. For each
+workload in turn, each pair runs `bench/run.py --trace 0 --seed N` once
+in each checkout, one run at a time; the parent goes first in even pairs
+and the change in odd ones, so a drift in the machine's speed falls on
+both sides alike. Each run's last stdout line is its JSON summary, and
+its full record (bench/out/) names the machine, the Python version and
+the src/ sha256. Each run's end-to-end metrics go to stderr as it
+finishes, so every run made is on record. For every end-to-end metric in
+BENCHMARK.json the script prints the parent's median [quartiles], the
+change's median, the relative move, the number of pairs in which the
+change was on the metric's better side (a tie wins nothing) and the
+verdict: "gain shown" when the change won at least 9 in 10 of the pairs
+and its median moved to the better side by more than the parent's IQR,
+"past bound" when its median is worse than the parent's by more than the
+metric's bound in BENCHMARK.json, else "neither". With --json PATH it
+also writes those figures, the verdict and the change's quartiles, so
+each side has its own median and IQR, per workload and metric, with the
+machine, the Python version, both checkouts' src/ sha256, the seed, the
+pairs and the seconds; a PATH that already holds a record of the same
+two sources gains the new workloads (a workload run again at the same
+seed replaces its entry). It exits 1 if any run failed or printed
+"correct": false. Nothing else is written but what bench/run.py writes
+in each checkout.
 
 The runs inherit this process's environment. With PYTHONDONTWRITEBYTECODE
 set no run writes bytecode, so each run's set-up compiles every src/
@@ -66,11 +72,24 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
             "pairs": len(parent)}
 
 
+def verdict(s: dict, better: str, bound: float) -> dict:
+    """summarize's figures judged: gain_shown when the change won at least
+    9 in 10 of the pairs and its median moved to the better side by more
+    than the parent's IQR; past_bound when its median is worse than the
+    parent's by more than bound, a share of the parent's median."""
+    sign = 1 if better == "higher" else -1
+    gain = sign * (s["change_median"] - s["parent_median"])
+    q1, q3 = s["parent_iqr"]
+    return {"gain_shown": 10 * s["won"] >= 9 * s["pairs"] and gain > q3 - q1,
+            "past_bound": -gain > bound * abs(s["parent_median"])}
+
+
 def format_row(name: str, unit: str, s: dict) -> str:
     q1, q3 = s["parent_iqr"]
     move = "" if s["move"] is None else f" ({s['move']:+.1%})"
+    judged = "gain shown" if s["gain_shown"] else "past bound" if s["past_bound"] else "neither"
     return (f"{name} ({unit}): {s['parent_median']:.6g} [{q1:.6g}, {q3:.6g}] -> "
-            f"{s['change_median']:.6g}{move}, {s['won']} of {s['pairs']} pairs won")
+            f"{s['change_median']:.6g}{move}, {s['won']} of {s['pairs']} pairs won: {judged}")
 
 
 def writes_no_bytecode() -> bool:
@@ -111,7 +130,8 @@ def bench_record(runs: dict, envs: dict, metrics: list[dict], workload: str,
         s = summarize(values["parent"], values["change"], m["better"])
         summaries[m["name"]] = {"unit": m["unit"], "better": m["better"], **s,
                                 "parent_iqr": list(s["parent_iqr"]),
-                                "change_iqr": list(s["change_iqr"])}
+                                "change_iqr": list(s["change_iqr"]),
+                                **verdict(s, m["better"], m["bound"])}
     return {
         "machine": {k: parent[k] for k in ("cpu_model", "nproc", "cpus_usable")},
         "python": parent["python"],
@@ -169,9 +189,10 @@ def main(argv=None) -> int:
                 ok = ok and out["correct"] is True and out["failed"] == 0
                 runs[side].append(out)
                 envs[side].append(env)
-                tps = out["metrics"].get("trials_per_s", {}).get("value")
+                values = " ".join(f"{m['name']}={out['metrics'][m['name']]['value']:.6g}"
+                                  for m in metrics if m["name"] in out["metrics"])
                 print(f"# {workload} pair {i + 1} {side}: correct={out['correct']} "
-                      f"failed={out['failed']} trials_per_s={tps}", file=sys.stderr, flush=True)
+                      f"failed={out['failed']} {values}", file=sys.stderr, flush=True)
         print(f"# {workload} at seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s "
               "runs, parent median [IQR] -> change median")
         record = bench_record(runs, envs, metrics, workload, args.seed, args.seconds)

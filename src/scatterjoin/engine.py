@@ -43,25 +43,30 @@ sorts before key one node at a time, children before their masters, over
 every root. A node merges three key-ordered sources in one loop: its own
 arrivals, drawn one at a time; its link's slots while its buffer holds a
 packet; and its children's departures in this cut, (slot, sender, n,
-leaving) records sorted by (slot, sender). It sends at its own slots and
-leaves each departure for its master, which applies connection_event's
-receiving half: k = min(n, free) packets join its tail and the other n -
-k are dropped. leaving holds the marks of the n packets, 0 when no probe
-is among them: a send of n takes the low n bits of the sender's marks
-and shifts them out, and a receipt of k at occupancy q sets leaving's
-low k bits from bit q, since the receiver keeps a prefix of a
-departure's probes. Each event adds occupancy times the time since the
-node's last event to its meter; one that finds the buffer empty only
-moves last_ms, as its term is +0.0. The sink is never visited: it
-consumes everything at the sender's slot, so its buffer stays empty and
-its meter 0.0. Between cuts a node's state waits on its NodeState, so
-any cut schedule gives the same trial. A cut is applied in sweeps of
-_sweep_ms(scenario) each, counted from the start and again from the
-join: the share of the horizon that holds _SWEEP_EVENTS of
-Scenario.worst_case_events(). That bounds the departure lists held at
-once, each freed once its master has read it; a default engine's worst
-case fits one sweep, so it sweeps once to each joinMe round and once to
-the END.
+leaving) records sorted by (slot, sender). Each turn takes the slot if
+it is no later than the next arrival (KIND_CONN sorts before KIND_GEN)
+and before the next departure (at equal times the lower sender id goes
+first), else the departure if no later than the arrival, else the
+arrival, drawn as t - log(1.0 - u) * scale: as a + (-b) is a - b and
+(-x) * s is -(x * s), that is the float t + expovariate(1.0) * scale.
+The node sends at its own slots and leaves each departure for its
+master, which applies connection_event's receiving half: k = min(n,
+free) packets join its tail and the other n - k are dropped. leaving
+holds the marks of the n packets, 0 when no probe is among them: a send
+of n takes the low n bits of the sender's marks and shifts them out, and
+a receipt of k at occupancy q sets leaving's low k bits from bit q,
+since the receiver keeps a prefix of a departure's probes. Each event
+adds occupancy times the time since the node's last event to its meter;
+one that finds the buffer empty only moves last_ms, as its term is +0.0.
+The sink is never visited: it consumes everything at the sender's slot,
+so its buffer stays empty and its meter 0.0. Between cuts a node's state
+waits on its NodeState, so any cut schedule gives the same trial. A cut
+is applied in sweeps of _sweep_ms(scenario) each, counted from the start
+and again from the join: the share of the horizon that holds
+_SWEEP_EVENTS of Scenario.worst_case_events(). That bounds the departure
+lists held at once, each freed once its master has read it; a default
+engine's worst case fits one sweep, so it sweeps once to each joinMe
+round and once to the END.
 
 Each link owns a grid of slots, the accumulated sums ci, ci+ci, ...
 (from ci_ms for build-phase links, from t_join+ci_ms for the joiner),
@@ -74,23 +79,22 @@ own. Every slot skipped that way would have found an empty buffer and
 done nothing, so the trial is the same as one that visits every slot.
 
 A trial is a sequence of cuts. It advances to each joinMe round's key,
-where the joiner hears every node as the cut leaves it. On the join every
-meter is split at t_join and the probe times are fixed: t_join, then
-t_join + k * interval. Then it advances to the END. A probe's seq counts
-the packets sent before it and itself: probe k's seq is k plus the
-arrivals whose keys sort before (t, KIND_GEN, joiner, k), those before t
-and, at t itself, those of nodes with ids below the joiner's. Each
-arrival adds one to the bin of the next probe, the first it sorts
-before; a last bin takes those after the last probe. Each path node
-logs the probes offered to it and the positions among them it dropped,
-the joiner's by probe number, and the sink's child logs (slot, probes)
-for each send that delivers one. Once the END is reached,
-_resolve_probes follows the path once, in order, and makes each probe's
-ProbeRecord: its seq and its fate. Each count has one place: the close
-reads total_sent off the bins and the probes, and total_dropped off the
-nodes' drops. total_delivered is added at each send to the sink, apart
-from the head it moves, so the conservation check catches a send that
-moves its head by a wrong count.
+where the joiner hears every node as the cut leaves it. On the join
+every meter is split at t_join and the probe times are fixed: t_join,
+then t_join + k * interval. Then it advances to the END. A probe's seq
+counts the packets sent before it and itself: probe k's seq is k plus
+the arrivals whose keys sort before (t, KIND_GEN, joiner, k), those
+before t and, at t itself, those of nodes with ids below the joiner's.
+Each arrival adds one to the bin of the next probe, the first it sorts
+before; a last bin takes those after the last probe. Each path node logs
+the probes offered to it and the positions among them it dropped, the
+joiner's by probe number, and the sink's child logs one slot per probe
+it delivers. Once the END is reached, _resolve_probes follows the path
+once, in order, and makes each probe's ProbeRecord: its seq and its
+fate. Each count has one place: the close reads total_sent off the bins
+and the probes, and total_dropped off the nodes' drops. total_delivered
+is added at each send to the sink, apart from the head it moves, so the
+conservation check catches a send that moves its head by a wrong count.
 
 A trial ends at its KIND_END key or at the joinMe round that gives up,
 and both sort before EngineParams.horizon_ms(): the give-up round comes
@@ -106,7 +110,7 @@ import copy
 import heapq  # noqa: F401  not used here; bench/spans.py swaps it for a counter
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, chain, count
 from math import inf, log
 from operator import add
 from typing import TYPE_CHECKING
@@ -270,9 +274,9 @@ def generate_traffic(rate_pps: float, horizon_ms: float, rng: random.Random) -> 
     """Poisson arrival times in ms over [0, horizon_ms) from the given stream.
 
     The whole list at once: the reference for the engine, which draws the
-    same floats one at a time as t + -log(1.0 - rng.random()) * scale.
-    That is the float rng.expovariate(1.0) returns, whose division by 1.0
-    leaves it unchanged, without the call.
+    same floats one at a time as t - log(1.0 - rng.random()) * scale, the
+    float t + rng.expovariate(1.0) * scale gives: expovariate(1.0) is
+    -log(1.0 - u) / 1.0, and a sign moves out of a product and a sum exactly.
     """
     if rate_pps <= 0:
         return []
@@ -467,7 +471,7 @@ class TrialEngine:
         self._passed: dict[int, int] = {}  # node -> the probes its arrivals have passed
         # path node -> (probes offered to it, the positions among them it dropped), from the join
         self._logs: dict[int, tuple[int, list[int]]] = {}
-        self._slots: list[tuple[float, int]] = []  # the sink's child: (slot, probes delivered)
+        self._slots: list[float] = []  # the sink's child: one slot per probe it delivers
 
     # -- the sweep ---------------------------------------------------
 
@@ -499,23 +503,22 @@ class TrialEngine:
         A node merges its own arrivals, its link's slots while its buffer
         holds a packet, and its children's departures before cut, which the
         children left in inbox as (slot, sender, n, leaving) lists ending
-        in _NO_DEPARTURE. A slot and a departure are connection_event's
-        sending and receiving halves.
+        in _NO_DEPARTURE, as three flat cases in key order: a send, a
+        receipt (connection_event's two halves) and an arrival.
         """
         ct, after = cut[0], cut[1:]  # cut's (kind, node, peer) decides a tie of times
         sink_id = self.net.sink_id
         n_ce = self.scenario.engine.n_ce
         joiner_id = self.scenario.new_node_id
-        times, before, passed = self._probe_times, self._before, self._passed
-        logs, slots = self._logs, self._slots
-        n_probes = len(times)
+        before, passed, logs, slots = self._before, self._passed, self._logs, self._slots
+        times = self._probe_times + [inf]  # probe k + 1's time at times[k], then inf
         inbox: dict[int, list[list]] = {}
         delivered = 0
         for node in self._order:
             nid, master = node.id, node.master
             lists = inbox.pop(nid, _IDLE)
             deps = lists[0] if len(lists) == 1 else sorted(chain.from_iterable(lists))
-            i, dt, dc = 0, deps[0][0], deps[0][1]
+            i, dt, dc = 0, (nxt := deps[0])[0], nxt[1]  # nxt: the departure at i
             head, tail, area, last = node.head, node.tail, node.area, node.last_ms
             drops = node.drops
             b_max, marks, due, rnd, scale = node.b_max, node.marks, node.due, node.rnd, node.scale
@@ -529,40 +532,41 @@ class TrialEngine:
                 to_sink = master == sink_id
                 out = None if to_sink else []
             pk = passed.get(nid, 0)
-            bound = times[pk] if pk < n_probes else inf
+            bound, late = times[pk], nid > joiner_id  # late: sorts after a probe at its time
             while True:
-                if st <= dt and (st < dt or nid < dc):
-                    if st <= due:  # the node's own slot: it sends
-                        t = st
-                        if not (t < ct or t == ct and (KIND_CONN, nid, master) < after):
-                            break
-                        q = tail - head
-                        area += q * (t - last)
-                        last = t
-                        n = q if q < n_ce else n_ce
-                        leaving = 0
-                        if marks:
-                            leaving = marks & ((1 << n) - 1)
-                            marks >>= n
-                        if to_sink:
-                            delivered += n
-                            if leaving:
-                                slots.append((t, leaving.bit_count()))
-                        else:
-                            out.append((t, nid, n, leaving))
-                        head += n
-                        ns = t + ci
-                        st = ns if tail != head else inf
-                        continue
+                if st <= due and (st < dt or st == dt and nid < dc):  # its own slot: it sends
+                    t = st
+                    if not (t < ct or t == ct and (KIND_CONN, nid, master) < after):
+                        break
+                    q = tail - head
+                    area += q * (t - last)
+                    last = t
+                    n = q if q < n_ce else n_ce
+                    leaving = 0
+                    if marks:
+                        leaving = marks & ((1 << n) - 1)
+                        marks >>= n
+                    if to_sink:
+                        delivered += n
+                        if leaving:
+                            slots += [t] * leaving.bit_count()
+                    else:
+                        out.append((t, nid, n, leaving))
+                    head += n
+                    ns = t + ci
+                    st = ns if tail != head else inf
+                    continue
                 elif dt <= due:  # a child's departure: the node receives
-                    t, c, n, leaving = deps[i]
+                    t, c, n, leaving = nxt
                     q = tail - head
                     if q:
                         area += q * (t - last)
                     last = t
                     k = b_max - q  # free room, at most n; never negative, as q <= b_max
-                    if k > n:
+                    if k >= n:
                         k = n
+                    else:
+                        drops += n - k
                     if leaving:  # the first k packets join the tail, so a prefix of its probes
                         kept = leaving & ((1 << k) - 1)
                         marks |= kept << q
@@ -571,7 +575,6 @@ class TrialEngine:
                             gone = (leaving >> k).bit_count()
                             lost.extend(range(seen, seen + gone))
                             seen += gone
-                    drops += n - k
                     tail += k
                     if not q and k:  # wake at the first slot after it
                         while ns < t:
@@ -580,7 +583,7 @@ class TrialEngine:
                             ns += ci
                         st = ns
                     i += 1
-                    dt, dc = deps[i][0], deps[i][1]
+                    dt, dc = (nxt := deps[i])[0], nxt[1]
                     continue
                 t = due  # an arrival, or the joiner's probe
                 if not (t < ct or t == ct and (KIND_GEN, nid, 0 if rnd else seen + 1) < after):
@@ -591,20 +594,18 @@ class TrialEngine:
                 last = t
                 if rnd is None:  # the joiner's stream is its probes, seen of them sent so far
                     seen += 1
-                    due = times[seen] if seen < n_probes else inf
+                    due = times[seen]
                     if q >= b_max:
                         drops += 1
                         lost.append(seen - 1)
                         continue
                     marks |= 1 << q
                 else:
-                    if t >= bound:  # past one or more probes: the next bin is a later one
-                        while pk < n_probes and (t > times[pk] or
-                                                 t == times[pk] and nid > joiner_id):
-                            pk += 1
-                        bound = times[pk] if pk < n_probes else inf
+                    while t >= bound and (t > bound or late):  # past a probe: a later bin
+                        pk += 1
+                        bound = times[pk]
                     before[pk] += 1
-                    due = t + -log(1.0 - rnd()) * scale
+                    due = t - log(1.0 - rnd()) * scale
                     if q >= b_max:
                         drops += 1
                         continue
@@ -637,10 +638,10 @@ class TrialEngine:
         probe is sent by the END, and its fate follows the path in order:
         the probes offered to a node are those its child passed on, it
         drops the positions its log names, passes on those it accepted but
-        the ones it still holds, and the sink's child hands its delivery
-        slots out in order. A path that ends at a root other than the sink
-        delivers nothing: its root sends nothing on, so it holds every
-        probe it accepted.
+        the ones it still holds, and the k-th to reach the sink gets the
+        sink's child's k-th slot. A path that ends at a root other than
+        the sink delivers nothing: its root sends nothing on, so it holds
+        every probe it accepted.
         """
         r, nodes, logs, times = self.result, self.net.nodes, self._logs, self._probe_times
         n_sent = len(times)  # every probe is sent before the END
@@ -653,14 +654,11 @@ class TrialEngine:
                 alive = [k for p, k in enumerate(alive) if p not in gone]
             if held := nodes[nid].marks.bit_count():
                 del alive[-held:]
-        at, it = [None] * n_sent, iter(alive)
-        for t, c in self._slots:
-            for k in islice(it, c):
-                at[k] = t
-        hops = r.hops_at_join
+        at, hops, h = [None] * n_sent, [0] * n_sent, r.hops_at_join
+        for k, t in zip(alive, self._slots):  # the sink's child delivered them in order
+            at[k], hops[k] = t, h
         seqs = map(add, accumulate(self._before), count(1))  # seq k: before[:k + 1] + k + 1
-        r.probes = list(map(ProbeRecord, seqs, times, at, dropped,
-                            [0 if t is None else hops for t in at]))
+        r.probes = list(map(ProbeRecord, seqs, times, at, dropped, hops))
         r.probe_delivered = len(alive)
         r.probe_dropped = sum(len(lost) for _, lost in logs.values())
 
@@ -758,7 +756,7 @@ class TrialEngine:
             if nid != new_id and node.traffic_rate_pps > 0:
                 node.rnd = random.Random(f"scatterjoin-traffic:{self.seed}:{nid}").random
                 node.scale = 1000.0 / node.traffic_rate_pps
-                node.due = 0.0 + -log(1.0 - node.rnd()) * node.scale  # 0.0 + turns -0.0 into 0.0
+                node.due = 0.0 - log(1.0 - node.rnd()) * node.scale  # 0.0 - keeps u = 0 at +0.0
             if node.master is not None:
                 node.next_slot_ms = node.ci_ms
         self._order = self._leaves_first()

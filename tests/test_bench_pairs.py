@@ -12,6 +12,11 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
+def judged(parent, change, better, bound=0.2):
+    s = bench_pairs.summarize(parent, change, better)
+    return {**s, **bench_pairs.verdict(s, better, bound)}
+
+
 def test_quartiles_of_the_parent_runs():
     assert bench_pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (2.0, 3.0, 4.0)
     assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
@@ -37,11 +42,46 @@ def test_each_side_gets_its_own_median_and_quartiles():
 
 
 def test_move_is_relative_to_the_parent_median():
-    s = bench_pairs.summarize([4.0, 4.0, 4.0], [5.0, 5.0, 5.0], "higher")
+    s = judged([4.0, 4.0, 4.0], [5.0, 5.0, 5.0], "higher")
     assert s["move"] == 0.25 and s["won"] == 3
     assert bench_pairs.summarize([0.0], [1.0], "lower")["move"] is None
     assert bench_pairs.format_row("trials_per_s", "1/s", s) == \
-        "trials_per_s (1/s): 4 [4, 4] -> 5 (+25.0%), 3 of 3 pairs won"
+        "trials_per_s (1/s): 4 [4, 4] -> 5 (+25.0%), 3 of 3 pairs won: gain shown"
+
+
+def test_a_gain_needs_nine_wins_in_ten():
+    parent = [10.0] * 10
+    nine = judged(parent, [9.0] * 9 + [11.0], "lower")
+    eight = judged(parent, [9.0] * 8 + [11.0] * 2, "lower")
+    assert (nine["won"], nine["change_median"], nine["gain_shown"]) == (9, 9.0, True)
+    assert (eight["won"], eight["change_median"], eight["gain_shown"]) == (8, 9.0, False)
+    assert not nine["past_bound"] and not eight["past_bound"]
+    assert bench_pairs.format_row("trial_ms_p50", "ms", nine).endswith(
+        "9 of 10 pairs won: gain shown")
+    assert bench_pairs.format_row("trial_ms_p50", "ms", eight).endswith(
+        "8 of 10 pairs won: neither")
+
+
+def test_a_move_inside_the_parent_iqr_shows_no_gain():
+    parent = [8.0, 9.0, 10.0, 11.0, 12.0] * 2  # quartiles 9 and 11: an IQR of 2
+    inside = judged(parent, [p + 1.0 for p in parent], "higher")
+    assert inside["parent_iqr"] == (9.0, 11.0)
+    assert (inside["won"], inside["change_median"], inside["gain_shown"]) == (10, 11.0, False)
+    past = judged(parent, [p + 2.5 for p in parent], "higher")
+    assert past["gain_shown"] is True
+    tie = judged(parent, [p + 2.0 for p in parent], "higher")  # a move of exactly the IQR
+    assert tie["gain_shown"] is False
+
+
+@pytest.mark.parametrize("better,at,beyond", [("lower", 12.0, 12.01), ("higher", 8.0, 7.99)])
+def test_a_regression_is_past_bound_only_beyond_it(better, at, beyond):
+    parent = [10.0] * 10
+    at_bound = judged(parent, [at] * 10, better)
+    past = judged(parent, [beyond] * 10, better)
+    assert (at_bound["past_bound"], past["past_bound"]) == (False, True)
+    assert not at_bound["gain_shown"] and not past["gain_shown"]
+    assert bench_pairs.format_row("m", "-", past).endswith("0 of 10 pairs won: past bound")
+    assert judged(parent, parent, better)["past_bound"] is False
 
 
 @pytest.mark.parametrize("parent,change,better", [
@@ -115,7 +155,8 @@ def test_json_records_each_workload_and_extends_a_record(monkeypatch, tmp_path):
     tps_row = t11["metrics"]["trials_per_s"]
     assert tps_row == {"unit": "1/s", "better": "higher", "parent_median": 5.0,
                        "parent_iqr": [4.5, 5.5], "change_median": 6.0,
-                       "change_iqr": [5.5, 6.5], "move": 0.2, "won": 3, "pairs": 3}
+                       "change_iqr": [5.5, 6.5], "move": 0.2, "won": 3, "pairs": 3,
+                       "gain_shown": False, "past_bound": False}  # a move of exactly the IQR
     assert (r64["workload"], r64["seed"], r64["pairs"]) == ("compare-r64", 3, 2)
     assert r64["metrics"]["trials_per_s"]["won"] == 0
     assert r64["metrics"]["trial_ms_p50"]["won"] == 2  # lower is better

@@ -878,6 +878,26 @@ def test_trials_equal_the_heap_reference(case):
                                 heap_trial(scenario, algo, seed)) == []
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_ties_of_every_kind_match_the_heap_reference(seed):
+    # slots, gaps, probes and engine times all on a 16 ms grid, with small
+    # buffers: on every node a slot, a child's departure and an arrival
+    # meet at one time, and the sweep must order them as the heap does; the
+    # joiner takes id 3, so arrivals tie with probes on both sides of its id
+    base = base_layout(6, seed)
+    eng = EngineParams(t_adv_ms=96.0, warmup_ms=304.0, measure_ms=992.0,
+                       max_wait_ms=400.0, probe_rate=62.5, n_ce=2)
+    swap = {3: base.new_node_id, base.new_node_id: 3}
+    nodes = [replace(n, id=(nid := swap.get(n.id, n.id)), ci_ms=16.0 * (1 + nid % 3), b_max=3,
+                     traffic_rate_pps=0.0 if nid in (base.sink_id, 3) else 31.25)
+             for n in base.nodes]
+    scenario = replace(base, nodes=nodes, new_node_id=3, engine=eng)
+    with drawn(True):
+        for algo in ALGOS:
+            assert differing_fields(run_trial(scenario, algo, seed),
+                                    heap_trial(scenario, algo, seed)) == []
+
+
 @pytest.mark.parametrize("b_max,counts", [(1, (10, 0, 9, 1)), (30, (10, 0, 0, 10))])
 def test_a_join_off_the_sinks_cluster_delivers_no_probe(b_max, counts):
     # the joiner hears only node 2, a root cut off from the sink: node 2 sends
