@@ -19,14 +19,15 @@ verdict: "gain shown" when the change won at least 9 in 10 of the pairs
 and its median moved to the better side by more than the parent's IQR,
 "past bound" when its median is worse than the parent's by more than the
 metric's bound in BENCHMARK.json, else "neither". With --json PATH it
-also writes those figures, the verdict and the change's quartiles, so
-each side has its own median and IQR, per workload and metric, with the
-machine, the Python version, both checkouts' src/ sha256, the seed, the
-pairs and the seconds; a PATH that already holds a record of the same
-two sources gains the new workloads (a workload run again at the same
-seed replaces its entry). It exits 1 if any run failed or printed
-"correct": false. Nothing else is written but what bench/run.py writes
-in each checkout.
+also writes those figures, the verdict, the change's quartiles and each
+side's value in every run, in pair order, so each side has its own
+median and IQR and each pair won can be traced to its two runs, per
+workload and metric, with the machine, the Python version, both
+checkouts' src/ sha256, the seed, the pairs and the seconds; a PATH
+that already holds a record of the same two sources gains the new
+workloads (a workload run again at the same seed replaces its entry).
+It exits 1 if any run failed or printed "correct": false. Nothing else
+is written but what bench/run.py writes in each checkout.
 
 The runs inherit this process's environment. With PYTHONDONTWRITEBYTECODE
 set no run writes bytecode, so each run's set-up compiles every src/
@@ -131,7 +132,9 @@ def bench_record(runs: dict, envs: dict, metrics: list[dict], workload: str,
         summaries[m["name"]] = {"unit": m["unit"], "better": m["better"], **s,
                                 "parent_iqr": list(s["parent_iqr"]),
                                 "change_iqr": list(s["change_iqr"]),
-                                **verdict(s, m["better"], m["bound"])}
+                                **verdict(s, m["better"], m["bound"]),
+                                "parent_runs": values["parent"],
+                                "change_runs": values["change"]}
     return {
         "machine": {k: parent[k] for k in ("cpu_model", "nproc", "cpus_usable")},
         "python": parent["python"],

@@ -11,13 +11,14 @@ carries its buffer's meter, its uplink's next slot and its arrival
 stream. A buffer is counted, not held (see model): packets have no
 identity in the sweep, so a connection event moves or drops them by
 arithmetic on head and tail, and a probe is a mark on its node's FIFO.
-Links are frozen, and Links works each out once. Every trial gets its
-network from a Layout: a link table and each algorithm's build-up,
-recorded by its first build and replayed on a fresh Network after that.
-Without shadowing both depend only on the scenario, so every trial
-shares the Scenario's Layout; a shadowed trial draws and builds its own.
-Both the build phase and each joinMe walk only the nodes the listener
-hears (Links.heard) and hear each through broadcast_status: the same
+Links are frozen, and Links keeps one row per node, worked out once:
+the nodes it hears and at what rssi. Every trial gets its network from
+a Layout: a link table and each algorithm's build-up, recorded by its
+first build and replayed on a fresh Network after that. Without
+shadowing both depend only on the scenario, so every trial shares the
+Scenario's Layout; a shadowed trial draws and builds its own. Both the
+build phase and each joinMe walk only the nodes the listener hears (its
+row, Links.heard) and hear each through broadcast_status: the same
 nodes every time, with their state at that instant. The algorithms
 differ only in their picks: PICKS gives each a build-up pick and a
 joinMe pick, both (cands, joiner, scenario) -> id | None. No node
@@ -172,20 +173,22 @@ class TrialResult:
 
 
 class Links:
-    """Every directed link of one layout, frozen once worked out.
+    """Every heard link of one layout, frozen once worked out.
 
-    links[at_id, from_id] is (heard, rssi) for from_id's signal received
-    at at_id, worked out by hears on first use and kept. heard(at_id)
-    lists, in ascending id order, the nodes whose signal at_id hears;
-    each list is worked out once, in one pass, and kept. With a seed and
+    heard(at_id) is at_id's row: each node whose signal at_id hears, in
+    ascending id order, mapped to the rssi at_id hears it at. A row is
+    worked out once, in one pass, and kept; an unheard link is kept
+    nowhere, so a table holds its heard links only. links[at_id, from_id]
+    is (heard, rssi) for from_id's signal received at at_id: read from
+    the row when heard, else worked out afresh by hears. With a seed and
     shadowing on, one standard-normal draw per ordered pair is taken up
     front in id order, so paired runs of both algorithms on the same seed
     see identical links; such a table belongs to one trial's Layout, and
     a link may then be heard one way only. Without draws a link is the
-    same both ways (hypot takes absolute values), so its result is kept
-    under both orders, and the scenario's Layout shares the table with
-    every check and unshadowed trial on it. seed=None is the unshadowed
-    layout.
+    same both ways (hypot takes absolute values), so a row takes each
+    link to a node whose row is already known from that row, and the
+    scenario's Layout shares the table with every check and unshadowed
+    trial on it. seed=None is the unshadowed layout.
     """
 
     def __init__(self, positions: dict[int, Position], radio: RadioParams,
@@ -193,48 +196,38 @@ class Links:
         self.positions, self.radio = positions, radio
         self._ids = ids = sorted(positions)
         self._draws: dict[tuple[int, int], float] = {}
-        self._known: dict[tuple[int, int], tuple[bool, float]] = {}
-        self._heard: dict[int, list[int]] = {}
+        self._rows: dict[int, dict[int, float]] = {}
         if seed is not None and radio.shadowing_sigma_db > 0:
             rng = random.Random(f"scatterjoin-shadow:{seed}")
             self._draws = {(a, b): rng.gauss(0.0, 1.0) for a in ids for b in ids if a != b}
 
     def __getitem__(self, link: tuple[int, int]) -> tuple[bool, float]:
-        known = self._known.get(link)
-        if known is None:
-            at_id, from_id = link
-            draws = self._draws
-            known = self._known[link] = hears(self.positions[at_id], self.positions[from_id],
-                                              self.radio, draws.get(link, 0.0))
-            if not draws:
-                self._known[from_id, at_id] = known
-        return known
+        at_id, from_id = link
+        rl = self.heard(at_id).get(from_id)
+        if rl is not None:
+            return True, rl
+        return hears(self.positions[at_id], self.positions[from_id], self.radio,
+                     self._draws.get(link, 0.0))
 
-    def heard(self, at_id: int) -> list[int]:
-        """The ids at_id hears (links[at_id, other] heard), ascending.
-
-        One pass over the ids, sorted once per table: a known link is read
-        from the cache, an unknown one is worked out by hears and kept as
-        links[at_id, other] would keep it.
-        """
-        ids = self._heard.get(at_id)
-        if ids is not None:
-            return ids
-        ids = self._heard[at_id] = []
-        known, draws, positions, radio = self._known, self._draws, self.positions, self.radio
+    def heard(self, at_id: int) -> dict[int, float]:
+        """at_id's row: {id: rssi} for each id at_id hears, ascending."""
+        row = self._rows.get(at_id)
+        if row is not None:
+            return row
+        rows, draws, positions, radio = self._rows, self._draws, self.positions, self.radio
+        row = rows[at_id] = {}
         here = positions[at_id]
         for other in self._ids:
             if other == at_id:
                 continue
-            link = (at_id, other)
-            result = known.get(link)
-            if result is None:
-                result = known[link] = hears(here, positions[other], radio, draws.get(link, 0.0))
-                if not draws:
-                    known[other, at_id] = result
-            if result[0]:
-                ids.append(other)
-        return ids
+            if not draws and (known := rows.get(other)) is not None:
+                if at_id in known:
+                    row[other] = known[at_id]
+                continue
+            heard, rl = hears(here, positions[other], radio, draws.get((at_id, other), 0.0))
+            if heard:
+                row[other] = rl
+        return row
 
 
 def broadcast_status(node: NodeState, links: Links, receiver_id: int) -> CandidateInfo | None:
@@ -244,8 +237,8 @@ def broadcast_status(node: NodeState, links: Links, receiver_id: int) -> Candida
     occupancy b is instantaneous. rn_dbm is the sender's measured link to
     its master, None for cluster roots.
     """
-    heard, rl = links[receiver_id, node.id]
-    if not heard:
+    rl = links.heard(receiver_id).get(node.id)
+    if rl is None:
         return None
     rn = None if node.master is None else links[node.id, node.master][1]
     # positional, in field order: keyword arguments would more than double its cost

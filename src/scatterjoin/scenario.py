@@ -267,20 +267,21 @@ def validate_scenario(s: Scenario) -> None:
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
     if not _connected(existing, links, s.radio.rx_threshold_dbm):
         raise ScenarioError("nodes: hearing graph without the new node is disconnected")
-    if not s.declared_unjoinable and not any(links[s.new_node_id, nid][0] for nid in existing):
+    if not s.declared_unjoinable and not links.heard(s.new_node_id):
         raise ScenarioError("new_node_id: new node hears nobody and declared_unjoinable is not set")
 
 
 def _connected(ids, links: Links, threshold: float) -> bool:
-    """Whether ids (never empty) form one component over links at or above threshold dBm."""
-    seen, frontier = {ids[0]}, [ids[0]]
+    """Whether ids (never empty) form one component over links at or above
+    threshold dBm, which is never below the receive threshold: a walk of
+    the heard rows, O(heard links)."""
+    unseen, frontier = set(ids[1:]), [ids[0]]
     while frontier:
-        cur = frontier.pop()
-        for other in ids:
-            if other not in seen and links[cur, other][1] >= threshold:
-                seen.add(other)
+        for other, rl in links.heard(frontier.pop()).items():
+            if other in unseen and rl >= threshold:
+                unseen.remove(other)
                 frontier.append(other)
-    return len(seen) == len(ids)
+    return not unseen
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -434,7 +435,7 @@ def _acceptable(s: Scenario | _Try) -> Scenario | None:
     floor = max(s.thresholds.rl_min_dbm, s.radio.rx_threshold_dbm)
     if not _connected(existing, links, floor):
         return None
-    usable = [nid for nid in existing if links[new_id, nid][1] >= floor]
+    usable = [nid for nid, rl in links.heard(new_id).items() if rl >= floor]
     if len(usable) < 2:
         return None
     for algo in ALGOS:

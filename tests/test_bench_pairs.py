@@ -156,10 +156,28 @@ def test_json_records_each_workload_and_extends_a_record(monkeypatch, tmp_path):
     assert tps_row == {"unit": "1/s", "better": "higher", "parent_median": 5.0,
                        "parent_iqr": [4.5, 5.5], "change_median": 6.0,
                        "change_iqr": [5.5, 6.5], "move": 0.2, "won": 3, "pairs": 3,
-                       "gain_shown": False, "past_bound": False}  # a move of exactly the IQR
+                       "gain_shown": False, "past_bound": False,  # a move of exactly the IQR
+                       "parent_runs": [4.0, 5.0, 6.0], "change_runs": [5.0, 6.0, 7.0]}
     assert (r64["workload"], r64["seed"], r64["pairs"]) == ("compare-r64", 3, 2)
     assert r64["metrics"]["trials_per_s"]["won"] == 0
     assert r64["metrics"]["trial_ms_p50"]["won"] == 2  # lower is better
+    assert r64["metrics"]["trial_ms_p50"]["change_runs"] == [8.0, 8.0]
+
+
+def test_json_traces_each_pair_won_to_its_runs(monkeypatch, tmp_path):
+    # the change runs first in odd pairs, yet each list keeps pair order
+    out = tmp_path / "BENCH.json"
+    parent, change = [10.0, 12.0, 11.0, 13.0], [11.0, 12.0, 10.0, 15.0]
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench(
+        [], {"parent": list(parent), "change": list(change)}, {"parent": "a", "change": "b"}))
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "compare-r16", "--pairs", "4",
+                             "--json", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    for name, row in result["metrics"].items():
+        assert (row["parent_runs"], row["change_runs"]) == (parent, change)
+        sign = 1 if row["better"] == "higher" else -1
+        assert row["won"] == sum(sign * (c - p) > 0 for p, c in zip(parent, change)), name
 
 
 def test_json_refuses_a_record_of_other_sources(monkeypatch, tmp_path):

@@ -480,40 +480,52 @@ def test_joinme_hears_exactly_the_nodes_in_range(monkeypatch, algo, sigma):
         assert [(c.id, c.rl_dbm) for c in cands] == in_range
 
 
+def scanned_row(links, at):
+    """at's heard links as (id, rssi) in ascending id order, each worked out
+    by hears directly with the table's draws."""
+    here, row = links.positions[at], []
+    for other in sorted(links.positions):
+        if other != at:
+            heard, rl = hears(here, links.positions[other], links.radio,
+                              links._draws.get((at, other), 0.0))
+            if heard:
+                row.append((other, rl))
+    return row
+
+
 @settings(max_examples=150, deadline=None)
 @given(points=st.lists(st.tuples(st.sampled_from([0.0, 6.5, 13.0, 13.3]), st.floats(0.0, 30.0)),
                        min_size=1, max_size=12),
        sigma=st.sampled_from([0.0, 4.0]), data=st.data())
 def test_heard_lists_equal_a_scan_of_every_link(points, sigma, data):
-    """heard(at) in one pass gives the list, the kept links and the hears
-    calls of a scan that reads links[at, other] for every other id, after
-    any links already read, a node's link to itself among them."""
+    """heard(at) in one pass gives the row a direct hears scan gives, after
+    any links already read, a node's link to itself among them, and each
+    link read equals hears'. Filling the rows reaches hears at most once
+    per unordered pair unshadowed and once per ordered pair shadowed."""
     positions = {nid: Position(*p) for nid, p in zip(data.draw(st.permutations(
         range(1, len(points) + 1))), points)}
     ids = sorted(positions)
     pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
     read_first, ats = data.draw(st.lists(pair, max_size=8)), data.draw(st.lists(st.sampled_from(ids)))
-    radio = RadioParams(shadowing_sigma_db=sigma)
-    one_pass, scan = Links(positions, radio, 3), Links(positions, radio, 3)
-    calls = collections.Counter()
+    links = Links(positions, RadioParams(shadowing_sigma_db=sigma), 3)
+    who = {id(pos): nid for nid, pos in positions.items()}  # equal positions are distinct objects
+    fills = collections.Counter()
 
     def counting(a, b, radio, noise=0.0):
-        calls[which] += 1
+        if sys._getframe(1).f_code.co_name == "heard":  # not a read of an unheard link
+            fills[who[id(a)], who[id(b)]] += 1
         return hears(a, b, radio, noise)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "hears", counting)
-        for which, links in (("one pass", one_pass), ("scan", scan)):
-            for link in read_first:
-                links[link]
+        for at, frm in read_first:
+            assert links[at, frm] == hears(positions[at], positions[frm], links.radio,
+                                           links._draws.get((at, frm), 0.0))
         for at in ats:
-            which = "one pass"
-            got = one_pass.heard(at)
-            which = "scan"
-            want = [other for other in ids if other != at and scan[at, other][0]]
-            assert got == want and one_pass.heard(at) is got
-    assert one_pass._known == scan._known
-    assert calls["one pass"] == calls["scan"]
+            links.heard(at)
+    assert all(list(row.items()) == scanned_row(links, at) for at, row in links._rows.items())
+    per_link = fills if sigma else collections.Counter(frozenset(p) for p in fills.elements())
+    assert max(per_link.values(), default=1) == 1
 
 
 # -- event core --------------------------------------------------------
@@ -1151,7 +1163,7 @@ def test_heard_lists_the_heard_links_in_ascending_order():
     for links in (Links(positions, s.radio), Links(positions, RadioParams(shadowing_sigma_db=4.0), 3)):
         for at in positions:
             heard = links.heard(at)
-            assert heard == [o for o in sorted(positions) if o != at and links[at, o][0]]
+            assert list(heard.items()) == scanned_row(links, at)
             assert links.heard(at) is heard  # worked out once, kept on the table
 
 
@@ -1165,7 +1177,7 @@ ASYMMETRIC = Scenario("asymmetric", [NodeSpec(1, (0.0, 0.0)), NodeSpec(3, (17.0,
 def test_a_node_gathers_what_it_hears_not_what_hears_it(algo):
     links = Layout(ASYMMETRIC, 0).links
     assert links[2, 1][0] and not links[1, 2][0]
-    assert links.heard(2) == [1, 3] and links.heard(1) == [] and links.heard(3) == [2]
+    assert list(links.heard(2)) == [1, 3] and links.heard(1) == {} and list(links.heard(3)) == [2]
     net = make_network(ASYMMETRIC)
     assert [c.id for c in engine._gather_candidates(net, 2, links)] == [1]
     order = build_network(net, algo, links, ASYMMETRIC)

@@ -2,7 +2,10 @@ import ast
 import collections
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scatterjoin import engine, scenario
-from scatterjoin.channel import RadioParams
+from scatterjoin.channel import Position, RadioParams, hears
 from scatterjoin.engine import ALGOS, TrialEngine, run_trial
 from scatterjoin.join_scored import ScoreWeights
 from scatterjoin.scenario import (EngineParams, GenerationError, NodeSpec,
@@ -573,6 +576,72 @@ def test_validation_refuses_more_ordered_links_than_events_before_hearing_one(
             validate_scenario(s)
 
 
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 8.0)),
+                       min_size=1, max_size=10),
+       threshold=st.sampled_from([-90.0, -88.0, -85.0, -80.0]))
+def test_connectivity_walks_the_rows_as_a_scan_of_every_pair(points, threshold):
+    # links between the receive threshold (-90 dBm) and threshold are heard but do not count
+    positions = {nid: Position(*p) for nid, p in enumerate(points, start=1)}
+    ids, radio = list(positions), RadioParams()
+    seen, frontier = {ids[0]}, [ids[0]]
+    while frontier:
+        cur = frontier.pop()
+        for other in ids:
+            if other not in seen and hears(positions[cur], positions[other], radio)[1] >= threshold:
+                seen.add(other)
+                frontier.append(other)
+    links = engine.Links(positions, radio)
+    assert scenario._connected(ids, links, threshold) == (len(seen) == len(ids))
+
+
+def test_connectivity_leaves_out_a_heard_link_below_the_floor():
+    links = engine.Links({1: Position(0.0, 0.0), 2: Position(12.0, 0.0)}, RadioParams())
+    assert links[1, 2][0] and -90.0 < links[1, 2][1] < -85.0  # 12 m: about -88.2 dBm
+    assert scenario._connected([1, 2], links, -90.0)
+    assert not scenario._connected([1, 2], links, -85.0)
+
+
+# Linux carries a process's peak RSS across exec, so a child started straight
+# from the test process would report the test process's peak as its own; a
+# small launcher in between keeps the child's figure its own.
+LAUNCH = ("import subprocess, sys; "
+          "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+SILENT_LINE_PEAK = """
+import resource, sys
+from scatterjoin.engine import run_trial
+from scatterjoin.scenario import NodeSpec, Scenario, validate_scenario
+
+nodes = [NodeSpec(nid, (float(nid), 0.0), ci_ms=1e300) for nid in range(1, 1001)]
+s = Scenario(name="silent", nodes=nodes, sink_id=1, new_node_id=1000)
+validate_scenario(s)
+assert run_trial(s, "baseline", 0).joined
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
+print(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10))
+"""
+
+
+def test_a_long_line_of_relays_runs_in_little_memory():
+    # a table that kept every ordered link held 999,000 for this line and peaked at 165 MB
+    src = Path(engine.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, SILENT_LINE_PEAK],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 60.0, f"peak RSS {float(proc.stdout):.1f} MB"
+
+
+def test_a_validated_table_stores_the_heard_links_only():
+    # 1,000 silent relays 1 m apart, the sink at one end and the joiner at the other
+    nodes = [NodeSpec(nid, (float(nid), 0.0), ci_ms=1e300) for nid in range(1, 1001)]
+    s = Scenario(name="silent", nodes=nodes, sink_id=1, new_node_id=1000)
+    validate_scenario(s)
+    reach = math.floor(s.radio.max_range_m())  # 13 m: a relay hears 13 on each side
+    stored = {(at, frm) for at, row in s.layout.links._rows.items() for frm in row}
+    assert stored == {(at, frm) for at in range(1, 1001)
+                      for frm in range(max(1, at - reach), min(1000, at + reach) + 1) if frm != at}
+
+
 def _reference_acceptable(s):
     """gen_random_scenario's per-try verdict as it was when every try was
     made a Scenario first: the same checks, heard through s.layout."""
@@ -629,7 +698,7 @@ def test_generation_equals_a_scenario_built_per_try(n_nodes, area_m, seed, max_r
             s = gen(n_nodes, seed, area_m, max_retries)
         except GenerationError as e:
             return str(e)
-        return scenario_to_dict(s), s.layout.attaches, s.layout.links._known
+        return scenario_to_dict(s), s.layout.attaches, s.layout.links._rows
 
     assert outcome(gen_random_scenario) == outcome(_reference_gen)
 
