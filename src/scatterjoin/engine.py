@@ -12,19 +12,19 @@ stream. A buffer is counted, not held (see model): packets have no
 identity in the sweep, so a connection event moves or drops them by
 arithmetic on head and tail, and a probe is a mark on its node's FIFO.
 Links are frozen, and Links keeps one row per node, worked out once:
-the nodes it hears and at what rssi. Every trial gets its network from
-a Layout: a link table and each algorithm's build-up, recorded by its
-first build and replayed on a fresh Network after that. Without
-shadowing both depend only on the scenario, so every trial shares the
-Scenario's Layout; a shadowed trial draws and builds its own. Both the
-build phase and each joinMe walk only the nodes the listener hears (its
-row, Links.heard) and hear each through broadcast_status: the same
-nodes every time, with their state at that instant. The algorithms
-differ only in their picks: PICKS gives each a build-up pick and a
-joinMe pick, both (cands, joiner, scenario) -> id | None. No node
-attaches after the join, so every probe crosses one chain of FIFOs, the
-joiner's path at the join: probes keep their order, and a delivered
-probe's hop count is hops_at_join.
+the nodes it hears and at what rssi; every link is read from a row.
+Every trial gets its network from a Layout: a link table and each
+algorithm's build-up, recorded by its first build and replayed on a
+fresh Network after that. Without shadowing both depend only on the
+scenario, so every trial shares the Scenario's Layout; a shadowed trial
+draws and builds its own. Both the build phase and each joinMe walk the
+listener's row (Links.heard) and hand each node, with the rssi the row
+holds, to broadcast_status: the same nodes every time, with their state
+at that instant. The algorithms differ only in their picks: PICKS gives
+each a build-up pick and a joinMe pick, both (cands, joiner, scenario)
+-> id | None. No node attaches after the join, so every probe crosses
+one chain of FIFOs, the joiner's path at the join: probes keep their
+order, and a delivered probe's hop count is hops_at_join.
 
 Every event has a key (time, kind, node, peer), and events apply in key
 order, so ties break on kind, then node id, then peer: a joinMe round
@@ -80,12 +80,14 @@ own. Every slot skipped that way would have found an empty buffer and
 done nothing, so the trial is the same as one that visits every slot.
 
 A trial is a sequence of cuts. It advances to each joinMe round's key,
-where the joiner hears every node as the cut leaves it. On the join
-every meter is split at t_join and the probe times are fixed: t_join,
-then t_join + k * interval. Then it advances to the END. A probe's seq
-counts the packets sent before it and itself: probe k's seq is k plus
-the arrivals whose keys sort before (t, KIND_GEN, joiner, k), those
-before t and, at t itself, those of nodes with ids below the joiner's.
+where _decide, the one joinMe decision (the heap reference calls it
+too), hears the joiner's row as the cut leaves it, picks, labels the
+candidates' branches and attaches. On the join every meter is split at
+t_join and the probe times are fixed: t_join, then t_join + k *
+interval. Then it advances to the END. A probe's seq counts the packets
+sent before it and itself: probe k's seq is k plus the arrivals whose
+keys sort before (t, KIND_GEN, joiner, k), those before t and, at t
+itself, those of nodes with ids below the joiner's.
 Each arrival adds one to the bin of the next probe, the first it sorts
 before; a last bin takes those after the last probe. Each path node logs
 the probes offered to it and the positions among them it dropped, the
@@ -178,17 +180,17 @@ class Links:
     heard(at_id) is at_id's row: each node whose signal at_id hears, in
     ascending id order, mapped to the rssi at_id hears it at. A row is
     worked out once, in one pass, and kept; an unheard link is kept
-    nowhere, so a table holds its heard links only. links[at_id, from_id]
-    is (heard, rssi) for from_id's signal received at at_id: read from
-    the row when heard, else worked out afresh by hears. With a seed and
-    shadowing on, one standard-normal draw per ordered pair is taken up
-    front in id order, so paired runs of both algorithms on the same seed
-    see identical links; such a table belongs to one trial's Layout, and
-    a link may then be heard one way only. Without draws a link is the
-    same both ways (hypot takes absolute values), so a row takes each
-    link to a node whose row is already known from that row, and the
-    scenario's Layout shares the table with every check and unshadowed
-    trial on it. seed=None is the unshadowed layout.
+    nowhere, so a table holds its heard links only. Every link is read
+    from a row: a node picks its master from its own row, so its uplink
+    is there too. With a seed and shadowing on, one standard-normal draw
+    per ordered pair is taken up front in id order, so paired runs of
+    both algorithms on the same seed see identical links; such a table
+    belongs to one trial's Layout, and a link may then be heard one way
+    only. Without draws a link is the same both ways (hypot takes
+    absolute values), so a row takes each link to a node whose row is
+    already known from that row, and the scenario's Layout shares the
+    table with every check and unshadowed trial on it. seed=None is the
+    unshadowed layout.
     """
 
     def __init__(self, positions: dict[int, Position], radio: RadioParams,
@@ -200,14 +202,6 @@ class Links:
         if seed is not None and radio.shadowing_sigma_db > 0:
             rng = random.Random(f"scatterjoin-shadow:{seed}")
             self._draws = {(a, b): rng.gauss(0.0, 1.0) for a in ids for b in ids if a != b}
-
-    def __getitem__(self, link: tuple[int, int]) -> tuple[bool, float]:
-        at_id, from_id = link
-        rl = self.heard(at_id).get(from_id)
-        if rl is not None:
-            return True, rl
-        return hears(self.positions[at_id], self.positions[from_id], self.radio,
-                     self._draws.get(link, 0.0))
 
     def heard(self, at_id: int) -> dict[int, float]:
         """at_id's row: {id: rssi} for each id at_id hears, ascending."""
@@ -230,17 +224,14 @@ class Links:
         return row
 
 
-def broadcast_status(node: NodeState, links: Links, receiver_id: int) -> CandidateInfo | None:
-    """node's fresh status broadcast as receiver_id hears it; None out of range.
+def broadcast_status(node: NodeState, rl: float, links: Links) -> CandidateInfo:
+    """node's fresh status broadcast as a listener hears it at rl dBm.
 
     The sender's state is snapshotted at emission time, so the buffer
     occupancy b is instantaneous. rn_dbm is the sender's measured link to
-    its master, None for cluster roots.
+    its master, read from its own row, None for cluster roots.
     """
-    rl = links.heard(receiver_id).get(node.id)
-    if rl is None:
-        return None
-    rn = None if node.master is None else links[node.id, node.master][1]
+    rn = None if node.master is None else links.heard(node.id)[node.master]
     # positional, in field order: keyword arguments would more than double its cost
     return CandidateInfo(node.id, node.cluster_id, node.cluster_size, len(node.slaves),
                          node.hops_to_sink, node.tail - node.head, node.ci_ms, rl, rn,
@@ -316,7 +307,7 @@ def _gather_candidates(net, joiner_id, links):
     with a free slot, in ascending id order."""
     nodes = net.nodes
     sink_cluster = nodes[net.sink_id].cluster_id
-    return [broadcast_status(node, links, joiner_id) for nid in links.heard(joiner_id)
+    return [broadcast_status(node, rl, links) for nid, rl in links.heard(joiner_id).items()
             if (node := nodes[nid]).cluster_id == sink_cluster and node.free_out >= 1]
 
 
@@ -657,29 +648,28 @@ class TrialEngine:
 
     # -- the joinMe round --------------------------------------------
 
-    def _join_round(self, key: tuple) -> bool:
-        """The joiner's joinMe emission at key: advance to it, hear, decide,
-        request, attach. Returns True when the joiner attached."""
+    def _decide(self, now_ms: float) -> bool:
+        """The joiner's joinMe decision at now_ms, on the state every event
+        before it left: hear each node of its row, pick, label each
+        candidate's branch at the decision, attach. Returns True when the
+        joiner attached, with t_join and its link's first slot set."""
         s, net, r = self.scenario, self.net, self.result
-        eng = s.engine
-        new_id = s.new_node_id
-        new, now_ms = net.nodes[new_id], key[0]
-        self._advance(key)
-        cands = [broadcast_status(net.nodes[nid], self.links, new_id)
-                 for nid in self.links.heard(new_id)]
+        new_id, nodes, links = s.new_node_id, net.nodes, self.links
+        new = nodes[new_id]
+        cands = [broadcast_status(nodes[nid], rl, links) for nid, rl in links.heard(new_id).items()]
         parent = self.join_pick(cands, new, s)
         if parent is None:
             return False
 
         level = {}  # node -> (running mean occupancy, drops, b_max) at the decision
-        for nid, node in sorted(net.nodes.items()):
+        for nid, node in sorted(nodes.items()):
             node.area += (node.tail - node.head) * (now_ms - node.last_ms)
             node.last_ms = now_ms
             self._join_snap[nid] = (node.area, node.drops)
             level[nid] = (node.area / now_ms, node.drops, node.b_max)
         theta = s.thresholds.theta_sat
         labels = {c.id: branch_saturated(net.path_to_root(c.id), net.sink_id,
-                                         theta, level.__getitem__)
+                                         theta, level.get)
                   for c in cands}
         r.eligible_sat = any(labels.values()) and not all(labels.values())
         r.avoided_sat = r.eligible_sat and not labels[parent]
@@ -688,17 +678,27 @@ class TrialEngine:
         r.joined = True
         r.chosen_parent = parent
         r.path_to_sink = net.path_to_root(new_id)
-        r.join_time_ms = now_ms - eng.warmup_ms
+        r.join_time_ms = now_ms - s.engine.warmup_ms
         r.hops_at_join = new.hops_to_sink
         self.t_join = now_ms
+        new.next_slot_ms = now_ms + new.ci_ms
+        return True
 
+    def _join_round(self, key: tuple) -> bool:
+        """The joiner's joinMe round at key: advance to it and decide; on a
+        join, fix the probe times, the path's logs and the sweep order.
+        Returns True when the joiner attached."""
+        self._advance(key)
+        now_ms = key[0]
+        if not self._decide(now_ms):
+            return False
+        eng, net, new_id = self.scenario.engine, self.net, self.scenario.new_node_id
         interval, n_probes = 1000.0 / eng.probe_rate, eng.n_probes()
         self._probe_times = [now_ms + k * interval for k in range(n_probes)]
         self._before += [0] * n_probes  # arrivals before the join stay in bin 0
-        self._logs = {nid: (0, []) for nid in r.path_to_sink if nid != net.sink_id}
+        self._logs = {nid: (0, []) for nid in self.result.path_to_sink if nid != net.sink_id}
         net.probe_source = new_id
-        new.due = now_ms
-        new.next_slot_ms = now_ms + new.ci_ms
+        net.nodes[new_id].due = now_ms
         self._anchor, self._cuts = now_ms, 0
         self._order = self._leaves_first()
         return True

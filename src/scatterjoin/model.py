@@ -73,38 +73,28 @@ class NodeState:
 class Network:
     """Mutable network state owned by a single trial.
 
-    It keeps each cluster's member ids (cluster id -> ids), built on first
-    use and rebuilt from the nodes whenever nodes has changed size since,
-    so a node added to nodes after construction is counted. Cluster ids
-    change only through attach, which keeps the index in step.
-    probe_source is the node that sends probes, once it has joined: marks
-    may sit only on its path to the root.
+    Its nodes are the ones it is built with. It keeps each cluster's
+    member ids (cluster id -> ids), built with it; cluster ids change only
+    through attach, which keeps the index in step. probe_source is the
+    node that sends probes, once it has joined: marks may sit only on its
+    path to the root.
     """
 
     def __init__(self, nodes, sink_id: int = SINK_ID):
         self.nodes: dict[int, NodeState] = {}
+        self._members: dict[int, list[int]] = {}
         for n in nodes:
             if n.id in self.nodes:
                 raise ValueError(f"duplicate node id {n.id}")
             self.nodes[n.id] = n
+            self._members.setdefault(n.cluster_id, []).append(n.id)
         if sink_id not in self.nodes:
             raise ValueError(f"sink id {sink_id} not present")
         self.sink_id = sink_id
-        self._members: dict[int, list[int]] = {}
-        self._indexed = 0  # len(nodes) when _members was built; 0: never
         self.probe_source: int | None = None
 
-    def _clusters(self) -> dict[int, list[int]]:
-        """Cluster id -> member ids, rebuilt if nodes changed size since."""
-        if self._indexed != len(self.nodes):
-            self._members = members = {}
-            for nid, n in self.nodes.items():
-                members.setdefault(n.cluster_id, []).append(nid)
-            self._indexed = len(self.nodes)
-        return self._members
-
     def cluster_members(self, cluster_id: int) -> list[int]:
-        return sorted(self._clusters().get(cluster_id, ()))
+        return sorted(self._members.get(cluster_id, ()))
 
     def attach(self, child_id: int, parent_id: int) -> None:
         """Merge the child's cluster under parent: child becomes parent's slave.
@@ -124,7 +114,7 @@ class Network:
             raise TopologyError(
                 f"attaching {child_id} under {parent_id} would create a cycle")
 
-        clusters, nodes = self._clusters(), self.nodes
+        clusters, nodes = self._members, self.nodes
         cluster_id = parent.cluster_id
         merged = parent.cluster_size + child.cluster_size
         child.master = parent_id

@@ -379,18 +379,18 @@ def gen_random_scenario(n_nodes: int = 16, seed: int = 0, area_m: float = 30.0,
             return s
     raise GenerationError(
         f"no viable layout after {max_retries} tries (seed {seed}); "
-        "try a larger area or more nodes")
+        "try a smaller area or more nodes")
 
 
 class _Try:
-    """One of gen_random_scenario's tries, judged by _acceptable before it
-    is a Scenario: its draws as (id, pos, ci_ms, traffic_rate_pps), every
-    other field at a generated scenario's default. To Layout and the
-    build-up picks it reads as a Scenario would (nodes, sink_id,
-    new_node_id, radio, thresholds, weights). links hears the draws at
-    once; nodes and layout are made only once the hearing checks pass,
-    and scenario() only for an accepted try, which takes over the layout
-    with its links and both recorded build-ups."""
+    """One of gen_random_scenario's tries, the one thing _acceptable judges,
+    before it is a Scenario: its draws as (id, pos, ci_ms,
+    traffic_rate_pps), every other field at a generated scenario's
+    default. To Layout and the build-up picks it reads as a Scenario would
+    (nodes, sink_id, new_node_id, radio, thresholds, weights). links hears
+    the draws at once; nodes and layout are made only once the hearing
+    checks pass, and scenario() only for an accepted try, which takes over
+    the layout with its links and both recorded build-ups."""
 
     sink_id = 1
     radio, thresholds, weights = RadioParams(), Thresholds(), ScoreWeights()
@@ -417,11 +417,10 @@ class _Try:
         return s
 
 
-def _acceptable(s: Scenario | _Try) -> Scenario | None:
-    """gen_random_scenario's verdict on one try, or the same test of a
-    Scenario: the scenario if it passes, else None. It implies every
-    validate_scenario check, since a link the scored filter can use is
-    heard and at or above rl_min_dbm.
+def _acceptable(s: _Try) -> Scenario | None:
+    """gen_random_scenario's verdict on one try: the try made a Scenario if
+    it passes, else None. It implies every validate_scenario check, since
+    a link the scored filter can use is heard and at or above rl_min_dbm.
 
     The hearing checks come first and read only the links, so a try they
     reject builds nothing more. Then both build-ups run through the
@@ -429,8 +428,7 @@ def _acceptable(s: Scenario | _Try) -> Scenario | None:
     replay them; a rejected one drops its layout. Only an accepted try is
     made a Scenario.
     """
-    links = s.links if isinstance(s, _Try) else s.layout.links
-    new_id = s.new_node_id
+    links, new_id = s.links, s.new_node_id
     existing = [nid for nid in links.positions if nid != new_id]
     floor = max(s.thresholds.rl_min_dbm, s.radio.rx_threshold_dbm)
     if not _connected(existing, links, floor):
@@ -449,4 +447,4 @@ def _acceptable(s: Scenario | _Try) -> Scenario | None:
             return path[-2] if len(path) >= 2 else nid
         if len({branch(u) for u in usable}) < 2:
             return None
-    return s.scenario() if isinstance(s, _Try) else s
+    return s.scenario()

@@ -8,9 +8,10 @@ packet: the event that gives an empty buffer a packet pushes the link at
 its first slot sorting after that event, and the link's own event
 pushes its next slot while packets remain.
 
-It shares the rest with TrialEngine (the layout and build-up,
-broadcast_status, connection_event's counts, _finalize), so a difference
-between the two is a difference in event order. The probes are its own:
+It shares the rest with TrialEngine (the layout and build-up, the joinMe
+decision, connection_event's counts, _finalize), so a difference between
+the two is a difference in event order. Its arrival draws are its own,
+the reference for the sweep's draw, and so are its probes:
 probes[nid] holds each probe on path node nid as (index, ProbeRecord) in
 FIFO order, its index the node's tail when it entered, and move_probes
 carries them along after each connection event. heapq, connection_event
@@ -24,8 +25,7 @@ from collections import deque
 from math import log
 
 from scatterjoin.engine import (KIND_CONN, KIND_END, KIND_GEN, KIND_JOINME, ProbeRecord,
-                                TrialEngine, TrialResult, branch_saturated, broadcast_status,
-                                connection_event)
+                                TrialEngine, TrialResult, connection_event)
 from scatterjoin.model import NodeState
 
 
@@ -75,47 +75,19 @@ class HeapEngine(TrialEngine):
     # -- event handlers ----------------------------------------------
 
     def _on_join_round(self, key: tuple) -> bool:
-        """The joiner's joinMe emission at key: hear, decide, request, attach.
+        """The joiner's joinMe round at key: TrialEngine's decision, then the
+        first probe and the END on a join, else the next round.
 
         Returns True when the wait budget ran out with no parent picked.
         """
-        s, net, r = self.scenario, self.net, self.result
-        eng = s.engine
-        new_id = s.new_node_id
-        new, now_ms = net.nodes[new_id], key[0]
-        cands = [broadcast_status(net.nodes[nid], self.links, new_id)
-                 for nid in self.links.heard(new_id)]
-        parent = self.join_pick(cands, new, s)
-        if parent is None:
+        eng, new_id, now_ms = self.scenario.engine, self.scenario.new_node_id, key[0]
+        if not self._decide(now_ms):
             if now_ms - eng.warmup_ms >= eng.max_wait_ms:
                 return True
             heapq.heappush(self.heap, (now_ms + eng.t_adv_ms, KIND_JOINME, new_id, 0))
             return False
-
-        level = {}  # node -> (running mean occupancy, drops, b_max) at the decision
-        for nid, node in sorted(net.nodes.items()):
-            node.area += (node.tail - node.head) * (now_ms - node.last_ms)
-            node.last_ms = now_ms
-            self._join_snap[nid] = (node.area, node.drops)
-            level[nid] = (node.area / now_ms, node.drops, node.b_max)
-        theta = s.thresholds.theta_sat
-        labels = {c.id: branch_saturated(net.path_to_root(c.id), net.sink_id,
-                                         theta, level.__getitem__)
-                  for c in cands}
-        r.eligible_sat = any(labels.values()) and not all(labels.values())
-        r.avoided_sat = r.eligible_sat and not labels[parent]
-
-        net.attach(new_id, parent)
-        r.joined = True
-        r.chosen_parent = parent
-        r.path_to_sink = net.path_to_root(new_id)
-        r.join_time_ms = now_ms - eng.warmup_ms
-        r.hops_at_join = new.hops_to_sink
-        self.t_join = now_ms
-        self.probes.update((nid, deque()) for nid in r.path_to_sink)
-
+        self.probes.update((nid, deque()) for nid in self.result.path_to_sink)
         heapq.heappush(self.heap, (now_ms, KIND_GEN, new_id, 1))
-        new.next_slot_ms = now_ms + new.ci_ms
         heapq.heappush(self.heap, (now_ms + eng.measure_ms, KIND_END, 0, 0))
         return False
 

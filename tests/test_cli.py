@@ -423,6 +423,18 @@ def test_bad_area_fails_with_stage(tmp_path, monkeypatch, capsys, argv):
         "error at generation stage: area_m: must be > 0 and finite")
 
 
+def test_gen_of_a_sparse_layout_fails_with_advice_toward_a_smaller_area(tmp_path, monkeypatch,
+                                                                       capsys):
+    # 16 nodes over 200 m leave most nodes out of each other's reach
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--nodes", "16", "--area", "200", "--seed", "0", "--out", "g.json"]) == 1
+    assert capsys.readouterr().err == (
+        "error at generation stage: no viable layout after 500 tries (seed 0); "
+        "try a smaller area or more nodes\n")
+    assert not (tmp_path / "g.json").exists()
+    assert main(["gen", "--nodes", "16", "--area", "0.5", "--seed", "0", "--out", "g.json"]) == 0
+
+
 def test_gen_refuses_a_node_count_over_the_event_limit_at_once(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     start = time.perf_counter()

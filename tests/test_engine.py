@@ -23,6 +23,7 @@ from scatterjoin.engine import (ALGOS, KIND_CONN, KIND_END, KIND_GEN, KIND_JOINM
                                 Links, ProbeRecord, TrialEngine, TrialResult, broadcast_status,
                                 build_network, build_trial_network, connection_event,
                                 generate_traffic, make_network, run_trial)
+from scatterjoin.join_scored import CandidateInfo
 from scatterjoin.model import Network, NodeState
 from scatterjoin.scenario import (MAX_EVENTS, EngineParams, NodeSpec, Scenario, ScenarioError,
                                   gen_random_scenario, training11)
@@ -423,22 +424,22 @@ def test_broadcast_reaches_exactly_the_hearers():
     links = links_of(net)
 
     def heard(sender):
-        return {rid: c for rid in net.nodes if rid != sender
-                if (c := broadcast_status(net.nodes[sender], links, rid)) is not None}
+        """sender's broadcast at each node whose row holds it, at that row's rssi."""
+        return {rid: broadcast_status(net.nodes[sender], row[sender], links)
+                for rid in net.nodes if sender in (row := links.heard(rid))}
 
     out = heard(1)
     assert sorted(out) == [2, 3]
     assert all(c.id == 1 and c.rl_dbm == hears(net.nodes[rid].pos, net.nodes[1].pos,
                                                 RadioParams())[1] for rid, c in out.items())
     assert heard(4) == {}
-    assert broadcast_status(net.nodes[1], links, 4) is None
 
 
 def test_advert_snapshots_buffer_at_emission():
     net = _net_pair()
     net.nodes[2].tail += 1
     links = links_of(net)
-    out = [broadcast_status(net.nodes[2], links, rid) for rid in (1, 3)]
+    out = [broadcast_status(net.nodes[2], links.heard(rid)[2], links) for rid in (1, 3)]
     net.nodes[2].tail += 1
     assert all(adv.b == 1 for adv in out)
 
@@ -472,10 +473,9 @@ def test_joinme_hears_exactly_the_nodes_in_range(monkeypatch, algo, sigma):
     eng, res, seen = joinme_candidates(monkeypatch, s, algo, 0)
     new_id = s.new_node_id
     fresh = Links({n.id: Position(*n.pos) for n in s.nodes}, s.radio, 0)
-    links = {nid: fresh[new_id, nid] for nid in sorted(eng.net.nodes) if nid != new_id}
-    in_range = [(nid, rl) for nid, (heard, rl) in links.items() if heard]
+    in_range = scanned_row(fresh, new_id)
     assert res.joined and seen
-    assert 0 < len(in_range) < len(links)
+    assert 0 < len(in_range) < len(s.nodes) - 1
     for cands in seen:
         assert [(c.id, c.rl_dbm) for c in cands] == in_range
 
@@ -498,29 +498,23 @@ def scanned_row(links, at):
                        min_size=1, max_size=12),
        sigma=st.sampled_from([0.0, 4.0]), data=st.data())
 def test_heard_lists_equal_a_scan_of_every_link(points, sigma, data):
-    """heard(at) in one pass gives the row a direct hears scan gives, after
-    any links already read, a node's link to itself among them, and each
-    link read equals hears'. Filling the rows reaches hears at most once
-    per unordered pair unshadowed and once per ordered pair shadowed."""
+    """heard(at) in one pass gives the row a direct hears scan gives,
+    whichever rows were filled before it. Filling the rows reaches hears
+    at most once per unordered pair unshadowed and once per ordered pair
+    shadowed."""
     positions = {nid: Position(*p) for nid, p in zip(data.draw(st.permutations(
         range(1, len(points) + 1))), points)}
-    ids = sorted(positions)
-    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
-    read_first, ats = data.draw(st.lists(pair, max_size=8)), data.draw(st.lists(st.sampled_from(ids)))
+    ats = data.draw(st.lists(st.sampled_from(sorted(positions))))
     links = Links(positions, RadioParams(shadowing_sigma_db=sigma), 3)
     who = {id(pos): nid for nid, pos in positions.items()}  # equal positions are distinct objects
     fills = collections.Counter()
 
     def counting(a, b, radio, noise=0.0):
-        if sys._getframe(1).f_code.co_name == "heard":  # not a read of an unheard link
-            fills[who[id(a)], who[id(b)]] += 1
+        fills[who[id(a)], who[id(b)]] += 1
         return hears(a, b, radio, noise)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "hears", counting)
-        for at, frm in read_first:
-            assert links[at, frm] == hears(positions[at], positions[frm], links.radio,
-                                           links._draws.get((at, frm), 0.0))
         for at in ats:
             links.heard(at)
     assert all(list(row.items()) == scanned_row(links, at) for at, row in links._rows.items())
@@ -1062,9 +1056,8 @@ def test_shadow_map_paired_across_algos():
     s = replace(training11(), radio=RadioParams(shadowing_sigma_db=3.0))
     m = TrialEngine(s, "baseline", 9).links
     n = TrialEngine(s, "scored", 9).links
-    pairs = [(a.id, b.id) for a in s.nodes for b in s.nodes if a.id != b.id]
-    assert [m[p] for p in pairs] == [n[p] for p in pairs]
-    assert m[1, 2] != m[2, 1]  # ordered pairs draw independently
+    assert [m.heard(a.id) for a in s.nodes] == [n.heard(a.id) for a in s.nodes]
+    assert m.heard(1)[2] != m.heard(2)[1]  # ordered pairs draw independently
 
 
 def test_unshadowed_links_ignore_sigma():
@@ -1072,10 +1065,11 @@ def test_unshadowed_links_ignore_sigma():
     positions = {n.id: Position(*n.pos) for n in s.nodes}
     plain = Links(positions, s.radio)
     shadowed = Links(positions, s.radio, 11)
-    pairs = [(a, b) for a in positions for b in positions if a != b]
-    assert all(plain[a, b] == hears(positions[a], positions[b], RadioParams())
-               for a, b in pairs)
-    assert any(plain[p] != shadowed[p] for p in pairs)
+    for a in positions:
+        unshadowed = [(b, hears(positions[a], positions[b], RadioParams())) for b in sorted(positions)]
+        assert list(plain.heard(a).items()) == [(b, rl) for b, (heard, rl) in unshadowed
+                                                if heard and b != a]
+    assert any(plain.heard(a) != shadowed.heard(a) for a in positions)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 4.0])
@@ -1176,7 +1170,6 @@ ASYMMETRIC = Scenario("asymmetric", [NodeSpec(1, (0.0, 0.0)), NodeSpec(3, (17.0,
 @pytest.mark.parametrize("algo", ALGOS)
 def test_a_node_gathers_what_it_hears_not_what_hears_it(algo):
     links = Layout(ASYMMETRIC, 0).links
-    assert links[2, 1][0] and not links[1, 2][0]
     assert list(links.heard(2)) == [1, 3] and links.heard(1) == {} and list(links.heard(3)) == [2]
     net = make_network(ASYMMETRIC)
     assert [c.id for c in engine._gather_candidates(net, 2, links)] == [1]
@@ -1186,19 +1179,40 @@ def test_a_node_gathers_what_it_hears_not_what_hears_it(algo):
     assert r.joined and r.chosen_parent == 2
 
 
+def reference_status(net, nid, joiner_id, links):
+    """nid's broadcast as joiner_id hears it, worked out by hears with the
+    table's draws; None out of range. rn_dbm is hears' too."""
+    node, positions = net.nodes[nid], links.positions
+
+    def rssi(at, frm):
+        return hears(positions[at], positions[frm], links.radio, links._draws.get((at, frm), 0.0))
+
+    heard, rl = rssi(joiner_id, nid)
+    if not heard:
+        return None
+    rn = None
+    if node.master is not None:
+        uplink, rn = rssi(nid, node.master)
+        assert uplink  # a master is picked from its child's row
+    return CandidateInfo(id=nid, cluster_id=node.cluster_id, cluster_size=node.cluster_size,
+                         m=len(node.slaves), h=node.hops_to_sink, b=node.tail - node.head,
+                         ci_ms=node.ci_ms, rl_dbm=rl, rn_dbm=rn, free_out=node.free_out,
+                         children=tuple(node.slaves))
+
+
 def reference_gather(net, joiner_id, links):
     """The build-up's gather as first written: every member of the sink's
-    cluster in id order, each with a free slot heard through broadcast_status."""
+    cluster in id order, each with a free slot and heard by joiner_id."""
     sink_cluster = net.nodes[net.sink_id].cluster_id
     members = sorted(nid for nid, n in net.nodes.items() if n.cluster_id == sink_cluster)
     return [c for nid in members if net.nodes[nid].free_out >= 1
-            if (c := engine.broadcast_status(net.nodes[nid], links, joiner_id)) is not None]
+            if (c := reference_status(net, nid, joiner_id, links)) is not None]
 
 
 def reference_joinme(net, joiner_id, links):
     """The joinMe round's gather as first written: every other node in id order."""
     return [c for nid in sorted(net.nodes) if nid != joiner_id
-            if (c := engine.broadcast_status(net.nodes[nid], links, joiner_id)) is not None]
+            if (c := reference_status(net, nid, joiner_id, links)) is not None]
 
 
 @settings(max_examples=120, deadline=None)
@@ -1245,19 +1259,66 @@ def test_gathers_equal_a_walk_over_every_node(data, n, sigma, seed, algo):
 
 
 def test_both_phases_hear_through_broadcast_status(monkeypatch):
-    heard = []
+    heard, phase = [], ["join"]
 
-    def recording(node, links, receiver_id):
-        heard.append((node.id, receiver_id))
-        return real(node, links, receiver_id)
+    def recording(node, rl, links):
+        heard.append((phase[0], node.id, rl))
+        return real(node, rl, links)
 
-    real = engine.broadcast_status
+    def build(*args):
+        phase[0] = "build"
+        try:
+            return real_build(*args)
+        finally:
+            phase[0] = "join"
+
+    real, real_build = engine.broadcast_status, engine.build_network
     monkeypatch.setattr(engine, "broadcast_status", recording)
+    monkeypatch.setattr(engine, "build_network", build)
     s = training11()
     assert run_trial(s, "scored", 0).joined
-    receivers = {rid for _, rid in heard}
-    assert s.new_node_id in receivers and len(receivers) > 1  # joinMe and build phase
-    assert all(sender != rid for sender, rid in heard)  # no node hears itself
+    assert {p for p, _, _ in heard} == {"build", "join"}
+    links = s.layout.links
+    joiner_row = links.heard(s.new_node_id).items()
+    assert {(nid, rl) for p, nid, rl in heard if p == "join"} == set(joiner_row)
+    # each rssi is a heard link to the sender from some other node
+    assert all(any(links.heard(rid).get(nid) == rl for rid in links.positions if rid != nid)
+               for _, nid, rl in heard)
+
+
+def masters_unheard(net, links):
+    """The nodes whose master is missing from their own row."""
+    return [nid for nid, n in net.nodes.items()
+            if n.master is not None and n.master not in links.heard(nid)]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 4.0])
+@pytest.mark.parametrize("trial", [run_trial, heap_trial])
+def test_every_master_is_in_its_childs_row(monkeypatch, trial, sigma):
+    """broadcast_status reads rn_dbm from the sender's own row, so after
+    each build-up and after each join every master must be there: over
+    the golden scenarios, in the sweep and in the heap reference."""
+    cases = [(replace(s, radio=replace(s.radio, shadowing_sigma_db=sigma)), algo, seed)
+             for s, algo, seed in golden_cases()]
+    real_network, real_decide, checked = Layout.network, TrialEngine._decide, []
+
+    def network(layout, scenario, algo):
+        net = real_network(layout, scenario, algo)
+        assert masters_unheard(net, layout.links) == []
+        checked.append("build")
+        return net
+
+    def decide(eng, now_ms):
+        joined = real_decide(eng, now_ms)
+        if joined:
+            assert masters_unheard(eng.net, eng.links) == []
+            checked.append("join")
+        return joined
+
+    monkeypatch.setattr(Layout, "network", network)
+    monkeypatch.setattr(TrialEngine, "_decide", decide)
+    joined = sum(trial(s, algo, seed).joined for s, algo, seed in cases)
+    assert checked.count("build") == len(cases) and checked.count("join") == joined > 0
 
 
 def test_unknown_algorithm_rejected():

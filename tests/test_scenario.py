@@ -18,7 +18,7 @@ from scatterjoin.engine import ALGOS, TrialEngine, run_trial
 from scatterjoin.join_scored import ScoreWeights
 from scatterjoin.scenario import (EngineParams, GenerationError, NodeSpec,
                                   Scenario, ScenarioError, Thresholds,
-                                  _acceptable, gen_random_scenario, load_scenario,
+                                  gen_random_scenario, load_scenario,
                                   parse_scenario, scenario_to_dict,
                                   training11, validate_scenario,
                                   write_scenario)
@@ -224,6 +224,9 @@ def test_engine_checks_node_ids_of_a_scenario_built_in_code():
     # the sink has no uplink, so packets it generated could never leave
     (_node_override(0, traffic_rate_pps=5.0),
      r"nodes\[0\]\.traffic_rate_pps: must be 0 on the sink"),
+    (_node_override(1, b_max=0), r"nodes\[1\]\.b_max: must be >= 1"),
+    (_node_override(1, slave_capacity=-1), r"nodes\[1\]\.slave_capacity: must be >= 0"),
+    (_node_override(1, traffic_rate_pps=-2.0), r"nodes\[1\]\.traffic_rate_pps: must be >= 0"),
 ])
 def test_malformed_documents_rejected_by_name(doc, message):
     with pytest.raises(ScenarioError, match=message):
@@ -327,8 +330,11 @@ def test_scenario_fields_cannot_be_reassigned():
         s.nodes[3] = replace(s.nodes[3], ci_ms=1e-6)
 
 
-@pytest.mark.parametrize("check", [validate_scenario, _acceptable])
+@pytest.mark.parametrize("check", ["validate_scenario", "_acceptable"])
 def test_hearing_checks_reach_hears_once_per_ordered_pair(monkeypatch, check):
+    """validate_scenario on a copy of a scenario, or _acceptable on each try
+    of gen_random_scenario, hears each ordered pair of a table once; the
+    trials on the result then hear each unordered pair once in all."""
     calls = collections.Counter()
 
     def counting(a, b, radio, draw=0.0):
@@ -338,11 +344,17 @@ def test_hearing_checks_reach_hears_once_per_ordered_pair(monkeypatch, check):
     real = engine.hears
     monkeypatch.setattr(engine, "hears", counting)
     monkeypatch.setattr(scenario, "hears", None)  # scenario code hears only through Links
-    for s in [training11()] + [gen_random_scenario(n_nodes=n, seed=seed)
-                               for n, seed in ((16, 0), (16, 1), (64, 0))]:
+    layouts = [(16, 0), (16, 1), (64, 0)]
+    if check == "validate_scenario":  # a copy starts a new layout, so the check hears through it
+        copies = [replace(s, engine=SHORT) for s in [training11()] + [
+            gen_random_scenario(n_nodes=n, seed=seed) for n, seed in layouts]]
+        runs = [lambda s=s: validate_scenario(s) or s for s in copies]
+    else:  # each try draws new positions, so a pair heard twice is a link heard twice
+        runs = [lambda n=n, seed=seed: gen_random_scenario(n_nodes=n, seed=seed)
+                for n, seed in layouts]
+    for hear in runs:
         calls.clear()
-        s = replace(s, engine=SHORT)  # a copy starts a new layout, so check hears through it
-        check(s)
+        s = hear()
         assert calls and max(calls.values()) == 1
         for algo in ALGOS:  # trials reuse the layout, which keeps each link both ways
             run_trial(s, algo, 0)
@@ -597,7 +609,7 @@ def test_connectivity_walks_the_rows_as_a_scan_of_every_pair(points, threshold):
 
 def test_connectivity_leaves_out_a_heard_link_below_the_floor():
     links = engine.Links({1: Position(0.0, 0.0), 2: Position(12.0, 0.0)}, RadioParams())
-    assert links[1, 2][0] and -90.0 < links[1, 2][1] < -85.0  # 12 m: about -88.2 dBm
+    assert -90.0 < links.heard(1)[2] < -85.0  # heard at 12 m: about -88.2 dBm
     assert scenario._connected([1, 2], links, -90.0)
     assert not scenario._connected([1, 2], links, -85.0)
 
@@ -644,20 +656,26 @@ def test_a_validated_table_stores_the_heard_links_only():
 
 def _reference_acceptable(s):
     """gen_random_scenario's per-try verdict as it was when every try was
-    made a Scenario first: the same checks, heard through s.layout."""
+    made a Scenario first: the same checks, heard through s.layout. The
+    floor is at or above the receive threshold, so an unheard link, kept
+    in no row, is below it."""
     links = s.layout.links
+
+    def rssi(at, frm):
+        return links.heard(at).get(frm, -math.inf)
+
     existing = [n.id for n in s.nodes if n.id != s.new_node_id]
     floor = max(s.thresholds.rl_min_dbm, s.radio.rx_threshold_dbm)
     seen, frontier = {existing[0]}, [existing[0]]
     while frontier:
         cur = frontier.pop()
         for other in existing:
-            if other not in seen and links[cur, other][1] >= floor:
+            if other not in seen and rssi(cur, other) >= floor:
                 seen.add(other)
                 frontier.append(other)
     if len(seen) != len(existing):
         return False
-    usable = [nid for nid in existing if links[s.new_node_id, nid][1] >= floor]
+    usable = [nid for nid in existing if rssi(s.new_node_id, nid) >= floor]
     if len(usable) < 2:
         return False
     for algo in ALGOS:
@@ -686,7 +704,7 @@ def _reference_gen(n_nodes, seed, area_m, max_retries):
             return s
     raise GenerationError(
         f"no viable layout after {max_retries} tries (seed {seed}); "
-        "try a larger area or more nodes")
+        "try a smaller area or more nodes")
 
 
 @settings(max_examples=150, deadline=None)
